@@ -320,11 +320,12 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
         if options.verbose {
             eprintln!(
                 "# point `{}`: windows_widened={} batches_fused={} repartitions={} \
-                 (summed over {} seed(s))",
+                 classify_fanouts={} (summed over {} seed(s))",
                 point.label,
                 stats.windows_widened,
                 stats.batches_fused,
                 stats.repartitions,
+                stats.classify_fanouts,
                 reports.len()
             );
         }

@@ -207,6 +207,7 @@ pub fn run_scenario_reports_sharded_with_stats(
             totals.windows_widened += stats.windows_widened;
             totals.batches_fused += stats.batches_fused;
             totals.repartitions += stats.repartitions;
+            totals.classify_fanouts += stats.classify_fanouts;
         },
     )?;
     Ok((reports, totals.into_inner()))

@@ -215,6 +215,9 @@ pub struct WorldDebugStats {
     /// Cost-informed repartition passes evaluated between stepping epochs
     /// (boundaries move only when the measured cost is skewed).
     pub repartitions: u64,
+    /// Completed frames whose reception classification was heavy enough to
+    /// fan out to the shard workers.
+    pub classify_fanouts: u64,
 }
 
 /// The complete state of one simulation run.

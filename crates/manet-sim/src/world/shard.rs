@@ -139,10 +139,13 @@ fn spin_budget(shards: usize) -> u32 {
     }
 }
 
-/// Threshold (candidate receivers × overlapping transmissions, an estimate of
-/// classification work) above which reception classification fans out to the
-/// workers. Classification is pure, so this affects speed only — results are
-/// identical at every shard count and every threshold.
+/// Distance checks one completed frame needs — its in-range receivers times
+/// (one fringe check + one check per interferer the medium kept, i.e. per
+/// overlapping frame sent from within two ranges of it) — above which
+/// reception classification fans out to the workers. Only a neighborhood of
+/// hundreds under a storm gets there. Classification is pure, so this affects
+/// speed only — results are identical at every shard count and every
+/// threshold.
 const PARALLEL_CLASSIFY_MIN_WORK: usize = 1_024;
 
 /// Upper bound on timestamp batches fused into one widened window. Bounds the
@@ -314,7 +317,7 @@ struct StealShared {
     items: Vec<(u32, Point)>,
     chunk_size: usize,
     cursor: AtomicUsize,
-    results: parking_lot::Mutex<Vec<(u32, Vec<Option<ReceptionClass>>)>>,
+    results: parking_lot::Mutex<Vec<(u32, Vec<ReceptionClass>)>>,
 }
 
 /// Work the coordinator hands a shard for one phase of the current batch.
@@ -388,7 +391,7 @@ enum Reply {
         bufs: Vec<ActionBuf>,
     },
     Classify {
-        classes: Vec<Option<ReceptionClass>>,
+        classes: Vec<ReceptionClass>,
     },
     Deliver {
         bufs: Vec<ActionBuf>,
@@ -641,6 +644,28 @@ fn do_deliver(
     }
 }
 
+/// Pairs each receiver with its current position, the form in which
+/// receivers travel to the shards that classify them.
+fn positioned(medium: &RadioMedium, receivers: &[usize]) -> Vec<(u32, Point)> {
+    receivers
+        .iter()
+        .map(|&receiver| (receiver as u32, medium.position(receiver)))
+        .collect()
+}
+
+/// Classifies one run of a completed frame's receivers, each with its
+/// position, in the order given.
+fn classify_run(
+    snapshot: &CompletionSnapshot,
+    config: &RadioConfig,
+    receivers: &[(u32, Point)],
+) -> Vec<ReceptionClass> {
+    receivers
+        .iter()
+        .map(|&(receiver, position)| snapshot.classify(config, receiver as usize, position))
+        .collect()
+}
+
 /// Drains a work-stealing classify cursor: claim chunk indices until the
 /// cursor passes the end, classify each claimed run, and file the classes
 /// under the chunk index (the coordinator reassembles them in index order).
@@ -653,14 +678,7 @@ fn steal_classify(shared: &StealShared) {
             break;
         }
         let stop = (start + shared.chunk_size).min(shared.items.len());
-        let classes: Vec<Option<ReceptionClass>> = shared.items[start..stop]
-            .iter()
-            .map(|&(receiver, position)| {
-                shared
-                    .snapshot
-                    .classify(&shared.config, receiver as usize, position)
-            })
-            .collect();
+        let classes = classify_run(&shared.snapshot, &shared.config, &shared.items[start..stop]);
         shared.results.lock().push((chunk as u32, classes));
     }
 }
@@ -729,12 +747,7 @@ fn worker_loop(
                 config,
                 receivers,
             } => {
-                let classes = receivers
-                    .iter()
-                    .map(|&(receiver, position)| {
-                        snapshot.classify(&config, receiver as usize, position)
-                    })
-                    .collect();
+                let classes = classify_run(&snapshot, &config, &receivers);
                 // Drop our snapshot clone before replying so the coordinator
                 // can reclaim the buffer with `Arc::try_unwrap`.
                 drop(snapshot);
@@ -976,7 +989,6 @@ impl World {
                 bufvec_pool: Vec::new(),
                 item_lists: (0..part.len()).map(|_| Vec::new()).collect(),
                 snapshot: CompletionSnapshot::default(),
-                candidates: Vec::new(),
                 classes: Vec::new(),
                 received: Vec::new(),
                 due: Vec::new(),
@@ -1037,8 +1049,7 @@ struct Engine<'w, 'mb> {
     /// Per-shard item lists of the protocol segment being built.
     item_lists: Vec<Vec<ProtocolItem>>,
     snapshot: CompletionSnapshot,
-    candidates: Vec<usize>,
-    classes: Vec<Option<ReceptionClass>>,
+    classes: Vec<ReceptionClass>,
     received: Vec<u32>,
     due: Vec<u32>,
     /// Adaptive lookahead enabled (the default; `set_fixed_lookahead(true)`
@@ -1650,7 +1661,7 @@ impl Engine<'_, '_> {
             .schedule(ends_at, WorldEvent::TxEnd { frame, tx });
     }
 
-    /// Frame completion: snapshot + candidate query at the coordinator,
+    /// Frame completion: snapshot (with its receivers) at the coordinator,
     /// classification fanned out when heavy, fringe draws and counter updates
     /// sequential ascending (RNG order), delivery callbacks fanned out to the
     /// receivers' owners, commits sequential ascending.
@@ -1662,24 +1673,18 @@ impl Engine<'_, '_> {
         self.free_frames.push(frame);
         let mut snapshot = std::mem::take(&mut self.snapshot);
         self.medium.begin_completion(tx, &mut snapshot);
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        self.medium
-            .neighbors_into(snapshot.position(), &mut candidates);
         let mut classes = std::mem::take(&mut self.classes);
         classes.clear();
-        let parallel = !self.inboxes.is_empty()
-            && candidates.len() * (snapshot.overlap_count() + 1) >= PARALLEL_CLASSIFY_MIN_WORK;
-        if parallel && self.steal {
+        let work = snapshot.receivers().len() * (snapshot.interferer_count() + 1);
+        let parallel = !self.inboxes.is_empty() && work >= PARALLEL_CLASSIFY_MIN_WORK;
+        self.stats.classify_fanouts += u64::from(parallel);
+        let snapshot = if parallel && self.steal {
             // Work-stealing variant (opt-in): every shard — coordinator
             // included — claims fixed-size receiver chunks from a shared
-            // cursor, so a spatially skewed candidate set cannot idle the
+            // cursor, so a spatially skewed receiver set cannot idle the
             // far shards. Chunks reassemble in index order: bit-identical.
             let shard_count = self.part.len();
-            let items: Vec<(u32, Point)> = candidates
-                .iter()
-                .map(|&receiver| (receiver as u32, self.medium.position(receiver)))
-                .collect();
+            let items = positioned(self.medium, snapshot.receivers());
             let chunk_size = items.len().div_ceil(shard_count * 4).max(64);
             let shared = Arc::new(StealShared {
                 snapshot,
@@ -1710,36 +1715,26 @@ impl Engine<'_, '_> {
             for (_, chunk_classes) in results {
                 classes.extend(chunk_classes);
             }
-            self.snapshot = shared.snapshot;
+            shared.snapshot
         } else if parallel {
             let shard_count = self.part.len();
-            let chunk = candidates.len().div_ceil(shard_count);
             let snapshot = Arc::new(snapshot);
+            let receivers = snapshot.receivers();
+            let chunk = receivers.len().div_ceil(shard_count);
+            let mut chunks = receivers.chunks(chunk);
+            let own = chunks.next().unwrap_or_default();
             let mut outstanding = 0;
-            for shard in 1..shard_count {
-                let start = shard * chunk;
-                if start >= candidates.len() {
-                    break;
-                }
-                let stop = (start + chunk).min(candidates.len());
-                let receivers: Vec<(u32, Point)> = candidates[start..stop]
-                    .iter()
-                    .map(|&receiver| (receiver as u32, self.medium.position(receiver)))
-                    .collect();
-                self.inboxes[shard - 1].send(Work::Classify {
+            for (inbox, run) in self.inboxes.iter().zip(chunks) {
+                inbox.send(Work::Classify {
                     snapshot: Arc::clone(&snapshot),
                     config: self.radio.clone(),
-                    receivers,
+                    receivers: positioned(self.medium, run),
                 });
                 outstanding += 1;
             }
-            for &receiver in &candidates[..chunk.min(candidates.len())] {
-                classes.push(snapshot.classify(
-                    &self.radio,
-                    receiver,
-                    self.medium.position(receiver),
-                ));
-            }
+            classes.extend(own.iter().map(|&receiver| {
+                snapshot.classify(&self.radio, receiver, self.medium.position(receiver))
+            }));
             self.collect_replies(outstanding);
             for shard in 1..=outstanding {
                 match self.reply_slots[shard].take() {
@@ -1747,32 +1742,27 @@ impl Engine<'_, '_> {
                     _ => unreachable!("mismatched reply kind"),
                 }
             }
-            self.snapshot = Arc::try_unwrap(snapshot).unwrap_or_default();
+            let Ok(snapshot) = Arc::try_unwrap(snapshot) else {
+                unreachable!("workers drop their snapshot clones before replying")
+            };
+            snapshot
         } else {
-            for &receiver in &candidates {
-                classes.push(snapshot.classify(
-                    &self.radio,
-                    receiver,
-                    self.medium.position(receiver),
-                ));
-            }
-            self.snapshot = snapshot;
-        }
+            classes.extend(snapshot.receivers().iter().map(|&receiver| {
+                snapshot.classify(&self.radio, receiver, self.medium.position(receiver))
+            }));
+            snapshot
+        };
         // Sequential half: fringe draws + counters, ascending receiver order.
         let mut received = std::mem::take(&mut self.received);
         received.clear();
-        let snapshot_ref = std::mem::take(&mut self.snapshot);
-        for (&receiver, &class) in candidates.iter().zip(classes.iter()) {
-            if let Some(class) = class {
-                let outcome =
-                    self.medium
-                        .resolve_classified(&snapshot_ref, receiver, class, self.mac_rng);
-                if outcome == ReceptionOutcome::Received {
-                    received.push(receiver as u32);
-                }
+        for (&receiver, &class) in snapshot.receivers().iter().zip(classes.iter()) {
+            let outcome = self
+                .medium
+                .resolve_classified(&snapshot, receiver, class, self.mac_rng);
+            if outcome == ReceptionOutcome::Received {
+                received.push(receiver as u32);
             }
         }
-        self.snapshot = snapshot_ref;
         if received.is_empty() {
             self.action_buf.recycle_message(pending.message);
         } else {
@@ -1780,7 +1770,7 @@ impl Engine<'_, '_> {
         }
         self.received = received;
         self.classes = classes;
-        self.candidates = candidates;
+        self.snapshot = snapshot;
     }
 
     /// Routes a received frame to the owning shards of its receivers

@@ -8,18 +8,46 @@
 //! O(nodes) — which is what keeps dense, paper-scale-and-beyond sweeps
 //! tractable.
 //!
-//! Determinism contract: [`SpatialGrid::query_into`] returns candidate node
-//! indices in **ascending index order**, exactly the order the brute-force scan
-//! over `0..node_count` visits them. Because out-of-range nodes consume no
-//! randomness during reception resolution, iterating the (superset) candidate
-//! list in ascending order consumes the RNG stream bit-identically to the full
-//! scan.
+//! Determinism contract: [`SpatialGrid::within_into`] (exact) and
+//! [`SpatialGrid::query_into`] (whole cells) return node indices in
+//! **ascending index order**, exactly the order the brute-force scan over
+//! `0..node_count` visits them. Because out-of-range nodes consume no
+//! randomness during reception resolution, resolving the in-range nodes in
+//! that order consumes the RNG stream bit-identically to the full scan.
 
 use mobility::Point;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Integer coordinates of one grid cell.
 type Cell = (i64, i64);
+
+/// Multiplicative hasher for [`Cell`] keys. Cell coordinates are computed
+/// from simulated positions, never taken from outside the program, so the
+/// default SipHash's collision resistance buys nothing here, and a
+/// reception query pays for nine lookups per frame.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        // Odd constant close to 2^64 / golden ratio: one multiply spreads
+        // neighbouring coordinates over the whole word.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table indexes
+        // with the low ones.
+        self.0.rotate_left(26)
+    }
+}
 
 /// A uniform spatial hash: node index → cell, cell → node indices.
 #[derive(Debug, Clone)]
@@ -28,8 +56,11 @@ pub struct SpatialGrid {
     positions: Vec<Point>,
     /// Cell of each node, kept in lockstep with `positions`.
     cells: Vec<Cell>,
+    /// Index of each node inside its cell's bucket, so leaving a bucket is a
+    /// `swap_remove` instead of a search.
+    slots: Vec<u32>,
     /// Occupancy per cell. Vectors are unordered; queries sort their output.
-    buckets: HashMap<Cell, Vec<usize>>,
+    buckets: HashMap<Cell, Vec<usize>, BuildHasherDefault<CellHasher>>,
 }
 
 impl SpatialGrid {
@@ -37,19 +68,22 @@ impl SpatialGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size` is not strictly positive and finite.
+    /// Panics if `cell_size` is not strictly positive and finite, or if
+    /// `node_count` exceeds `u32::MAX`.
     pub fn new(cell_size: f64, node_count: usize) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
             "cell size must be positive and finite, got {cell_size}"
         );
+        let last_slot = u32::try_from(node_count).expect("node count exceeds u32");
         let origin_cell = cell_of(Point::ORIGIN, cell_size);
-        let mut buckets = HashMap::new();
+        let mut buckets = HashMap::default();
         buckets.insert(origin_cell, (0..node_count).collect());
         SpatialGrid {
             cell_size,
             positions: vec![Point::ORIGIN; node_count],
             cells: vec![origin_cell; node_count],
+            slots: (0..last_slot).collect(),
             buckets,
         }
     }
@@ -99,44 +133,73 @@ impl SpatialGrid {
             .buckets
             .get_mut(&old_cell)
             .expect("occupied cell must have a bucket");
-        let slot = old_bucket
-            .iter()
-            .position(|&n| n == node)
-            .expect("node must be in its recorded cell");
+        let slot = self.slots[node] as usize;
+        debug_assert_eq!(old_bucket[slot], node, "node must be in its recorded slot");
         old_bucket.swap_remove(slot);
+        if let Some(&moved) = old_bucket.get(slot) {
+            self.slots[moved] = slot as u32;
+        }
         if old_bucket.is_empty() {
             self.buckets.remove(&old_cell);
         }
         self.cells[node] = new_cell;
-        self.buckets.entry(new_cell).or_default().push(node);
+        let new_bucket = self.buckets.entry(new_cell).or_default();
+        self.slots[node] = new_bucket.len() as u32;
+        new_bucket.push(node);
     }
 
-    /// Appends to `out` every node whose cell overlaps the disc of `radius`
-    /// around `center`, in ascending node-index order. The result is a superset
-    /// of the nodes actually within `radius` (callers still filter by exact
-    /// distance) and never misses one.
+    /// Overwrites `out` with every node whose cell overlaps the disc of
+    /// `radius` around `center`, in ascending node-index order. The result is
+    /// a superset of the nodes actually within `radius` and never misses one;
+    /// [`SpatialGrid::within_into`] is the exact variant.
     ///
     /// # Panics
     ///
     /// Panics if `radius` is negative or not finite.
     pub fn query_into(&self, center: Point, radius: f64, out: &mut Vec<usize>) {
+        out.clear();
+        self.for_each_bucket(center, radius, |bucket| out.extend_from_slice(bucket));
+        // Each node lives in exactly one bucket, so sorting suffices (no dedup)
+        // — and ascending order is the determinism contract (see module docs).
+        out.sort_unstable();
+    }
+
+    /// Like [`SpatialGrid::query_into`], but exact: `out` is overwritten with
+    /// the nodes at most `radius` meters from `center`, in ascending
+    /// node-index order. The distance filter runs before the sort, so only
+    /// the nodes actually in the disc are sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` is negative or not finite.
+    pub fn within_into(&self, center: Point, radius: f64, out: &mut Vec<usize>) {
+        out.clear();
+        self.for_each_bucket(center, radius, |bucket| {
+            out.extend(
+                bucket
+                    .iter()
+                    .filter(|&&node| self.positions[node].distance(center) <= radius),
+            );
+        });
+        out.sort_unstable();
+    }
+
+    /// Calls `visit` with the occupants of every occupied cell overlapping
+    /// the disc of `radius` around `center`.
+    fn for_each_bucket(&self, center: Point, radius: f64, mut visit: impl FnMut(&[usize])) {
         assert!(
             radius.is_finite() && radius >= 0.0,
             "query radius must be non-negative and finite, got {radius}"
         );
-        out.clear();
         let span = (radius / self.cell_size).ceil() as i64;
         let (cx, cy) = cell_of(center, self.cell_size);
         for gx in cx - span..=cx + span {
             for gy in cy - span..=cy + span {
                 if let Some(bucket) = self.buckets.get(&(gx, gy)) {
-                    out.extend_from_slice(bucket);
+                    visit(bucket);
                 }
             }
         }
-        // Each node lives in exactly one bucket, so sorting suffices (no dedup)
-        // — and ascending order is the determinism contract (see module docs).
-        out.sort_unstable();
     }
 }
 
@@ -217,6 +280,42 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(result, sorted);
         assert_eq!(result, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn within_keeps_exactly_the_disc() {
+        let mut grid = SpatialGrid::new(100.0, 5);
+        grid.update(4, Point::new(100.0, 0.0)); // on the rim: in
+        grid.update(3, Point::new(-60.0, 80.0)); // on the rim, next cell: in
+        grid.update(2, Point::new(80.0, 80.0)); // same 3×3 block, outside
+        grid.update(1, Point::new(100.1, 0.0)); // just outside
+        let mut out = vec![99];
+        grid.within_into(Point::ORIGIN, 100.0, &mut out);
+        assert_eq!(out, vec![0, 3, 4], "overwritten, exact and ascending");
+        assert_eq!(query(&grid, Point::ORIGIN, 100.0), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn slots_follow_nodes_through_swap_removes() {
+        // Everyone starts in the origin bucket; leaving it in ascending order
+        // swaps the last occupant into each vacated slot, so every recorded
+        // slot but one's own goes stale unless it is patched.
+        let count = 64;
+        let mut grid = SpatialGrid::new(100.0, count);
+        let home =
+            |node: usize, lap: usize| Point::new(((node + lap) % 8) as f64 * 100.0 + 50.0, 1050.0);
+        for lap in 0..3 {
+            for node in 0..count {
+                grid.update(node, home(node, lap));
+            }
+            for column in 0..8 {
+                let expected: Vec<usize> = (0..count)
+                    .filter(|node| (node + lap) % 8 == column)
+                    .collect();
+                let center = Point::new(column as f64 * 100.0 + 50.0, 1050.0);
+                assert_eq!(query(&grid, center, 0.0), expected, "lap {lap}");
+            }
+        }
     }
 
     #[test]

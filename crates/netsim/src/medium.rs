@@ -14,12 +14,23 @@
 //!   standing in for QualNet's statistical propagation model.
 //!
 //! The medium owns the node positions in a [`SpatialGrid`] (cell size = radio
-//! range), updated incrementally as nodes move, so resolving a reception
-//! touches only the sender's 3×3 cell neighborhood — O(neighbors) instead of
-//! O(nodes). Candidates are visited in ascending node index, which keeps the
-//! RNG stream — and therefore every simulation report — bit-identical to the
-//! brute-force full scan (kept as [`RadioMedium::complete_transmission_brute`]
-//! for equivalence tests and the scaling benchmark).
+//! range), updated incrementally as nodes move, so completing a frame touches
+//! only what can matter to it:
+//!
+//! * its receivers come from the sender's 3×3 cell neighborhood, filtered to
+//!   the radio disc and then sorted — O(neighbors) instead of O(nodes);
+//! * of the other frames on the air at the same time, only those sent from
+//!   within `2·range` of the sender are kept as interferers: a receiver is at
+//!   most `range` from the sender, so by the triangle inequality a frame from
+//!   farther away cannot be audible at it;
+//! * half duplex is decided by sender id against the receiver list, never by
+//!   position, because a node may have moved since it started transmitting.
+//!
+//! Receivers are visited in ascending node index, which keeps the RNG stream
+//! — and therefore every simulation report — bit-identical to the brute-force
+//! full scan against every overlapping frame world-wide (kept as
+//! [`RadioMedium::complete_transmission_brute`] for equivalence tests and the
+//! scaling benchmark).
 //!
 //! The medium also does per-node traffic accounting ([`TrafficCounters`]),
 //! which the frugality experiments (Fig. 17–20) read back.
@@ -29,7 +40,12 @@ use crate::radio::RadioConfig;
 use mobility::Point;
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
-use std::collections::HashMap;
+use std::collections::VecDeque;
+
+/// Relative slack on the `2·range` interferer cut-off. The triangle
+/// inequality holds for exact distances; the three rounded ones involved can
+/// break it by a few ulps (~1e-16), which this covers a million times over.
+const REACH_SLACK: f64 = 1e-9;
 
 /// Identifier of an in-flight transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,15 +76,21 @@ impl TrafficCounters {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Transmission {
-    id: TxId,
     sender: usize,
     position: Point,
     start: SimTime,
     end: SimTime,
     payload_bytes: usize,
     completed: bool,
+}
+
+impl Transmission {
+    /// Whether the two frames were on the air at a common instant.
+    fn overlaps(&self, other: &Transmission) -> bool {
+        self.start < other.end && self.end > other.start
+    }
 }
 
 /// Outcome of a completed transmission at one receiver.
@@ -101,82 +123,68 @@ pub enum ReceptionClass {
     Clear,
 }
 
-/// Sender and position of one transmission that overlapped a completed frame
-/// in time — the only facts classification needs about an interferer.
-#[derive(Debug, Clone, Copy)]
-struct OverlapTx {
-    sender: usize,
-    position: Point,
-}
-
-/// A completed transmission detached from the medium, together with the set of
-/// transmissions that overlapped it in time. The receiver-independent half of
-/// reception resolution: [`CompletionSnapshot::classify`] is pure (`&self`, no
-/// RNG), so a caller may classify many candidate receivers concurrently and
-/// then feed the classes back through [`RadioMedium::resolve_classified`] in
-/// ascending node order for bit-identical outcomes, counters and RNG use.
+/// A completed transmission detached from the medium: the nodes in range of
+/// it, and what was on the air with it that can matter to them. The
+/// receiver-independent half of reception resolution:
+/// [`CompletionSnapshot::classify`] is pure (`&self`, no RNG), so a caller
+/// may classify the receivers concurrently and then feed the classes back
+/// through [`RadioMedium::resolve_classified`] in ascending node order for
+/// bit-identical outcomes, counters and RNG use.
 #[derive(Debug, Clone, Default)]
 pub struct CompletionSnapshot {
-    sender: usize,
+    /// Where the frame was transmitted from.
     position: Point,
+    /// Payload size of the frame in bytes (excluding per-frame overhead).
     payload_bytes: usize,
-    overlaps: Vec<OverlapTx>,
+    /// Nodes in range of the frame when it completed, sender excluded,
+    /// ascending.
+    receivers: Vec<usize>,
+    /// The receivers that were themselves on the air during the frame.
+    busy: Vec<usize>,
+    /// Where the other frames on the air during this one were sent from.
+    interferers: Vec<Point>,
 }
 
 impl CompletionSnapshot {
-    /// The transmitting node.
-    pub fn sender(&self) -> usize {
-        self.sender
+    /// Overwrites the snapshot with `frame` and nothing else on the air.
+    fn capture(&mut self, frame: &Transmission) {
+        self.position = frame.position;
+        self.payload_bytes = frame.payload_bytes;
+        self.receivers.clear();
+        self.busy.clear();
+        self.interferers.clear();
     }
 
-    /// Where the frame was transmitted from.
-    pub fn position(&self) -> Point {
-        self.position
+    /// The nodes within radio range of the frame when it completed, in
+    /// ascending node index; the sender is not among them.
+    pub fn receivers(&self) -> &[usize] {
+        &self.receivers
     }
 
-    /// Payload size of the frame in bytes (excluding per-frame overhead).
-    pub fn payload_bytes(&self) -> usize {
-        self.payload_bytes
+    /// Number of overlapping transmissions [`CompletionSnapshot::classify`]
+    /// checks each receiver against.
+    pub fn interferer_count(&self) -> usize {
+        self.interferers.len()
     }
 
-    /// Number of transmissions that overlapped this frame in time.
-    pub fn overlap_count(&self) -> usize {
-        self.overlaps.len()
-    }
-
-    /// Classifies reception of this frame at `receiver` located at `rx_pos`.
-    /// Returns `None` when the receiver is the sender or out of range (no
-    /// outcome is recorded for it at all).
-    pub fn classify(
-        &self,
-        config: &RadioConfig,
-        receiver: usize,
-        rx_pos: Point,
-    ) -> Option<ReceptionClass> {
-        if receiver == self.sender {
-            return None;
+    /// Classifies reception of this frame at `receiver`, one of
+    /// [`CompletionSnapshot::receivers`], located at `rx_pos`.
+    pub fn classify(&self, config: &RadioConfig, receiver: usize, rx_pos: Point) -> ReceptionClass {
+        if self.busy.contains(&receiver) {
+            return ReceptionClass::SelfBusy;
         }
-        let distance = self.position.distance(rx_pos);
-        if distance > config.range_m {
-            return None;
-        }
-        // Half duplex: the receiver was itself on the air during the frame.
-        if self.overlaps.iter().any(|t| t.sender == receiver) {
-            return Some(ReceptionClass::SelfBusy);
-        }
-        // Collision: another transmission audible at the receiver overlapped.
         let collided = self
-            .overlaps
+            .interferers
             .iter()
-            .any(|t| t.sender != receiver && t.position.distance(rx_pos) <= config.range_m);
+            .any(|from| from.distance(rx_pos) <= config.range_m);
         if collided {
-            return Some(ReceptionClass::Collided);
+            return ReceptionClass::Collided;
         }
         let fringe_start = config.range_m * config.fringe_start_fraction;
-        if distance > fringe_start {
-            Some(ReceptionClass::FringeCandidate)
+        if self.position.distance(rx_pos) > fringe_start {
+            ReceptionClass::FringeCandidate
         } else {
-            Some(ReceptionClass::Clear)
+            ReceptionClass::Clear
         }
     }
 }
@@ -187,19 +195,17 @@ pub struct RadioMedium {
     config: RadioConfig,
     /// Node positions, bucketed by radio-range-sized cells.
     grid: SpatialGrid,
-    transmissions: Vec<Transmission>,
-    /// Index of each tracked transmission in `transmissions`, keyed by id —
-    /// completing a frame is a map lookup, not a linear scan.
-    tx_index: HashMap<TxId, usize>,
+    /// Tracked transmissions in id order: ids are handed out consecutively,
+    /// so `tx` sits at index `tx - first_tx`. Pruned from the front only.
+    transmissions: VecDeque<Transmission>,
+    /// Id of the front of `transmissions` (of the next one when empty).
+    first_tx: u64,
     counters: Vec<TrafficCounters>,
-    next_tx: u64,
-    /// Scratch buffer for grid queries, reused across completions.
-    candidates: Vec<usize>,
     /// Longest air time of any frame begun so far — the interference horizon
     /// used by pruning: a completed frame older than this cannot overlap
     /// anything still pending.
     max_air: SimDuration,
-    /// Scratch snapshot reused by the all-in-one completion paths.
+    /// Scratch snapshot reused by the all-in-one completion path.
     snapshot: CompletionSnapshot,
 }
 
@@ -217,11 +223,9 @@ impl RadioMedium {
         RadioMedium {
             grid: SpatialGrid::new(config.range_m, node_count),
             config,
-            transmissions: Vec::new(),
-            tx_index: HashMap::new(),
+            transmissions: VecDeque::new(),
+            first_tx: 0,
             counters: vec![TrafficCounters::default(); node_count],
-            next_tx: 0,
-            candidates: Vec::new(),
             max_air: SimDuration::ZERO,
             snapshot: CompletionSnapshot::default(),
         }
@@ -234,8 +238,8 @@ impl RadioMedium {
         medium
     }
 
-    /// Clears all per-run state — traffic counters, the transmission slab and
-    /// its id index — while keeping every allocation (including the spatial
+    /// Clears all per-run state — traffic counters and the tracked
+    /// transmissions — while keeping every allocation (including the spatial
     /// grid's buckets) for reuse by the next run. Node positions are left as
     /// they are; callers push the next run's initial positions with
     /// [`RadioMedium::update_position`] or [`RadioMedium::sync_positions`].
@@ -247,8 +251,7 @@ impl RadioMedium {
             *counters = TrafficCounters::default();
         }
         self.transmissions.clear();
-        self.tx_index.clear();
-        self.next_tx = 0;
+        self.first_tx = 0;
         self.max_air = SimDuration::ZERO;
     }
 
@@ -326,16 +329,13 @@ impl RadioMedium {
     ) -> (TxId, SimTime) {
         assert!(sender < self.counters.len(), "unknown sender {sender}");
         self.prune(now);
-        let id = TxId(self.next_tx);
-        self.next_tx += 1;
+        let id = TxId(self.first_tx + self.transmissions.len() as u64);
         let air = self.config.air_time(payload_bytes);
         if air > self.max_air {
             self.max_air = air;
         }
         let end = now + air;
-        self.tx_index.insert(id, self.transmissions.len());
-        self.transmissions.push(Transmission {
-            id,
+        self.transmissions.push_back(Transmission {
             sender,
             position: self.grid.position(sender),
             start: now,
@@ -351,11 +351,10 @@ impl RadioMedium {
 
     /// Completes transmission `tx` and resolves reception at every node in
     /// range of the sender (excluding the sender itself), using the positions
-    /// the medium tracks. Returns the per-receiver outcomes; nodes outside the
-    /// range are not listed.
+    /// the medium tracks. Returns the per-receiver outcomes in ascending node
+    /// index; nodes outside the range are not listed.
     ///
-    /// Only the sender's 3×3 grid-cell neighborhood is examined, in ascending
-    /// node index, so outcomes and RNG consumption are bit-identical to
+    /// Outcomes and RNG consumption are bit-identical to
     /// [`RadioMedium::complete_transmission_brute`].
     ///
     /// # Panics
@@ -386,89 +385,118 @@ impl RadioMedium {
     ) {
         let mut snapshot = std::mem::take(&mut self.snapshot);
         self.begin_completion(tx, &mut snapshot);
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.grid
-            .query_into(snapshot.position, self.config.range_m, &mut candidates);
-        self.resolve_candidates(&snapshot, &candidates, rng, outcomes);
-        self.candidates = candidates;
+        self.resolve_snapshot(&snapshot, rng, outcomes);
         self.snapshot = snapshot;
     }
 
-    /// The pre-grid reference path: resolves reception by scanning **all**
-    /// nodes in ascending index order. Semantically identical to
-    /// [`RadioMedium::complete_transmission`] but O(nodes) per frame; kept so
-    /// equivalence tests and the scaling benchmark can compare the two.
+    /// The reference path: finds the receivers by scanning **all** nodes and
+    /// checks each against **every** transmission that overlapped the frame
+    /// in time, wherever it was sent from. Semantically identical to
+    /// [`RadioMedium::complete_transmission`] but O(nodes) per frame and
+    /// O(frames on the air) per receiver; kept so equivalence tests and the
+    /// scaling benchmark can compare the two.
     #[doc(hidden)]
     pub fn complete_transmission_brute(
         &mut self,
         tx: TxId,
         rng: &mut SimRng,
     ) -> Vec<(usize, ReceptionOutcome)> {
-        let mut snapshot = std::mem::take(&mut self.snapshot);
-        self.begin_completion(tx, &mut snapshot);
-        let everyone: Vec<usize> = (0..self.counters.len()).collect();
+        let (index, frame) = self.mark_completed(tx);
+        let mut snapshot = CompletionSnapshot::default();
+        snapshot.capture(&frame);
+        snapshot
+            .receivers
+            .extend((0..self.counters.len()).filter(|&node| {
+                node != frame.sender
+                    && frame.position.distance(self.grid.position(node)) <= self.config.range_m
+            }));
+        for other in self.overlapping(index, &frame) {
+            snapshot.busy.push(other.sender);
+            snapshot.interferers.push(other.position);
+        }
         let mut outcomes = Vec::new();
-        self.resolve_candidates(&snapshot, &everyone, rng, &mut outcomes);
-        self.snapshot = snapshot;
+        self.resolve_snapshot(&snapshot, rng, &mut outcomes);
         outcomes
     }
 
-    /// Marks `tx` completed and captures it into `out` together with every
-    /// transmission that overlapped it in time. `out` is fully overwritten.
-    /// The snapshot half of completion: pair it with
-    /// [`CompletionSnapshot::classify`] per candidate receiver (any order, any
-    /// thread) and [`RadioMedium::resolve_classified`] in ascending node order
-    /// to get exactly what [`RadioMedium::complete_transmission_into`] does.
+    /// Marks `tx` completed and captures into `out` (fully overwritten) the
+    /// frame, the nodes in range of it, and the time-overlapping
+    /// transmissions that can matter to them: as half-duplex senders, the
+    /// ones whose sender is a receiver; as interferers, the ones sent from
+    /// within `2·range` of the frame (see the module docs). The snapshot half
+    /// of completion: pair it with [`CompletionSnapshot::classify`] per
+    /// receiver (any order, any thread) and
+    /// [`RadioMedium::resolve_classified`] in ascending node order to get
+    /// exactly what [`RadioMedium::complete_transmission_into`] does.
     ///
     /// # Panics
     ///
     /// Panics if `tx` is unknown or already completed.
     pub fn begin_completion(&mut self, tx: TxId, out: &mut CompletionSnapshot) {
-        let idx = *self.tx_index.get(&tx).expect("unknown transmission id");
-        assert!(
-            !self.transmissions[idx].completed,
-            "transmission completed twice"
-        );
-        self.transmissions[idx].completed = true;
-        let current = &self.transmissions[idx];
-        out.sender = current.sender;
-        out.position = current.position;
-        out.payload_bytes = current.payload_bytes;
-        let (id, start, end) = (current.id, current.start, current.end);
-        out.overlaps.clear();
-        out.overlaps.extend(
-            self.transmissions
-                .iter()
-                .filter(|t| t.id != id && t.start < end && t.end > start)
-                .map(|t| OverlapTx {
-                    sender: t.sender,
-                    position: t.position,
-                }),
-        );
+        let (index, frame) = self.mark_completed(tx);
+        out.capture(&frame);
+        let range = self.config.range_m;
+        self.grid
+            .within_into(frame.position, range, &mut out.receivers);
+        if let Ok(own) = out.receivers.binary_search(&frame.sender) {
+            out.receivers.remove(own);
+        }
+        let reach = 2.0 * range * (1.0 + REACH_SLACK);
+        for other in self.overlapping(index, &frame) {
+            if out.receivers.binary_search(&other.sender).is_ok() {
+                out.busy.push(other.sender);
+            }
+            if other.position.distance_squared(frame.position) <= reach * reach {
+                out.interferers.push(other.position);
+            }
+        }
     }
 
-    /// Grid neighborhood query at the medium's radio range: appends every node
-    /// within range of `position` (plus some of the surrounding cells) to
-    /// `out` in ascending node index. `out` is **not** cleared first.
+    /// Grid neighborhood query at the medium's radio range: overwrites `out`
+    /// with every node within range of `position` (plus some of the
+    /// surrounding cells) in ascending node index.
     pub fn neighbors_into(&self, position: Point, out: &mut Vec<usize>) {
         self.grid.query_into(position, self.config.range_m, out);
     }
 
-    /// Classifies and resolves each of `receivers` (ascending node index)
-    /// against `snapshot`, updating counters and consuming the RNG exactly
-    /// like the all-in-one completion paths.
-    fn resolve_candidates(
+    /// Looks `tx` up by its offset from the front of the deque, marks it
+    /// completed and returns its index and a copy of it.
+    fn mark_completed(&mut self, tx: TxId) -> (usize, Transmission) {
+        // An id older than the front wraps to an index past any length.
+        let index = usize::try_from(tx.0.wrapping_sub(self.first_tx)).unwrap_or(usize::MAX);
+        let frame = self
+            .transmissions
+            .get_mut(index)
+            .expect("unknown transmission id");
+        assert!(!frame.completed, "transmission completed twice");
+        frame.completed = true;
+        (index, *frame)
+    }
+
+    /// The tracked transmissions other than `frame` (at `index`) that were on
+    /// the air at a common instant with it, anywhere in the world.
+    fn overlapping<'a>(
+        &'a self,
+        index: usize,
+        frame: &'a Transmission,
+    ) -> impl Iterator<Item = &'a Transmission> {
+        self.transmissions
+            .iter()
+            .enumerate()
+            .filter(move |&(at, other)| at != index && other.overlaps(frame))
+            .map(|(_, other)| other)
+    }
+
+    /// Classifies and resolves each receiver of `snapshot` in ascending node
+    /// index, updating counters and consuming the RNG.
+    fn resolve_snapshot(
         &mut self,
         snapshot: &CompletionSnapshot,
-        receivers: &[usize],
         rng: &mut SimRng,
         outcomes: &mut Vec<(usize, ReceptionOutcome)>,
     ) {
-        for &receiver in receivers {
-            let rx_pos = self.grid.position(receiver);
-            let Some(class) = snapshot.classify(&self.config, receiver, rx_pos) else {
-                continue;
-            };
+        for &receiver in &snapshot.receivers {
+            let class = snapshot.classify(&self.config, receiver, self.grid.position(receiver));
             let outcome = self.resolve_classified(snapshot, receiver, class, rng);
             outcomes.push((receiver, outcome));
         }
@@ -514,27 +542,23 @@ impl RadioMedium {
         outcome
     }
 
-    /// Drops completed transmissions that can no longer interfere with frames
-    /// starting at or after `now`, and rebuilds the id index if anything moved.
+    /// Drops, from the front of the deque, completed transmissions that can
+    /// no longer interfere with frames starting at or after `now`.
     fn prune(&mut self, now: SimTime) {
         // A completed frame only matters as an interferer for a transmission
         // that overlaps it in time, and no pending transmission begun before
         // `now` can have started earlier than `now - max_air`. Anything that
         // ended before that (with a 1 ms margin for the strict/loose
-        // inequality mix) can never be consulted again.
+        // inequality mix) can never be consulted again. An expired frame
+        // behind a still-pending one waits for it: ids must stay contiguous,
+        // and the time test in `overlapping` ignores it meanwhile.
         let horizon = self.max_air + SimDuration::from_millis(1);
-        let before = self.transmissions.len();
-        self.transmissions
-            .retain(|t| !t.completed || t.end + horizon > now);
-        if self.transmissions.len() != before {
-            // Reuse the map's buckets instead of collecting into a fresh one.
-            self.tx_index.clear();
-            self.tx_index.extend(
-                self.transmissions
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, t)| (t.id, idx)),
-            );
+        while let Some(front) = self.transmissions.front() {
+            if !front.completed || front.end + horizon > now {
+                break;
+            }
+            self.transmissions.pop_front();
+            self.first_tx += 1;
         }
     }
 
@@ -723,6 +747,81 @@ mod tests {
     }
 
     #[test]
+    fn tx_ids_resolve_after_the_front_was_pruned() {
+        let pos = positions(&[(0.0, 0.0), (50.0, 0.0), (1000.0, 0.0), (1050.0, 0.0)]);
+        let mut medium = ideal_medium(&pos, 100.0);
+        let mut rng = SimRng::seed_from(1);
+        let (tx_a, _) = medium.begin_transmission(0, 100, SimTime::ZERO);
+        medium.complete_transmission(tx_a, &mut rng);
+        // Beginning the next frame drops `tx_a`: ids no longer equal indices.
+        let later = SimTime::from_secs(10);
+        let (tx_b, _) = medium.begin_transmission(2, 100, later);
+        let (tx_c, _) = medium.begin_transmission(0, 100, later);
+        assert_eq!(medium.tracked_transmissions(), 2);
+        assert_eq!(
+            medium.complete_transmission(tx_c, &mut rng),
+            vec![(1, ReceptionOutcome::Received)]
+        );
+        assert_eq!(
+            medium.complete_transmission(tx_b, &mut rng),
+            vec![(3, ReceptionOutcome::Received)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown transmission id")]
+    fn completing_a_pruned_transmission_panics() {
+        let pos = positions(&[(0.0, 0.0), (10.0, 0.0)]);
+        let mut medium = ideal_medium(&pos, 100.0);
+        let mut rng = SimRng::seed_from(1);
+        let (tx, _) = medium.begin_transmission(0, 100, SimTime::ZERO);
+        medium.complete_transmission(tx, &mut rng);
+        medium.begin_transmission(0, 100, SimTime::from_secs(10));
+        medium.complete_transmission(tx, &mut rng);
+    }
+
+    #[test]
+    fn interferer_at_twice_the_range_collides_at_the_midpoint() {
+        // The farthest an interferer can be from the sender and still matter:
+        // the receiver sits at exactly `range` from both.
+        let pos = positions(&[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]);
+        let mut medium = ideal_medium(&pos, 100.0);
+        let mut rng = SimRng::seed_from(1);
+        let (tx_a, _) = medium.begin_transmission(0, 400, SimTime::ZERO);
+        let (tx_b, _) = medium.begin_transmission(2, 400, SimTime::ZERO);
+        assert_eq!(
+            medium.complete_transmission(tx_a, &mut rng),
+            vec![(1, ReceptionOutcome::Collided)]
+        );
+        assert_eq!(
+            medium.complete_transmission(tx_b, &mut rng),
+            vec![(1, ReceptionOutcome::Collided)]
+        );
+    }
+
+    #[test]
+    fn transmitter_that_moved_into_range_is_still_busy() {
+        // Node 1 starts its frame ten ranges away — far outside anything that
+        // can interfere near node 0 — then arrives next to node 0 before node
+        // 0's frame ends. Half duplex follows the node, not the place its
+        // frame was sent from; that place stays inaudible to node 2.
+        let pos = positions(&[(0.0, 0.0), (1000.0, 0.0), (60.0, 0.0)]);
+        let mut medium = ideal_medium(&pos, 100.0);
+        let mut rng = SimRng::seed_from(1);
+        let (tx_a, _) = medium.begin_transmission(0, 400, SimTime::ZERO);
+        let (tx_b, _) = medium.begin_transmission(1, 400, SimTime::ZERO);
+        medium.update_position(1, Point::new(50.0, 0.0));
+        assert_eq!(
+            medium.complete_transmission(tx_a, &mut rng),
+            vec![
+                (1, ReceptionOutcome::SelfBusy),
+                (2, ReceptionOutcome::Received)
+            ]
+        );
+        assert!(medium.complete_transmission(tx_b, &mut rng).is_empty());
+    }
+
+    #[test]
     fn moved_nodes_hear_according_to_their_new_position() {
         let pos = positions(&[(0.0, 0.0), (500.0, 0.0)]);
         let mut medium = ideal_medium(&pos, 100.0);
@@ -835,21 +934,27 @@ mod proptests {
             prop_assert!(bytes_received <= bytes_sent * 4);
         }
 
-        /// The grid-backed reception path is bit-identical to the brute-force
-        /// full scan: same outcomes, same counters, and — because candidates
-        /// are visited in ascending node index — identical RNG consumption, on
-        /// random layouts with moving nodes and overlapping frames.
+        /// The local reception path is bit-identical to the brute-force
+        /// reference, which scans every node against every overlapping frame
+        /// world-wide: same outcomes, same counters, and — because receivers
+        /// are visited in ascending node index — identical RNG consumption.
+        /// Layouts run from one crowded cell to twenty ranges across (so the
+        /// `2·range` cut-off really drops interferers), 1 ms frames mix with
+        /// 32 ms ones (so finished frames wait in the deque behind a long
+        /// one), and nodes move while frames are on the air — among them
+        /// transmitters walking up to another frame's sender.
         #[test]
         fn grid_matches_brute_force_reference(
             seed in any::<u64>(),
             nodes in 2usize..40,
-            rounds in 1usize..25,
-            side in 50.0f64..2000.0,
+            rounds in 1usize..40,
+            side in 50.0f64..3000.0,
         ) {
+            const RANGE: f64 = 150.0;
             let config = RadioConfig {
                 fringe_loss_probability: 0.4,
                 fringe_start_fraction: 0.6,
-                ..RadioConfig::ideal(150.0)
+                ..RadioConfig::ideal(RANGE)
             };
             let mut scatter = SimRng::seed_from(seed ^ 0x5CA77E4);
             let pos: Vec<Point> = (0..nodes)
@@ -860,36 +965,63 @@ mod proptests {
             let mut grid_rng = SimRng::seed_from(seed);
             let mut brute_rng = SimRng::seed_from(seed);
 
+            // Frames on the air as (end, id, sender); like the world, the
+            // test completes each when the clock reaches its end.
+            let mut pending: Vec<(SimTime, TxId, usize)> = Vec::new();
             let mut now = SimTime::ZERO;
-            for round in 0..rounds {
-                // Occasionally move a node so rebucketing is exercised.
-                if round % 3 == 0 {
-                    let node = scatter.index(nodes);
-                    let to = Point::new(
-                        scatter.uniform_f64(-100.0, side + 100.0),
-                        scatter.uniform_f64(-100.0, side + 100.0),
-                    );
-                    grid_medium.update_position(node, to);
-                    brute_medium.update_position(node, to);
+            for round in 0..=rounds {
+                pending.sort_unstable();
+                let due = if round == rounds {
+                    pending.len()
+                } else {
+                    pending.partition_point(|&(end, _, _)| end <= now)
+                };
+                for (_, tx, _) in pending.drain(..due) {
+                    let grid_outcomes = grid_medium.complete_transmission(tx, &mut grid_rng);
+                    let brute_outcomes =
+                        brute_medium.complete_transmission_brute(tx, &mut brute_rng);
+                    prop_assert_eq!(&grid_outcomes, &brute_outcomes);
+                }
+                if round == rounds {
+                    break;
                 }
                 // A burst of overlapping frames from distinct senders.
                 let burst = 1 + scatter.index(3.min(nodes));
-                let mut pending = Vec::new();
                 for b in 0..burst {
                     let sender = (round + b * 7) % nodes;
-                    let (tx_g, _) = grid_medium.begin_transmission(sender, 200, now);
-                    let (tx_b, end) = brute_medium.begin_transmission(sender, 200, now);
+                    let payload = if scatter.chance(0.25) { 8000 } else { 200 };
+                    let (tx_g, _) = grid_medium.begin_transmission(sender, payload, now);
+                    let (tx_b, end) = brute_medium.begin_transmission(sender, payload, now);
                     prop_assert_eq!(tx_g, tx_b);
-                    pending.push((tx_g, end));
+                    pending.push((end, tx_g, sender));
                 }
-                for (tx, _) in &pending {
-                    let grid_outcomes = grid_medium.complete_transmission(*tx, &mut grid_rng);
-                    let brute_outcomes =
-                        brute_medium.complete_transmission_brute(*tx, &mut brute_rng);
-                    prop_assert_eq!(&grid_outcomes, &brute_outcomes);
+                // Moves while those frames are on the air: one node anywhere
+                // (rebucketing), and often a transmitter to within range of
+                // another frame's sender (half duplex at a stale position).
+                let mut moves = vec![(
+                    scatter.index(nodes),
+                    Point::new(
+                        scatter.uniform_f64(-100.0, side + 100.0),
+                        scatter.uniform_f64(-100.0, side + 100.0),
+                    ),
+                )];
+                let mover = pending[scatter.index(pending.len())].2;
+                let anchor = pending[scatter.index(pending.len())].2;
+                if mover != anchor {
+                    let at = grid_medium.position(anchor);
+                    moves.push((
+                        mover,
+                        Point::new(
+                            at.x + scatter.uniform_f64(-0.6, 0.6) * RANGE,
+                            at.y + scatter.uniform_f64(-0.6, 0.6) * RANGE,
+                        ),
+                    ));
                 }
-                now = pending.last().expect("burst is non-empty").1
-                    + SimDuration::from_millis(scatter.uniform_u64(0, 40));
+                for (node, to) in moves {
+                    grid_medium.update_position(node, to);
+                    brute_medium.update_position(node, to);
+                }
+                now += SimDuration::from_millis(scatter.uniform_u64(0, 40));
             }
             prop_assert_eq!(grid_medium.all_counters(), brute_medium.all_counters());
             // Identical RNG consumption: the two streams are still in lockstep.

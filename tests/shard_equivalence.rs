@@ -264,6 +264,16 @@ fn dense_classification_fanout_matches_single_thread() {
     for shards in [2usize, 4] {
         assert_sharded_matches_single(scenario.clone(), 1, shards);
     }
+    // The threshold counts in-range receivers × nearby interferers; make sure
+    // this scenario still crosses it, or the runs above pin only the inline
+    // path.
+    let mut fanned = World::new(scenario.clone(), 1).unwrap();
+    fanned.set_shards(2);
+    fanned.run_mut();
+    assert!(
+        fanned.debug_stats().classify_fanouts > 0,
+        "no completed frame was heavy enough to fan its classification out"
+    );
     // The work-stealing variant of the same fan-out (opt-in) must be
     // invisible too: chunks reassemble in index order, so the classification
     // outcome — and the whole report — is bit-identical to the pre-split
