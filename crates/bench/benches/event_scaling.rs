@@ -1,19 +1,22 @@
-//! Scaling of the event scheduler itself: the hierarchical timer wheel vs.
-//! the binary-heap reference.
+//! Scaling of the event scheduler itself.
 //!
-//! Builds timer-active populations of 1000/4000/10000 nodes — stationary,
-//! out of radio range of each other, running the simple-flooding protocol
-//! whose 1 Hz flood tick re-arms unconditionally — and measures a full
-//! 60 s world run. After the first mobility tick nothing moves and nothing
-//! is ever received, so the run is almost purely scheduler work: one timer
-//! event per node per simulated second (600k pops at 10k nodes), each of
-//! which cancels nothing and re-arms one timer. The heap reference
-//! (`World::set_heap_queue`) pays O(log n) sift work per pop and per push;
-//! the wheel (default) schedules and cancels in O(1), drains same-timestamp
+//! `event_scaling/wheel/*` builds timer-active populations of
+//! 1000/4000/10000 nodes — stationary, out of radio range of each other,
+//! running the simple-flooding protocol whose 1 Hz flood tick re-arms
+//! unconditionally — and measures a full 60 s world run. After the first
+//! mobility tick nothing moves and nothing is ever received, so the run is
+//! almost purely scheduler work: one timer event per node per simulated
+//! second (600k pops at 10k nodes), each of which cancels nothing and
+//! re-arms one timer.
+//!
+//! `event_queue_churn/*` is the same workload at the queue level, the
+//! hierarchical timer wheel against the binary-heap model it is
+//! property-tested against: the heap pays O(log n) sift work per pop and per
+//! push; the wheel schedules and cancels in O(1), drains same-timestamp
 //! batches from one staged slot, and keeps its handles in a recycled slab.
 //! The wheel must win and the gap must widen with the population (see
-//! `BENCH_BASELINE.json` for captured numbers); reports stay bit-identical
-//! (pinned by `tests/scheduler_equivalence.rs`).
+//! `BENCH_BASELINE.json` for captured numbers; PR 5 measured the in-world
+//! heap before it was retired).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use frugal::FloodingPolicy;
@@ -47,24 +50,14 @@ fn bench_event_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_scaling");
     for &nodes in &[1000usize, 4000, 10000] {
         let scenario = timer_active(nodes);
-        // Both sides recycle world setup through an arena, so the measured
-        // difference is the scheduler cost alone.
+        // World setup is recycled through an arena, so what is measured is
+        // the event loop alone.
         let mut arena = WorldArena::new();
         let mut seed = 0u64;
         group.bench_function(format!("wheel/{nodes}"), |b| {
             b.iter(|| {
                 seed += 1;
                 let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                world.run_mut().nodes.len()
-            });
-        });
-        let mut arena = WorldArena::new();
-        let mut seed = 0u64;
-        group.bench_function(format!("heap/{nodes}"), |b| {
-            b.iter(|| {
-                seed += 1;
-                let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                world.set_heap_queue(true);
                 world.run_mut().nodes.len()
             });
         });

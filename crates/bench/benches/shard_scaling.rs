@@ -11,8 +11,8 @@
 //!   (pause 0) under a 500 ms tick, so each tick batch advances the whole
 //!   population in parallel before the sequential grid/wake commit.
 //!
-//! `shards1` is the sequential reference path (`effective_shards() == 1`
-//! skips the worker pool entirely); the other counts exercise the full
+//! `shards1` is the serial event loop (one shard skips the worker pool
+//! entirely); the other counts exercise the full
 //! mailbox fan-out. Reports stay bit-identical across all counts (pinned
 //! by `tests/shard_equivalence.rs`), so the only thing that may move here
 //! is time. On a multi-core host the per-batch work (10⁴–10⁵ node
@@ -81,12 +81,12 @@ fn mobile(nodes: usize) -> Scenario {
 /// Traffic-sparse population: no publication ever leases a frame, so the
 /// whole run is the silent stretch the adaptive lookahead fuses. The
 /// initial subscription stagger spreads every node's quiet 1 Hz flood
-/// timer across distinct timestamps, so the fixed window pays one full
-/// fork/join round trip per *node* per second — the degenerate tiny-batch
-/// regime — while the widened window drains those runs in fused blocks of
-/// up to 256 batches. Long pauses under the default 500 ms tick keep the
-/// mobility segments light, so the pair (`sparse_adaptive` vs
-/// `sparse_fixed`) isolates exactly the round-trip amortisation.
+/// timer across distinct timestamps — the degenerate tiny-batch regime, one
+/// fork/join round trip per *node* per second at a one-timestamp window —
+/// which the widened window drains in fused blocks of up to 256 batches.
+/// Long pauses under the default 500 ms tick keep the mobility segments
+/// light, so `sparse_adaptive` tracks exactly the round-trip amortisation
+/// (PR 9 measured it against the fixed window, since retired).
 fn sparse(nodes: usize) -> Scenario {
     ScenarioBuilder::new()
         .label("shard-scaling-sparse")
@@ -109,9 +109,8 @@ fn sparse(nodes: usize) -> Scenario {
 /// Clustered-density chain: nodes 5 m apart on a line with a 100 m radio,
 /// flooded end to end from node 0. The wavefront concentrates reception
 /// work in a narrow, moving stretch of the (contiguous) id space — the
-/// worst case for static boundaries and the target of both the EWMA
-/// cost repartitioning and the opt-in classify work stealing
-/// (`clustered` vs `clustered_steal`).
+/// worst case for static boundaries and the target of the EWMA cost
+/// repartitioning.
 fn clustered(nodes: usize) -> Scenario {
     ScenarioBuilder::new()
         .label("shard-scaling-clustered")
@@ -158,13 +157,19 @@ fn bench_shard_scaling(c: &mut Criterion) {
             }
         }
     }
-    // Adaptive-vs-fixed pairs on the traffic-sparse population: the
-    // `sparse_adaptive / sparse_fixed` ratio per (nodes, shards) point is the
-    // measured value of the widened windows (captured as `sparse_speedup` in
-    // BENCH_BASELINE.json).
-    for (label, fixed) in [("sparse_adaptive", false), ("sparse_fixed", true)] {
-        for &nodes in &[10_000usize, 100_000] {
-            let scenario = sparse(nodes);
+    // The adaptive engine on its two targeted regimes: widened windows on
+    // the traffic-sparse population, cost repartitioning on the clustered
+    // chain (the flood keeps terminating the windows there).
+    for (label, build, sizes) in [
+        (
+            "sparse_adaptive",
+            sparse as fn(usize) -> Scenario,
+            [10_000usize, 100_000],
+        ),
+        ("clustered", clustered, [2_000, 10_000]),
+    ] {
+        for nodes in sizes {
+            let scenario = build(nodes);
             for &shards in &[2usize, 4] {
                 let mut arena = WorldArena::new();
                 let mut seed = 0u64;
@@ -173,28 +178,6 @@ fn bench_shard_scaling(c: &mut Criterion) {
                         seed += 1;
                         let world = arena.checkout(&scenario, seed).expect("valid scenario");
                         world.set_shards(shards);
-                        world.set_fixed_lookahead(fixed);
-                        world.run_mut().nodes.len()
-                    });
-                });
-            }
-        }
-    }
-    // Pre-split vs work-stealing classification on the clustered chain. Both
-    // run under the same adaptive engine (the flood keeps terminating the
-    // windows); the variant toggles only how the reception fan-out is split.
-    for (label, steal) in [("clustered", false), ("clustered_steal", true)] {
-        for &nodes in &[2_000usize, 10_000] {
-            let scenario = clustered(nodes);
-            for &shards in &[2usize, 4] {
-                let mut arena = WorldArena::new();
-                let mut seed = 0u64;
-                group.bench_function(format!("{label}/{nodes}/shards{shards}"), |b| {
-                    b.iter(|| {
-                        seed += 1;
-                        let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                        world.set_shards(shards);
-                        world.set_classify_work_stealing(steal);
                         world.run_mut().nodes.len()
                     });
                 });

@@ -1,18 +1,17 @@
-//! Scaling of the per-tick wake resolution: event-driven wake queue vs. the
-//! scan-every-node dirty-tick reference.
+//! Scaling of the per-tick wake resolution of the event-driven wake queue.
 //!
 //! Builds mostly-paused random-waypoint populations of 1000/4000/10000 nodes
 //! (legs of a few seconds, pauses longer than the run, so after its first
 //! waypoint every node sleeps for the rest of the 60 s) and measures a full
 //! world run of a traffic-free scenario over 6000 fine-grained 10 ms ticks —
-//! the position-accuracy regime where per-tick cost is the floor. The scan
-//! reference (PR 3, `World::set_scan_mobility`) pays one wake-time compare
-//! per node per tick — the last O(nodes)-per-tick loop in the simulator; the
-//! event-driven path (default) advances only the moving/waking nodes (dense
-//! active list + indexed wake queue), so a tick over a sleeping population
-//! costs O(1). The event path must win and the gap must widen with the
-//! population (see `BENCH_BASELINE.json` for captured numbers); reports stay
-//! bit-identical (pinned by `tests/mobility_equivalence.rs`).
+//! the position-accuracy regime where per-tick cost is the floor. The
+//! event-driven path advances only the moving/waking nodes (dense active
+//! list + indexed wake queue), so a tick over a sleeping population costs
+//! O(1) and the figures should stay nearly flat in the population (see
+//! `BENCH_BASELINE.json` for captured numbers; PR 4 measured it against the
+//! scan-every-node dirty tick it replaced, since retired). Reports stay
+//! bit-identical to the naive oracle (pinned by
+//! `tests/mobility_equivalence.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use frugal::FloodingPolicy;
@@ -50,24 +49,14 @@ fn bench_wake_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("wake_scaling");
     for &nodes in &[1000usize, 4000, 10000] {
         let scenario = mostly_sleeping(nodes);
-        // Both sides recycle world setup through an arena, so the measured
-        // difference is the per-tick wake resolution cost alone.
+        // World setup is recycled through an arena, so what is measured is
+        // the per-tick wake resolution cost alone.
         let mut arena = WorldArena::new();
         let mut seed = 0u64;
         group.bench_function(format!("event/{nodes}"), |b| {
             b.iter(|| {
                 seed += 1;
                 let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                world.run_mut().nodes.len()
-            });
-        });
-        let mut arena = WorldArena::new();
-        let mut seed = 0u64;
-        group.bench_function(format!("scan/{nodes}"), |b| {
-            b.iter(|| {
-                seed += 1;
-                let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                world.set_scan_mobility(true);
                 world.run_mut().nodes.len()
             });
         });

@@ -1,12 +1,13 @@
-//! Paper-scale spot checks used to fill `EXPERIMENTS.md`.
+//! Paper-scale spot checks of the reproduced figures against the paper.
 //!
 //! The full `reproduce --paper` sweep replays every cell of every figure with
 //! the paper's 30-seed methodology and takes hours. This binary instead
 //! re-measures a *representative subset* of cells at the paper's population and
 //! area (150 nodes, 25 km² for random waypoint; 15 nodes on the campus map for
 //! city section) with a reduced seed count, and prints them side by side with
-//! the values the paper reports. It is what the "measured" column of
-//! `EXPERIMENTS.md` comes from.
+//! the values the paper reports. Its output is the only paper-figure
+//! comparison the repository has: no checked-in `EXPERIMENTS.md` exists yet
+//! (generating one from these tables is ROADMAP item 5(c)).
 //!
 //! Run with: `cargo run --release -p bench --bin validate`
 

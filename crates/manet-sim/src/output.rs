@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness regenerates the paper's figures as tables: one row per
 //! parameter combination, one column per measured series. [`DataTable`] is that
-//! structure, with Markdown and CSV renderers used by the `reproduce` binary
-//! and by `EXPERIMENTS.md`.
+//! structure, with Markdown and CSV renderers used by the `reproduce` and
+//! `validate` binaries.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

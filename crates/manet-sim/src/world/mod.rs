@@ -15,9 +15,9 @@
 //! pauses that just ended — so a tick over a mostly-paused population costs
 //! O(waking · log n) instead of O(nodes). Skipped pause time is caught up in
 //! one exact integer-millisecond chunk, keeping positions, RNG streams and
-//! reports bit-identical to the reference full scan (kept as the doc-hidden
-//! [`World::set_scan_mobility`], itself equivalent to the original
-//! advance-everyone path behind [`World::set_naive_mobility`]).
+//! reports bit-identical to the original advance-everyone path, which
+//! survives as the **one reference oracle** of the engine: the doc-hidden
+//! [`World::set_naive_mobility`], single-threaded by construction.
 //!
 //! The event loop itself is **batched**: the scheduler is a hierarchical
 //! timer wheel ([`TimerWheel`]) and the world drains all the events sharing
@@ -28,24 +28,38 @@
 //! hashing — and that same table is what keeps eager batch draining honest:
 //! a timer event only fires if its handle still matches the armed slot, so a
 //! timer cancelled or re-armed by an earlier event of its own batch is
-//! skipped exactly as the reference heap would have skipped it. The heap
-//! path survives as the doc-hidden [`World::set_heap_queue`], pinned
-//! bit-identical by the scheduler equivalence suite.
+//! skipped exactly as one-at-a-time popping would have skipped it.
 //!
-//! Node state is laid out **structure-of-arrays**: the per-tick hot fields —
-//! wake times, last-advance times, timer slots, subscriber membership — live
-//! in parallel arrays owned by the world (positions live in the medium's
-//! spatial grid), indexed by the dense [`NodeId`]; only the cold boxed
-//! protocol and mobility state stays behind the per-node struct. Protocol
-//! callbacks append into one world-owned [`ActionBuf`] whose action vector
-//! and pooled message vectors cycle in place — together with the frame-slot
-//! free list this makes the steady-state event path allocation free (pinned
-//! by the `alloc_free_steady_state` integration test).
+//! # Two loops, one coordinator
+//!
+//! A world is two halves. The [`Coordinator`] owns everything the sequential
+//! dispatch order serializes — clock, wheel, medium, timer slots, frame slab,
+//! MAC RNG, publications, the wake queue — and carries the coordinator-side
+//! logic **once**, as methods: the action commit, `on_tx_start`, the publish
+//! prologue/epilogue, the warm-up snapshot, the due-node merge and move
+//! commit of a mobility tick. [`NodeArrays`] holds the per-node state,
+//! structure-of-arrays (cold boxed protocol/mobility state plus the hot
+//! last-advance and wake times), which is all a shard worker ever borrows.
+//!
+//! Two event loops drive those methods, chosen by [`World::set_shards`]: the
+//! serial loop in this file runs each protocol callback inline and commits
+//! what it emitted straight away; the sharded engine (`world::shard`)
+//! segments each batch, forks the callbacks to worker threads and commits
+//! the joined results in the same order. The serial loop is a measured fast
+//! path, not a leftover: sending one-shard runs through the engine costs
+//! 10–58 % wall-clock on the benchmark workloads (see ARCHITECTURE.md).
+//!
+//! Protocol callbacks append into one world-owned [`ActionBuf`] whose action
+//! vector and pooled message vectors cycle in place — together with the
+//! frame-slot free list this makes the steady-state event path allocation
+//! free (pinned by the `alloc_free_steady_state` integration test).
 
 mod shard;
 
 use crate::report::{EventOutcome, NodeReport, RunReport};
-use crate::scenario::{MobilityKind, ProtocolKind, PublisherChoice, Scenario, ScenarioError};
+use crate::scenario::{
+    MobilityKind, ProtocolKind, Publication, PublisherChoice, Scenario, ScenarioError,
+};
 use frugal::{
     Action, ActionBuf, DisseminationProtocol, FloodingProtocol, FrugalProtocol, Message,
     ProtocolConfig, ProtocolMetrics, TimerKind,
@@ -57,15 +71,14 @@ use mobility::{
 use netsim::{RadioMedium, ReceptionOutcome, TrafficCounters, TxId};
 use pubsub::{EventId, ProcessId, Topic};
 use simkit::{
-    BitSet, EventHandle, EventQueue, IndexedMinQueue, NodeId, SimDuration, SimRng, SimTime,
-    TimerWheel,
+    BitSet, EventHandle, IndexedMinQueue, NodeId, SimDuration, SimRng, SimTime, TimerWheel,
 };
 
 /// The cold half of one simulated process: protocol + movement + private
 /// randomness, all behind pointers. The per-tick hot fields (wake times,
-/// last-advance times, timer slots, subscriber membership) live in parallel
-/// arrays on [`World`] instead, so the event loop walks dense cache lines
-/// rather than hopping through these structs.
+/// last-advance times) live in parallel arrays of [`NodeArrays`] instead, so
+/// the event loop walks dense cache lines rather than hopping through these
+/// structs.
 #[derive(Debug)]
 struct SimNode {
     protocol: Box<dyn DisseminationProtocol>,
@@ -110,96 +123,14 @@ struct PublishedRecord {
     topic: Topic,
 }
 
-/// The event scheduler driving the run: the production timer wheel or the
-/// binary-heap reference. Both implement the same dispatch contract — pops
-/// in `(time, FIFO)` order, batched same-timestamp drains, cancellation by
-/// handle — and the scheduler equivalence suite pins the whole-run reports
-/// bit-identical across the two. (The implementations differ only in
-/// signals the world never reads: the heap's lazy `cancel` cannot tell a
-/// fired handle from a pending one, so its return value and `len` are
-/// advisory there, while the wheel's are exact.)
-#[derive(Debug)]
-enum SchedulerQueue {
-    /// Default: hierarchical timer wheel, O(1) schedule/cancel, one staged
-    /// slot drain per same-timestamp batch.
-    Wheel(TimerWheel<WorldEvent>),
-    /// The pre-wheel binary heap, kept doc-hidden behind
-    /// [`World::set_heap_queue`] for the equivalence suite and the
-    /// `event_scaling` benchmark.
-    Heap(EventQueue<WorldEvent>),
-}
-
-impl SchedulerQueue {
-    fn schedule(&mut self, time: SimTime, event: WorldEvent) -> EventHandle {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.schedule(time, event),
-            SchedulerQueue::Heap(queue) => queue.schedule(time, event),
-        }
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.cancel(handle),
-            SchedulerQueue::Heap(queue) => queue.cancel(handle),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.peek_time(),
-            SchedulerQueue::Heap(queue) => queue.peek_time(),
-        }
-    }
-
-    fn pop_due_batch(
-        &mut self,
-        deadline: SimTime,
-        out: &mut Vec<(EventHandle, WorldEvent)>,
-    ) -> Option<SimTime> {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.pop_due_batch(deadline, out),
-            SchedulerQueue::Heap(queue) => queue.pop_due_batch(deadline, out),
-        }
-    }
-
-    /// Like `pop_due_batch`, but guaranteed never to advance the wheel's
-    /// floor past `cap` — the adaptive-lookahead drain probes the due horizon
-    /// with this so that events scheduled *during* the widened window (timer
-    /// re-arms landing past the cap) are never clamped forward. See
-    /// [`TimerWheel::pop_due_batch_capped`].
-    fn pop_due_batch_capped(
-        &mut self,
-        cap: SimTime,
-        out: &mut Vec<(EventHandle, WorldEvent)>,
-    ) -> Option<SimTime> {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.pop_due_batch_capped(cap, out),
-            SchedulerQueue::Heap(queue) => queue.pop_due_batch_capped(cap, out),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.clear(),
-            SchedulerQueue::Heap(queue) => queue.clear(),
-        }
-    }
-}
-
-/// Which implementation a mobility tick uses. All three are semantically
-/// identical (pinned by the equivalence suite); the slower ones are kept as
-/// doc-hidden references for tests and the scaling benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MobilityPath {
-    /// Default: pop only the due nodes from the per-node wake queue —
-    /// O(waking · log n) per tick.
-    EventDriven,
-    /// The pre-wake-queue dirty-tick reference: scan every node, skip the ones
-    /// whose wake time has not come — O(nodes) compares per tick.
-    Scan,
-    /// The original reference: advance every node unconditionally on every
-    /// tick — O(nodes) full advances per tick.
-    Naive,
+/// Where one mobility advance left a node: what the coordinator needs to
+/// replay the move into the grid and route the node to the active list or
+/// the wake queue.
+#[derive(Debug, Clone, Copy)]
+struct NodeMove {
+    node: u32,
+    position: Point,
+    wake: SimTime,
 }
 
 /// Observability counters for the sharded engine's adaptive optimizations
@@ -220,15 +151,84 @@ pub struct WorldDebugStats {
     pub classify_fanouts: u64,
 }
 
-/// The complete state of one simulation run.
+/// The per-node state, structure-of-arrays (indexed by `NodeId::index`):
+/// everything a protocol callback or a mobility advance of one node touches,
+/// and nothing else — so the sharded engine can lend each worker a disjoint
+/// `split_at_mut` range of it while the [`Coordinator`] stays behind.
+#[derive(Debug, Default)]
+struct NodeArrays {
+    nodes: Vec<SimNode>,
+    /// Virtual time of each node's last mobility advance (dirty-tick
+    /// bookkeeping: skipped nodes are caught up from here).
+    last_advance: Vec<SimTime>,
+    /// Earliest virtual time at which each node's movement state can change.
+    /// While a node is not moving, ticks strictly before its wake time are
+    /// skipped entirely — no advance, no grid update, no RNG draw.
+    wake_times: Vec<SimTime>,
+    /// Per-node work accumulators (EWMA at repartition granularity): shard
+    /// workers add one unit per mobility advance, fired protocol callback and
+    /// delivered message; the engine's periodic repartition feeds them to
+    /// [`simkit::BoundaryPartition::rebalance`] and then halves them. Only
+    /// wall-clock balance depends on these — never results.
+    cost: Vec<f32>,
+}
+
+/// Advances one node across the tick ending at `now`, catching up any skipped
+/// pause time, and returns its next wake time. The world-global effects of
+/// the move (grid update, wake-queue routing) are the coordinator's
+/// ([`Coordinator::commit_move`]); both event loops advance through here, so
+/// they are advance-for-advance identical.
+fn advance(
+    node: &mut SimNode,
+    last_advance: &mut SimTime,
+    wake_time: &mut SimTime,
+    now: SimTime,
+    tick: SimDuration,
+) -> SimTime {
+    // Catch up pause time skipped since the last advance in one exact chunk
+    // (pure integer-millisecond countdown, no RNG), then replay the current
+    // tick exactly as the naive path would. The chunk cannot cross the pause
+    // end: the node would have woken at the earlier tick otherwise.
+    let skipped = now - *last_advance;
+    if skipped > tick {
+        node.mobility.advance(skipped - tick, &mut node.rng);
+    }
+    node.mobility.advance(tick, &mut node.rng);
+    *last_advance = now;
+    let speed = node.mobility.speed();
+    // Moving nodes are advanced every tick (their position changes); idle
+    // nodes sleep until their phase can end. `speed` is already in the
+    // protocol from the tick the node stopped, so skipped ticks lose nothing.
+    let wake = if speed > 0.0 {
+        now
+    } else {
+        now.saturating_add(node.mobility.time_to_transition())
+    };
+    *wake_time = wake;
+    node.protocol.update_speed(Some(speed));
+    wake
+}
+
+/// The nodes' protocol counters, ascending (the warm-up snapshot of a run of
+/// nodes).
+fn metrics_of(nodes: &[SimNode]) -> Vec<ProtocolMetrics> {
+    nodes
+        .iter()
+        .map(|node| node.protocol.metrics().clone())
+        .collect()
+}
+
+/// Everything the sequential dispatch order serializes. Every method that
+/// draws MAC randomness or consumes scheduler sequence numbers must be
+/// invoked in exactly that order to keep runs bit-identical; both event
+/// loops — the serial one below and the sharded `shard::Engine`, which holds
+/// one `&mut Coordinator` — do, and neither re-implements any of it.
 #[derive(Debug)]
-pub struct World {
+struct Coordinator {
     scenario: Scenario,
-    seed: u64,
     now: SimTime,
     end: SimTime,
-    queue: SchedulerQueue,
-    nodes: Vec<SimNode>,
+    queue: TimerWheel<WorldEvent>,
     /// The medium owns the node positions (in its spatial grid); the world
     /// pushes moves into it incrementally at every mobility tick.
     medium: RadioMedium,
@@ -238,16 +238,12 @@ pub struct World {
     /// hashing — and the handle match is what validates eagerly drained
     /// batch entries against mid-batch cancellations.
     timer_slots: Vec<[Option<EventHandle>; TimerKind::COUNT]>,
-    /// Hot per-node state, structure-of-arrays (indexed by `NodeId::index`):
-    /// virtual time of each node's last mobility advance (dirty-tick
-    /// bookkeeping: skipped nodes are caught up from here).
-    last_advance: Vec<SimTime>,
-    /// Earliest virtual time at which each node's movement state can change.
-    /// While a node is not moving, ticks strictly before its wake time are
-    /// skipped entirely — no advance, no grid update, no RNG draw.
-    wake_times: Vec<SimTime>,
     /// One bit per node: set if the node subscribes to the measured topic.
     subscriber_bits: BitSet,
+    /// The same set, ascending. Cached so resolving
+    /// `PublisherChoice::RandomSubscriber` allocates nothing per publication
+    /// event; rebuilt by every populate/reset.
+    subscriber_cache: Vec<usize>,
     frames: Vec<Option<PendingFrame>>,
     /// Frame slots whose transmission completed, ready for reuse — the frame
     /// slab stops growing once the network reaches steady state.
@@ -261,45 +257,20 @@ pub struct World {
     warmup_traffic: Option<Vec<TrafficCounters>>,
     /// Wire-size accounting configuration (heartbeat size, header size, ...).
     sizing: ProtocolConfig,
-    /// Which mobility-tick implementation runs. Defaults to the event-driven
-    /// wake queue; the reference paths are kept (like
-    /// `RadioMedium::complete_transmission_brute`) for equivalence tests and
-    /// the `wake_scaling` / `mobility_scaling` benchmarks.
-    mobility_path: MobilityPath,
-    /// One entry per **sleeping** node, keyed by its wake time
-    /// (`SimNode::wake`). Moving nodes live in `active` instead — they are
-    /// advanced every tick anyway, so routing them through the heap would
-    /// cost two O(log n) operations per node per tick for nothing. Only
-    /// consulted by the event-driven path; rebuilt on every populate.
+    /// One entry per **sleeping** node, keyed by its wake time. Moving nodes
+    /// live in `active` instead — they are advanced every tick anyway, so
+    /// routing them through the heap would cost two O(log n) operations per
+    /// node per tick for nothing. Rebuilt on every populate.
     wake_queue: IndexedMinQueue,
     /// The nodes currently moving (advanced every tick), ascending index.
     /// Every node is in exactly one of `active` / `wake_queue`.
-    active: Vec<usize>,
-    /// Scratch: next tick's active list, built during the merge walk.
-    active_scratch: Vec<usize>,
-    /// Scratch: the indices popped as due this tick, sorted ascending so they
-    /// are processed in exactly the order the reference scan visits them.
-    wake_scratch: Vec<usize>,
-    /// Scratch: every protocol callback appends into this one buffer; its
-    /// action vector and the pooled message vectors inside it cycle in place,
-    /// so the steady-state event path performs no allocation.
-    action_buf: ActionBuf,
-    /// Scratch: per-receiver outcomes of the transmission being completed.
-    outcome_scratch: Vec<(usize, ReceptionOutcome)>,
-    /// Scratch: the current same-timestamp event batch, drained from the
-    /// scheduler in one call and dispatched in FIFO order.
-    batch_scratch: Vec<(EventHandle, WorldEvent)>,
-    /// The nodes subscribed to the measured topic, ascending index. Cached so
-    /// `resolve_publisher(RandomSubscriber)` allocates nothing per
-    /// publication event; rebuilt by every populate/reset.
-    subscriber_cache: Vec<usize>,
-    /// How many worker shards `run_until` splits the node population across
-    /// (1 = the single-threaded reference path). Like the scheduler and
-    /// mobility toggles, the choice survives [`World::reset`].
-    shards: usize,
-    /// Set by [`World::set_single_shard`]: forces the single-threaded
-    /// reference path regardless of the shard knob.
-    force_single_shard: bool,
+    active: Vec<u32>,
+    /// Scratch: next tick's active list, built by `commit_move`.
+    next_active: Vec<u32>,
+    /// Scratch: the sleepers popped as due this tick, sorted ascending.
+    woken: Vec<u32>,
+    /// Scratch: the buffer `begin_tick` hands out as the due list.
+    due: Vec<u32>,
     /// True while **no transmission can exist**: no publication has been
     /// dispatched and no broadcast has ever been committed this run. While it
     /// holds, the sharded engine may widen its conservative window past the
@@ -308,21 +279,249 @@ pub struct World {
     /// Cleared permanently (until the next populate) by the first publish
     /// dispatch or broadcast commit — monotone, so checking it is race-free.
     traffic_free: bool,
-    /// Set by [`World::set_fixed_lookahead`]: pins the sharded engine to the
-    /// reference one-timestamp-per-window stepping. Survives [`World::reset`].
-    fixed_lookahead: bool,
-    /// Set by [`World::set_classify_work_stealing`]: large reception-classify
-    /// fan-outs are claimed in chunks from a shared cursor instead of being
-    /// split into fixed contiguous ranges. Survives [`World::reset`].
-    classify_stealing: bool,
-    /// Per-node work accumulators (EWMA at repartition granularity): workers
-    /// add one unit per mobility advance, fired protocol callback and
-    /// delivered message; the engine's periodic repartition feeds them to
-    /// [`simkit::BoundaryPartition::rebalance`] and then halves them. Only
-    /// wall-clock balance depends on these — never results.
-    node_cost: Vec<f32>,
     /// Engagement counters for the adaptive paths; zeroed by every populate.
     stats: WorldDebugStats,
+    /// Scratch: every serial protocol callback appends into this one buffer;
+    /// its action vector and the pooled message vectors inside it cycle in
+    /// place, so the steady-state event path performs no allocation.
+    action_buf: ActionBuf,
+    /// Scratch: per-receiver outcomes of the transmission being completed.
+    outcome_scratch: Vec<(usize, ReceptionOutcome)>,
+    /// Scratch: the current same-timestamp event batch, drained from the
+    /// scheduler in one call and dispatched in FIFO order.
+    batch_scratch: Vec<(EventHandle, WorldEvent)>,
+}
+
+impl Coordinator {
+    /// Drains `out` (refilled by the caller from one protocol callback of
+    /// `node`) and carries each action out. The buffer comes back empty —
+    /// with its capacity and message-vector pools intact — ready for the next
+    /// event.
+    fn commit(&mut self, node: NodeId, out: &mut ActionBuf) {
+        for action in out.drain() {
+            match action {
+                Action::Broadcast(message) => {
+                    // From here on transmissions may exist, so the adaptive
+                    // window must stop widening.
+                    self.traffic_free = false;
+                    let jitter = self
+                        .mac_rng
+                        .jitter(self.scenario.radio.max_contention_jitter);
+                    let pending = Some(PendingFrame {
+                        sender: node,
+                        message,
+                    });
+                    let frame = match self.free_frames.pop() {
+                        Some(slot) => {
+                            self.frames[slot as usize] = pending;
+                            slot
+                        }
+                        None => {
+                            self.frames.push(pending);
+                            u32::try_from(self.frames.len() - 1).expect("frame slab exceeds u32")
+                        }
+                    };
+                    self.queue
+                        .schedule(self.now + jitter, WorldEvent::TxStart { frame });
+                }
+                Action::Deliver(_) => {
+                    // Delivery bookkeeping lives in the protocol metrics; the
+                    // world has nothing extra to do.
+                }
+                Action::SetTimer { kind, after } => {
+                    self.cancel_timer(node, kind);
+                    let handle = self
+                        .queue
+                        .schedule(self.now + after, WorldEvent::Timer { node, kind });
+                    self.timer_slots[node.index()][kind.index()] = Some(handle);
+                }
+                Action::CancelTimer(kind) => self.cancel_timer(node, kind),
+            }
+        }
+    }
+
+    fn cancel_timer(&mut self, node: NodeId, kind: TimerKind) {
+        if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
+            self.queue.cancel(handle);
+        }
+    }
+
+    /// Disarms `(node, kind)` if `handle` is still its armed instance, and
+    /// says whether it was. Batches are drained eagerly, so a popped timer
+    /// event fires only on `true`: an earlier event of the same batch may
+    /// have cancelled or re-armed it, and one-at-a-time popping would then
+    /// never have surfaced it.
+    fn take_armed(&mut self, node: NodeId, kind: TimerKind, handle: EventHandle) -> bool {
+        let slot = &mut self.timer_slots[node.index()][kind.index()];
+        let armed = *slot == Some(handle);
+        if armed {
+            *slot = None;
+        }
+        armed
+    }
+
+    /// The topic `node` subscribes to at start-up.
+    fn subscribe_topic(&self, node: NodeId) -> Topic {
+        if self.subscriber_bits.contains(node.index()) {
+            self.scenario.subscriber_topic.clone()
+        } else {
+            self.scenario.bystander_topic.clone()
+        }
+    }
+
+    fn on_tx_start(&mut self, frame: u32) {
+        let (sender, size) = match &self.frames[frame as usize] {
+            Some(pending) => (
+                pending.sender,
+                pending.message.wire_size_bytes(&self.sizing),
+            ),
+            None => return,
+        };
+        let (tx, ends_at) = self
+            .medium
+            .begin_transmission(sender.index(), size, self.now);
+        self.queue
+            .schedule(ends_at, WorldEvent::TxEnd { frame, tx });
+    }
+
+    /// Takes the completed frame out of the slab. The slot is free for the
+    /// next broadcast; the slab stops growing once the number of concurrently
+    /// in-flight frames peaks.
+    fn take_frame(&mut self, frame: u32) -> Option<PendingFrame> {
+        let pending = self.frames[frame as usize].take()?;
+        self.free_frames.push(frame);
+        Some(pending)
+    }
+
+    /// Publish prologue: closes the traffic-free window (a published event
+    /// can ride any later quiet timer — an empty-store `FloodTick` starts
+    /// broadcasting once the store fills — so it closes at the publish
+    /// dispatch, not at the first broadcast) and resolves the publisher,
+    /// drawing MAC randomness for the random choices.
+    fn begin_publish(&mut self, index: u32) -> (Publication, usize) {
+        self.traffic_free = false;
+        let publication = self.scenario.publications[index as usize].clone();
+        let node_count = self.scenario.node_count;
+        let publisher = match publication.publisher {
+            PublisherChoice::Node(index) => index.min(node_count - 1),
+            PublisherChoice::RandomSubscriber if !self.subscriber_cache.is_empty() => {
+                self.subscriber_cache[self.mac_rng.index(self.subscriber_cache.len())]
+            }
+            PublisherChoice::RandomAny | PublisherChoice::RandomSubscriber => {
+                self.mac_rng.index(node_count)
+            }
+        };
+        (publication, publisher)
+    }
+
+    /// Publish epilogue: records the event the publisher's callback created
+    /// and commits what the callback emitted.
+    fn end_publish(&mut self, publisher: usize, id: EventId, topic: Topic, out: &mut ActionBuf) {
+        self.published.push(PublishedRecord {
+            id,
+            publisher,
+            topic,
+        });
+        self.commit(NodeId::from_index(publisher), out);
+    }
+
+    /// Warm-up boundary: `metrics` is every node's protocol counters,
+    /// ascending; the traffic counters are the medium's own.
+    fn snapshot_warmup(&mut self, metrics: Vec<ProtocolMetrics>) {
+        self.warmup_metrics = Some(metrics);
+        self.warmup_traffic = Some(self.medium.all_counters().to_vec());
+    }
+
+    /// Opens a mobility tick at `now`: returns every due node — the moving
+    /// ones (the `active` list) plus the sleepers whose wake time has come
+    /// (drained from the wake queue) — ascending, which is the order the
+    /// reference advance-everyone walk visits them in. A tick over a
+    /// mostly-paused population never touches the sleeping nodes, and a
+    /// moving node costs no heap traffic at all: it enters the queue once
+    /// when it stops and leaves it once when its pause can end. Hand the list
+    /// back through [`Coordinator::end_tick`].
+    fn begin_tick(&mut self, now: SimTime) -> Vec<u32> {
+        self.next_active.clear();
+        self.woken.clear();
+        while let Some((_, index)) = self.wake_queue.pop_due(now) {
+            self.woken.push(index as u32);
+        }
+        let mut due = std::mem::take(&mut self.due);
+        if self.woken.is_empty() {
+            // Nobody woke: the movers are the due list as they stand
+            // (`end_tick` replaces `active` wholesale).
+            std::mem::swap(&mut due, &mut self.active);
+            return due;
+        }
+        // Pops arrive in (wake, id) order. A node is in exactly one of the
+        // two lists, so sorting and a plain two-way merge restore ascending
+        // index order.
+        self.woken.sort_unstable();
+        due.clear();
+        let (mut a, mut w) = (0usize, 0usize);
+        loop {
+            due.push(match (self.active.get(a), self.woken.get(w)) {
+                (Some(&x), Some(&y)) if x < y => {
+                    a += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    w += 1;
+                    y
+                }
+                (Some(&x), None) => {
+                    a += 1;
+                    x
+                }
+                (None, None) => break,
+            });
+        }
+        due
+    }
+
+    /// Replays one advanced node's move: grid update, then routing — still
+    /// (or again) moving at `now` means due at every tick, so it stays dense
+    /// in the next active list; otherwise it sleeps in the wake queue.
+    /// Callers commit in ascending node order.
+    fn commit_move(&mut self, moved: NodeMove, now: SimTime) {
+        let index = moved.node as usize;
+        self.medium.update_position(index, moved.position);
+        if moved.wake <= now {
+            self.next_active.push(moved.node);
+        } else {
+            self.wake_queue.set(index, moved.wake);
+        }
+    }
+
+    /// Closes the tick opened by [`Coordinator::begin_tick`]: the nodes
+    /// `commit_move` kept moving become the active list.
+    fn end_tick(&mut self, due: Vec<u32>) {
+        self.due = due;
+        std::mem::swap(&mut self.active, &mut self.next_active);
+    }
+
+    /// Schedules the mobility tick after the one at `now`, if the run lasts
+    /// that long.
+    fn schedule_next_tick(&mut self, now: SimTime) {
+        let next = now + self.scenario.mobility_tick;
+        if next <= self.end {
+            self.queue.schedule(next, WorldEvent::MobilityTick);
+        }
+    }
+}
+
+/// The complete state of one simulation run.
+#[derive(Debug)]
+pub struct World {
+    core: Coordinator,
+    pop: NodeArrays,
+    seed: u64,
+    /// How many worker shards `run_until` splits the node population across
+    /// (1 = the serial loop). The choice survives [`World::reset`].
+    shards: usize,
+    /// Set by [`World::set_naive_mobility`]: the reference oracle. Survives
+    /// [`World::reset`].
+    naive_mobility: bool,
 }
 
 impl World {
@@ -333,23 +532,18 @@ impl World {
     /// Returns a [`ScenarioError`] if the scenario fails validation.
     pub fn new(scenario: Scenario, seed: u64) -> Result<Self, ScenarioError> {
         scenario.validate()?;
-        let medium = RadioMedium::new(scenario.radio.clone(), scenario.node_count);
         let sizing = match &scenario.protocol {
             ProtocolKind::Frugal(config) => config.clone(),
             ProtocolKind::Flooding(_) => ProtocolConfig::paper_default(),
         };
-        let end = SimTime::ZERO + scenario.duration;
-        let mut world = World {
-            seed,
+        let core = Coordinator {
             now: SimTime::ZERO,
-            end,
-            queue: SchedulerQueue::Wheel(TimerWheel::new()),
-            nodes: Vec::new(),
-            medium,
+            end: SimTime::ZERO + scenario.duration,
+            queue: TimerWheel::new(),
+            medium: RadioMedium::new(scenario.radio.clone(), scenario.node_count),
             timer_slots: Vec::new(),
-            last_advance: Vec::new(),
-            wake_times: Vec::new(),
             subscriber_bits: BitSet::new(),
+            subscriber_cache: Vec::new(),
             frames: Vec::new(),
             free_frames: Vec::new(),
             mac_rng: SimRng::seed_from(seed).derive(0xBEEF).derive(7),
@@ -358,22 +552,23 @@ impl World {
             warmup_traffic: None,
             sizing,
             scenario,
-            mobility_path: MobilityPath::EventDriven,
             wake_queue: IndexedMinQueue::new(),
             active: Vec::new(),
-            active_scratch: Vec::new(),
-            wake_scratch: Vec::new(),
+            next_active: Vec::new(),
+            woken: Vec::new(),
+            due: Vec::new(),
+            traffic_free: true,
+            stats: WorldDebugStats::default(),
             action_buf: ActionBuf::new(),
             outcome_scratch: Vec::new(),
             batch_scratch: Vec::new(),
-            subscriber_cache: Vec::new(),
+        };
+        let mut world = World {
+            core,
+            pop: NodeArrays::default(),
+            seed,
             shards: 1,
-            force_single_shard: false,
-            traffic_free: true,
-            fixed_lookahead: false,
-            classify_stealing: false,
-            node_cost: Vec::new(),
-            stats: WorldDebugStats::default(),
+            naive_mobility: false,
         };
         world.populate(seed);
         Ok(world)
@@ -394,19 +589,20 @@ impl World {
     /// Use through [`WorldArena`] when sweeping thousands of seeds.
     pub fn reset(&mut self, seed: u64) {
         self.seed = seed;
-        self.now = SimTime::ZERO;
-        self.end = SimTime::ZERO + self.scenario.duration;
-        // `SchedulerQueue::clear` also compacts: cancel tombstones are
-        // dropped and the handle space restarts, so a recycled world carries
-        // no dead handles (or unbounded sequence growth) across seeds.
-        self.queue.clear();
-        self.frames.clear();
-        self.free_frames.clear();
-        self.published.clear();
-        self.warmup_metrics = None;
-        self.warmup_traffic = None;
-        self.mac_rng = SimRng::seed_from(seed).derive(0xBEEF).derive(7);
-        self.medium.reset();
+        let core = &mut self.core;
+        core.now = SimTime::ZERO;
+        core.end = SimTime::ZERO + core.scenario.duration;
+        // `TimerWheel::clear` also restarts the handle space, so a recycled
+        // world carries no dead handles (or unbounded sequence growth) across
+        // seeds.
+        core.queue.clear();
+        core.frames.clear();
+        core.free_frames.clear();
+        core.published.clear();
+        core.warmup_metrics = None;
+        core.warmup_traffic = None;
+        core.mac_rng = SimRng::seed_from(seed).derive(0xBEEF).derive(7);
+        core.medium.reset();
         self.populate(seed);
     }
 
@@ -461,9 +657,8 @@ impl World {
 
     /// Builds the per-seed state — nodes, initial positions, the initial
     /// event schedule and the wake queue — exactly the same way for a fresh
-    /// world and a reset one. Expects `queue`/`timers`/`frames`/`published`
-    /// empty, `medium` counters zeroed, and `mac_rng` freshly derived for
-    /// `seed`.
+    /// world and a reset one. Expects `queue`/`frames`/`published` empty,
+    /// `medium` counters zeroed, and `mac_rng` freshly derived for `seed`.
     ///
     /// When the node vector already holds one node per process (an arena
     /// reset of the same scenario), each node's protocol and mobility boxes
@@ -472,89 +667,82 @@ impl World {
     /// RNG draw order is identical either way, so recycled worlds stay
     /// bit-identical to fresh ones.
     fn populate(&mut self, seed: u64) {
+        let World { core, pop, .. } = self;
         let master = SimRng::seed_from(seed);
         let mut layout_rng = master.derive(0xA11);
-        let n = self.scenario.node_count;
+        let n = core.scenario.node_count;
 
-        // Choose which nodes subscribe to the measured topic.
-        let subscriber_count = self.scenario.subscriber_count().min(n);
-        let subscriber_indices: std::collections::HashSet<usize> = layout_rng
-            .choose_indices(n, subscriber_count)
-            .into_iter()
-            .collect();
+        // Choose which nodes subscribe to the measured topic, and keep the
+        // ascending index behind `PublisherChoice::RandomSubscriber`.
+        let subscriber_count = core.scenario.subscriber_count().min(n);
+        core.subscriber_bits.clear();
+        for index in layout_rng.choose_indices(n, subscriber_count) {
+            core.subscriber_bits.insert(index);
+        }
+        core.subscriber_cache.clear();
+        core.subscriber_cache.extend(core.subscriber_bits.iter());
 
         // Build (or recycle) the nodes: protocol + mobility + private stream.
-        let recycle = self.nodes.len() == n;
+        let recycle = pop.nodes.len() == n;
         if !recycle {
-            self.nodes.clear();
-            self.nodes.reserve(n);
+            pop.nodes.clear();
+            pop.nodes.reserve(n);
         }
         for index in 0..n {
             let mut node_rng = master.derive(1000 + index as u64);
             if recycle {
-                let node = &mut self.nodes[index];
+                let node = &mut pop.nodes[index];
                 if !node.mobility.reset(&mut node_rng) {
                     node.mobility =
-                        Self::build_mobility(&self.scenario.mobility, index, n, &mut node_rng);
+                        Self::build_mobility(&core.scenario.mobility, index, n, &mut node_rng);
                 }
                 if !node.protocol.reset() {
-                    node.protocol = Self::build_protocol(&self.scenario.protocol, index);
+                    node.protocol = Self::build_protocol(&core.scenario.protocol, index);
                 }
                 let position = node.mobility.position();
                 node.rng = node_rng;
-                self.medium.update_position(index, position);
+                core.medium.update_position(index, position);
             } else {
                 let mobility =
-                    Self::build_mobility(&self.scenario.mobility, index, n, &mut node_rng);
-                let protocol = Self::build_protocol(&self.scenario.protocol, index);
-                self.medium.update_position(index, mobility.position());
-                self.nodes.push(SimNode {
+                    Self::build_mobility(&core.scenario.mobility, index, n, &mut node_rng);
+                let protocol = Self::build_protocol(&core.scenario.protocol, index);
+                core.medium.update_position(index, mobility.position());
+                pop.nodes.push(SimNode {
                     protocol,
                     mobility,
                     rng: node_rng,
                 });
             }
         }
-        // Hot per-node state: everyone is advanced at the first tick (wake =
-        // ZERO); it initializes the protocol's speed and the wake times.
-        self.last_advance.clear();
-        self.last_advance.resize(n, SimTime::ZERO);
-        self.wake_times.clear();
-        self.wake_times.resize(n, SimTime::ZERO);
-        self.subscriber_bits.clear();
-        for index in 0..n {
-            if subscriber_indices.contains(&index) {
-                self.subscriber_bits.insert(index);
-            }
-        }
-        // Every node is due at the first tick: it initializes the protocol's
-        // speed and sorts each node into `active` or the wake queue.
-        self.wake_queue.clear();
-        self.active.clear();
-        self.active.extend(0..n);
-        // Dense timer slots (no timer is armed before the run starts) and the
-        // subscriber index behind `PublisherChoice::RandomSubscriber`.
-        self.timer_slots.clear();
-        self.timer_slots.resize(n, [None; TimerKind::COUNT]);
-        // No publication has run and no broadcast exists yet; the per-node
-        // cost accumulators and engagement counters restart with the run.
-        self.traffic_free = true;
-        self.node_cost.clear();
-        self.node_cost.resize(n, 0.0);
-        self.stats = WorldDebugStats::default();
-        self.subscriber_cache.clear();
-        self.subscriber_cache
-            .extend((0..n).filter(|index| subscriber_indices.contains(index)));
+        // Every node is due at the first tick (wake = ZERO, all `active`): it
+        // initializes the protocol's speed and the wake times, and sorts each
+        // node into `active` or the wake queue.
+        pop.last_advance.clear();
+        pop.last_advance.resize(n, SimTime::ZERO);
+        pop.wake_times.clear();
+        pop.wake_times.resize(n, SimTime::ZERO);
+        core.wake_queue.clear();
+        core.active.clear();
+        core.active.extend(0..n as u32);
+        // No timer is armed before the run starts; no publication has run
+        // and no broadcast exists yet; the per-node cost accumulators and
+        // engagement counters restart with the run.
+        core.timer_slots.clear();
+        core.timer_slots.resize(n, [None; TimerKind::COUNT]);
+        core.traffic_free = true;
+        pop.cost.clear();
+        pop.cost.resize(n, 0.0);
+        core.stats = WorldDebugStats::default();
 
         // Stagger the initial subscriptions over one heartbeat period so the
         // network does not start with every node beaconing in the same slot.
-        let stagger_window = self
+        let stagger_window = core
             .sizing
             .hb_upper_bound
-            .max(simkit::SimDuration::from_millis(200));
+            .max(SimDuration::from_millis(200));
         for node in 0..n {
-            let offset = self.mac_rng.jitter(stagger_window);
-            self.queue.schedule(
+            let offset = core.mac_rng.jitter(stagger_window);
+            core.queue.schedule(
                 SimTime::ZERO + offset,
                 WorldEvent::Subscribe {
                     node: NodeId::from_index(node),
@@ -562,111 +750,56 @@ impl World {
             );
         }
         // Mobility ticks.
-        self.queue.schedule(
-            SimTime::ZERO + self.scenario.mobility_tick,
+        core.queue.schedule(
+            SimTime::ZERO + core.scenario.mobility_tick,
             WorldEvent::MobilityTick,
         );
         // Scheduled publications.
-        for index in 0..self.scenario.publications.len() {
-            self.queue.schedule(
-                self.scenario.publications[index].at,
+        for (index, publication) in core.scenario.publications.iter().enumerate() {
+            core.queue.schedule(
+                publication.at,
                 WorldEvent::Publish {
                     index: u32::try_from(index).expect("publication index exceeds u32"),
                 },
             );
         }
         // Warm-up boundary.
-        if !self.scenario.warmup.is_zero() {
-            self.queue
-                .schedule(SimTime::ZERO + self.scenario.warmup, WorldEvent::WarmupEnd);
+        if !core.scenario.warmup.is_zero() {
+            core.queue
+                .schedule(SimTime::ZERO + core.scenario.warmup, WorldEvent::WarmupEnd);
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// The scenario this world simulates.
     pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        &self.core.scenario
     }
 
-    /// Forces the original reference mobility path that fully advances every
-    /// node on every tick. Semantically identical to the default event-driven
-    /// path (an equivalence property test pins this); kept for tests and the
-    /// `mobility_scaling` benchmark. Call before [`World::run`]; `false`
-    /// restores the event-driven default.
+    /// Selects the **reference oracle**: the original mobility path that
+    /// fully advances every node on every tick, on the serial loop whatever
+    /// the shard count. Semantically identical to the default engine at
+    /// every shard count (the `shard_equivalence` oracle proptest pins whole
+    /// reports bit-identical); kept for tests and the `mobility_scaling`
+    /// benchmark. Call before [`World::run`]; `false` restores the default.
     #[doc(hidden)]
     pub fn set_naive_mobility(&mut self, naive: bool) {
-        self.mobility_path = if naive {
-            MobilityPath::Naive
-        } else {
-            MobilityPath::EventDriven
-        };
-    }
-
-    /// Forces the pre-wake-queue dirty-tick reference path that scans every
-    /// node each tick and skips the sleeping ones with one compare each.
-    /// Semantically identical to the default event-driven path (the
-    /// equivalence suite pins this); kept for tests and the `wake_scaling`
-    /// benchmark. Call before [`World::run`]; `false` restores the
-    /// event-driven default.
-    #[doc(hidden)]
-    pub fn set_scan_mobility(&mut self, scan: bool) {
-        self.mobility_path = if scan {
-            MobilityPath::Scan
-        } else {
-            MobilityPath::EventDriven
-        };
-    }
-
-    /// Forces the pre-wheel binary-heap event queue. Semantically identical
-    /// to the default timer wheel (the scheduler equivalence suite pins
-    /// whole-run reports bit-identical); kept for tests and the
-    /// `event_scaling` benchmark. Call before [`World::run`] — pending
-    /// events are transferred in `(time, FIFO)` order, but armed timers are
-    /// not (none exist before the run starts). The choice survives
-    /// [`World::reset`]; `false` restores the wheel.
-    #[doc(hidden)]
-    pub fn set_heap_queue(&mut self, heap: bool) {
-        if heap == matches!(self.queue, SchedulerQueue::Heap(_)) {
-            return;
-        }
-        debug_assert!(
-            self.timer_slots
-                .iter()
-                .all(|slots| slots.iter().all(Option::is_none)),
-            "switch the scheduler before timers are armed"
-        );
-        // Drain the pending events in pop order and replay them into the
-        // other implementation: relative order — and therefore the run — is
-        // preserved, only the (unreferenced) handles change.
-        let mut moved = Vec::new();
-        let mut batch = Vec::new();
-        while let Some(at) = self.queue.pop_due_batch(SimTime::MAX, &mut batch) {
-            moved.extend(batch.drain(..).map(|(_, event)| (at, event)));
-        }
-        self.queue = if heap {
-            SchedulerQueue::Heap(EventQueue::new())
-        } else {
-            SchedulerQueue::Wheel(TimerWheel::new())
-        };
-        for (at, event) in moved {
-            self.queue.schedule(at, event);
-        }
+        self.naive_mobility = naive;
     }
 
     /// Splits the event loop's per-node work across `shards` worker threads
-    /// (clamped to at least 1; 1 keeps the classic single-threaded loop).
-    /// Sharded runs are **bit-identical** to single-threaded ones — same
-    /// reports, same RNG streams — because every random draw and every
-    /// scheduler mutation stays in the sequential dispatch order; only the
-    /// pure per-node work (mobility integration, protocol callbacks,
-    /// reception classification) runs concurrently inside each conservative
-    /// time window (see [`World::lookahead`] and the `world::shard` module).
-    /// Like the scheduler and mobility toggles, the choice survives
-    /// [`World::reset`].
+    /// (clamped to at least 1; 1 keeps the serial loop). Sharded runs are
+    /// **bit-identical** to serial ones — same reports, same RNG streams —
+    /// because every random draw and every scheduler mutation stays in the
+    /// sequential dispatch order; only the pure per-node work (mobility
+    /// integration, protocol callbacks, reception classification) runs
+    /// concurrently inside each conservative time window (see
+    /// [`World::lookahead`] and the `world::shard` module). The choice
+    /// survives [`World::reset`].
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -676,54 +809,19 @@ impl World {
         self.shards
     }
 
-    /// Forces the single-threaded reference event loop regardless of the
-    /// shard knob. Semantically identical to the sharded path (the shard
-    /// equivalence suite pins whole-run reports bit-identical at 1/2/4/8
-    /// shards); kept, like `set_heap_queue`/`set_scan_mobility`, so tests and
-    /// benchmarks can pick the reference explicitly. `false` restores the
-    /// configured shard count. Survives [`World::reset`].
-    #[doc(hidden)]
-    pub fn set_single_shard(&mut self, single: bool) {
-        self.force_single_shard = single;
-    }
-
-    /// Pins the sharded engine to the reference stepping that forks and joins
-    /// exactly one same-timestamp batch per window, disabling the adaptive
-    /// widened windows. Semantically identical to the default adaptive path
-    /// (the shard equivalence suite pins whole-run reports bit-identical);
-    /// kept, like `set_single_shard`, so tests and the `shard_scaling`
-    /// benchmark can pick the reference explicitly. `false` restores the
-    /// adaptive default. Survives [`World::reset`].
-    #[doc(hidden)]
-    pub fn set_fixed_lookahead(&mut self, fixed: bool) {
-        self.fixed_lookahead = fixed;
-    }
-
-    /// Opts the sharded engine into work-stealing for large
-    /// reception-classify fan-outs: receiver chunks are claimed from a shared
-    /// cursor instead of being pre-split into fixed contiguous ranges, so a
-    /// spatially-skewed receiver set no longer leaves most shards idle behind
-    /// the densest one. Results are bit-identical either way (chunks are
-    /// reassembled in index order before the sequential resolve); default off
-    /// because the shared cursor costs more than it saves on uniform
-    /// workloads. Survives [`World::reset`].
-    pub fn set_classify_work_stealing(&mut self, steal: bool) {
-        self.classify_stealing = steal;
-    }
-
     /// Engagement counters of the sharded engine's adaptive paths (widened
     /// windows, fused batches, repartition passes) for the run so far. Zeroed
     /// by [`World::reset`]; purely observational.
     pub fn debug_stats(&self) -> WorldDebugStats {
-        self.stats
+        self.core.stats
     }
 
     /// The per-timer-kind quiet bound used by the adaptive window: entry
     /// `kind.index()` is `Some(d)` iff firing that kind while `traffic_free`
     /// holds is **provably quiet** — it emits no broadcast, touches no other
     /// node and mutates the schedule only by re-arming itself at least `d`
-    /// after its own timestamp. `None` marks kinds that may broadcast or arm other timers;
-    /// a batch containing one ends the widened window.
+    /// after its own timestamp. `None` marks kinds that may broadcast or arm
+    /// other timers; a batch containing one ends the widened window.
     ///
     /// The table is derived statically from the protocol kind:
     ///
@@ -738,7 +836,7 @@ impl World {
     ///   logic never needs the frugal timer semantics to be re-proven.
     fn quiet_timer_bounds(&self) -> [Option<SimDuration>; TimerKind::COUNT] {
         let mut bounds = [None; TimerKind::COUNT];
-        if matches!(self.scenario.protocol, ProtocolKind::Flooding(_)) {
+        if matches!(self.core.scenario.protocol, ProtocolKind::Flooding(_)) {
             bounds[TimerKind::FloodTick.index()] = Some(FloodingProtocol::PAPER_FLOOD_INTERVAL);
         }
         bounds
@@ -754,16 +852,7 @@ impl World {
     /// degenerates to exactly one same-timestamp event batch, which is the
     /// unit the sharded engine forks and joins on.
     pub fn lookahead(&self) -> SimDuration {
-        self.scenario.radio.min_latency()
-    }
-
-    /// The shard count `run_until` will actually use this run.
-    fn effective_shards(&self) -> usize {
-        if self.force_single_shard {
-            1
-        } else {
-            self.shards.min(self.nodes.len().max(1))
-        }
+        self.core.scenario.radio.min_latency()
     }
 
     /// Runs the simulation to the end of the scenario and returns the report.
@@ -777,11 +866,11 @@ impl World {
     /// The loop advances one **timestamp batch** at a time: every event
     /// sharing the earliest pending timestamp is drained from the scheduler
     /// in one call and dispatched in FIFO order. Timer events are validated
-    /// against the dense slot table at dispatch (see [`World::dispatch`]), so
-    /// eager draining cannot fire a timer that an earlier event of the same
-    /// batch cancelled or re-armed.
+    /// against the dense slot table at dispatch (see
+    /// [`Coordinator::take_armed`]), so eager draining cannot fire a timer
+    /// that an earlier event of the same batch cancelled or re-armed.
     pub fn run_mut(&mut self) -> RunReport {
-        self.run_until(self.end);
+        self.run_until(self.core.end);
         self.report()
     }
 
@@ -792,321 +881,162 @@ impl World {
     /// window, and assert over just the steady-state slice; a single
     /// `run_until(end)` is exactly [`World::run_mut`] minus the report.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.effective_shards() > 1 && self.mobility_path == MobilityPath::EventDriven {
-            self.run_until_sharded(deadline);
+        let deadline = deadline.min(self.core.end);
+        let shards = self.shards.min(self.pop.nodes.len().max(1));
+        if shards > 1 && !self.naive_mobility {
+            self.run_until_sharded(deadline, shards);
             return;
         }
-        let deadline = deadline.min(self.end);
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        while let Some(at) = self.queue.peek_time() {
+        let mut batch = std::mem::take(&mut self.core.batch_scratch);
+        while let Some(at) = self.core.queue.peek_time() {
             if at > deadline {
                 break;
             }
-            self.now = at;
+            self.core.now = at;
             batch.clear();
-            self.queue.pop_due_batch(at, &mut batch);
+            self.core.queue.pop_due_batch(at, &mut batch);
             for (handle, event) in batch.drain(..) {
                 self.dispatch(handle, event);
             }
         }
-        self.batch_scratch = batch;
+        self.core.batch_scratch = batch;
     }
 
     fn dispatch(&mut self, handle: EventHandle, event: WorldEvent) {
         match event {
             WorldEvent::MobilityTick => self.on_mobility_tick(),
-            WorldEvent::Subscribe { node } => self.on_subscribe(node),
+            WorldEvent::Subscribe { node } => {
+                let topic = self.core.subscribe_topic(node);
+                self.callback(node, |protocol, now, out| {
+                    protocol.subscribe(topic, now, out)
+                });
+            }
             WorldEvent::Timer { node, kind } => {
-                // The batch was drained eagerly; this timer fires only if it
-                // is still the armed instance for (node, kind). An earlier
-                // event of the same batch may have cancelled or re-armed it —
-                // the reference heap would then never have popped it.
-                let slot = &mut self.timer_slots[node.index()][kind.index()];
-                if *slot == Some(handle) {
-                    *slot = None;
-                    self.on_timer(node, kind);
+                if self.core.take_armed(node, kind, handle) {
+                    self.callback(node, |protocol, now, out| {
+                        protocol.handle_timer(kind, now, out)
+                    });
                 }
             }
-            WorldEvent::TxStart { frame } => self.on_tx_start(frame),
+            WorldEvent::TxStart { frame } => self.core.on_tx_start(frame),
             WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx),
             WorldEvent::Publish { index } => self.on_publish(index),
-            WorldEvent::WarmupEnd => self.on_warmup_end(),
+            WorldEvent::WarmupEnd => {
+                let metrics = metrics_of(&self.pop.nodes);
+                self.core.snapshot_warmup(metrics);
+            }
         }
+    }
+
+    /// Runs one protocol callback of `node` inline and commits what it
+    /// emitted — the serial loop's whole fork/join.
+    fn callback(
+        &mut self,
+        node: NodeId,
+        run: impl FnOnce(&mut dyn DisseminationProtocol, SimTime, &mut ActionBuf),
+    ) {
+        let mut out = std::mem::take(&mut self.core.action_buf);
+        let protocol = &mut *self.pop.nodes[node.index()].protocol;
+        run(protocol, self.core.now, &mut out);
+        self.core.commit(node, &mut out);
+        self.core.action_buf = out;
     }
 
     fn on_mobility_tick(&mut self) {
-        match self.mobility_path {
-            MobilityPath::EventDriven => self.on_mobility_tick_event(),
-            MobilityPath::Scan => self.on_mobility_tick_scan(),
-            MobilityPath::Naive => self.on_mobility_tick_naive(),
-        }
-        let next = self.now + self.scenario.mobility_tick;
-        if next <= self.end {
-            self.queue.schedule(next, WorldEvent::MobilityTick);
-        }
-    }
-
-    /// Advances node `index` across the current tick, catching up any skipped
-    /// pause time, and returns its next wake time. Shared by the event-driven
-    /// and scan paths so they are advance-for-advance identical.
-    fn advance_due_node(&mut self, index: usize, now: SimTime, tick: SimDuration) -> SimTime {
-        let node = &mut self.nodes[index];
-        // Catch up pause time skipped since the last advance in one exact
-        // chunk (pure integer-millisecond countdown, no RNG), then replay
-        // the current tick exactly as the naive path would. The chunk
-        // cannot cross the pause end: the node would have woken at the
-        // earlier tick otherwise.
-        let skipped = now - self.last_advance[index];
-        if skipped > tick {
-            node.mobility.advance(skipped - tick, &mut node.rng);
-        }
-        node.mobility.advance(tick, &mut node.rng);
-        self.last_advance[index] = now;
-        let speed = node.mobility.speed();
-        // Moving nodes are advanced every tick (their position changes);
-        // idle nodes sleep until their phase can end. `speed` is already
-        // in the protocol from the tick the node stopped, so skipped ticks
-        // lose nothing.
-        let wake = if speed > 0.0 {
-            now
-        } else {
-            now.saturating_add(node.mobility.time_to_transition())
-        };
-        self.wake_times[index] = wake;
-        let position = node.mobility.position();
-        node.protocol.update_speed(Some(speed));
-        self.medium.update_position(index, position);
-        wake
-    }
-
-    /// The default event-driven path: advance the moving nodes (the `active`
-    /// list) plus the sleepers whose wake time has come (drained from the
-    /// wake queue), and nothing else. A tick over a mostly-paused population
-    /// never touches the sleeping nodes — not even for a compare — and a
-    /// moving node costs no heap traffic at all: it enters the queue once
-    /// when it stops and leaves it once when its pause can end.
-    fn on_mobility_tick_event(&mut self) {
-        let tick = self.scenario.mobility_tick;
-        let now = self.now;
-        let mut woken = std::mem::take(&mut self.wake_scratch);
-        woken.clear();
-        while let Some((_, index)) = self.wake_queue.pop_due(now) {
-            woken.push(index);
-        }
-        // Pops arrive in (wake, id) order; the reference scan visits due nodes
-        // in ascending index. Sorting, then merge-walking the (sorted) active
-        // list with the woken list, keeps the two advance-for-advance
-        // identical (grid updates, RNG draws, everything).
-        woken.sort_unstable();
-        let active = std::mem::take(&mut self.active);
-        let mut next_active = std::mem::take(&mut self.active_scratch);
-        next_active.clear();
-        let (mut a, mut w) = (0usize, 0usize);
-        loop {
-            // A node is in exactly one of the two sorted lists, so this is a
-            // plain two-way merge in ascending index.
-            let index = match (active.get(a).copied(), woken.get(w).copied()) {
-                (Some(x), Some(y)) if x < y => {
-                    a += 1;
-                    x
-                }
-                (_, Some(y)) => {
-                    w += 1;
-                    y
-                }
-                (Some(x), None) => {
-                    a += 1;
-                    x
-                }
-                (None, None) => break,
-            };
-            let wake = self.advance_due_node(index, now, tick);
-            if wake <= now {
-                // Still (or again) moving: due at every tick, stay dense.
-                next_active.push(index);
-            } else {
-                self.wake_queue.set(index, wake);
+        let World {
+            core,
+            pop,
+            naive_mobility,
+            ..
+        } = self;
+        let (now, tick) = (core.now, core.scenario.mobility_tick);
+        if *naive_mobility {
+            // The reference oracle: advance every node unconditionally.
+            for (index, node) in pop.nodes.iter_mut().enumerate() {
+                node.mobility.advance(tick, &mut node.rng);
+                core.medium.update_position(index, node.mobility.position());
+                node.protocol.update_speed(Some(node.mobility.speed()));
             }
-        }
-        self.active_scratch = active;
-        self.active = next_active;
-        self.wake_scratch = woken;
-    }
-
-    /// The pre-wake-queue dirty-tick reference path: scans every node and
-    /// skips the ones whose wake time has not come. Semantically identical to
-    /// the event-driven path (the equivalence suite pins this); kept for tests
-    /// and the `wake_scaling` benchmark. See [`World::set_scan_mobility`].
-    fn on_mobility_tick_scan(&mut self) {
-        let tick = self.scenario.mobility_tick;
-        let now = self.now;
-        for index in 0..self.nodes.len() {
-            // Dirty-tick skip: a node that is not moving cannot change
-            // position or draw randomness before its wake time, so ticks
-            // strictly before it are a no-op for this node.
-            if self.wake_times[index] > now {
-                continue;
-            }
-            self.advance_due_node(index, now, tick);
-        }
-    }
-
-    /// The pre-dirty-tick reference path: advances every node unconditionally.
-    /// See [`World::set_naive_mobility`].
-    fn on_mobility_tick_naive(&mut self) {
-        let tick = self.scenario.mobility_tick;
-        for (index, node) in self.nodes.iter_mut().enumerate() {
-            node.mobility.advance(tick, &mut node.rng);
-            self.medium.update_position(index, node.mobility.position());
-            node.protocol.update_speed(Some(node.mobility.speed()));
-        }
-    }
-
-    fn on_subscribe(&mut self, node: NodeId) {
-        let topic = if self.subscriber_bits.contains(node.index()) {
-            self.scenario.subscriber_topic.clone()
         } else {
-            self.scenario.bystander_topic.clone()
-        };
-        let now = self.now;
-        let mut out = std::mem::take(&mut self.action_buf);
-        self.nodes[node.index()]
-            .protocol
-            .subscribe(topic, now, &mut out);
-        self.apply_actions(node, &mut out);
-        self.action_buf = out;
-    }
-
-    fn on_timer(&mut self, node: NodeId, kind: TimerKind) {
-        let now = self.now;
-        let mut out = std::mem::take(&mut self.action_buf);
-        self.nodes[node.index()]
-            .protocol
-            .handle_timer(kind, now, &mut out);
-        self.apply_actions(node, &mut out);
-        self.action_buf = out;
-    }
-
-    fn on_tx_start(&mut self, frame: u32) {
-        let (sender, size) = match &self.frames[frame as usize] {
-            Some(pending) => (
-                pending.sender,
-                pending.message.wire_size_bytes(&self.sizing),
-            ),
-            None => return,
-        };
-        let (tx, ends_at) = self
-            .medium
-            .begin_transmission(sender.index(), size, self.now);
-        self.queue
-            .schedule(ends_at, WorldEvent::TxEnd { frame, tx });
+            let due = core.begin_tick(now);
+            for &node in &due {
+                let index = node as usize;
+                let wake = advance(
+                    &mut pop.nodes[index],
+                    &mut pop.last_advance[index],
+                    &mut pop.wake_times[index],
+                    now,
+                    tick,
+                );
+                let position = pop.nodes[index].mobility.position();
+                let moved = NodeMove {
+                    node,
+                    position,
+                    wake,
+                };
+                core.commit_move(moved, now);
+            }
+            core.end_tick(due);
+        }
+        core.schedule_next_tick(now);
     }
 
     fn on_tx_end(&mut self, frame: u32, tx: TxId) {
-        let pending = match self.frames[frame as usize].take() {
-            Some(pending) => pending,
-            None => return,
+        let World { core, pop, .. } = self;
+        let Some(pending) = core.take_frame(frame) else {
+            return;
         };
-        // The slot is free for the next broadcast; the slab stops growing
-        // once the number of concurrently in-flight frames peaks.
-        self.free_frames.push(frame);
-        let mut outcomes = std::mem::take(&mut self.outcome_scratch);
+        let mut outcomes = std::mem::take(&mut core.outcome_scratch);
         outcomes.clear();
-        self.medium
-            .complete_transmission_into(tx, &mut self.mac_rng, &mut outcomes);
-        let now = self.now;
-        let mut out = std::mem::take(&mut self.action_buf);
+        core.medium
+            .complete_transmission_into(tx, &mut core.mac_rng, &mut outcomes);
+        let now = core.now;
+        let mut out = std::mem::take(&mut core.action_buf);
         for &(receiver, outcome) in &outcomes {
             if outcome != ReceptionOutcome::Received {
                 continue;
             }
-            self.nodes[receiver]
+            pop.nodes[receiver]
                 .protocol
                 .handle_message(&pending.message, now, &mut out);
-            self.apply_actions(NodeId::from_index(receiver), &mut out);
+            core.commit(NodeId::from_index(receiver), &mut out);
         }
         // The frame died: reclaim the vectors inside its message so the next
         // broadcast builds on their capacity instead of allocating.
         out.recycle_message(pending.message);
-        self.action_buf = out;
-        self.outcome_scratch = outcomes;
+        core.action_buf = out;
+        core.outcome_scratch = outcomes;
     }
 
     fn on_publish(&mut self, index: u32) {
-        // A published event can ride any later quiet timer (an empty-store
-        // FloodTick starts broadcasting once the store fills), so the
-        // traffic-free window closes at the publish dispatch, not at the
-        // first broadcast.
-        self.traffic_free = false;
-        let publication = self.scenario.publications[index as usize].clone();
-        let publisher = self.resolve_publisher(publication.publisher);
-        let now = self.now;
-        let mut out = std::mem::take(&mut self.action_buf);
-        let id = self.nodes[publisher].protocol.publish(
+        let (publication, publisher) = self.core.begin_publish(index);
+        let mut out = std::mem::take(&mut self.core.action_buf);
+        let id = self.pop.nodes[publisher].protocol.publish(
             publication.topic.clone(),
             publication.validity,
             publication.payload_bytes,
-            now,
+            self.core.now,
             &mut out,
         );
-        self.published.push(PublishedRecord {
-            id,
-            publisher,
-            topic: publication.topic,
-        });
-        self.apply_actions(NodeId::from_index(publisher), &mut out);
-        self.action_buf = out;
-    }
-
-    fn on_warmup_end(&mut self) {
-        self.warmup_metrics = Some(
-            self.nodes
-                .iter()
-                .map(|n| n.protocol.metrics().clone())
-                .collect(),
-        );
-        self.warmup_traffic = Some(self.medium.all_counters().to_vec());
-    }
-
-    fn resolve_publisher(&mut self, choice: PublisherChoice) -> usize {
-        resolve_publisher_with(
-            choice,
-            self.nodes.len(),
-            &self.subscriber_cache,
-            &mut self.mac_rng,
-        )
-    }
-
-    /// Drains `out` (the world's reusable action buffer, refilled by the
-    /// caller from a protocol callback) and carries each action out. The
-    /// buffer comes back empty — with its capacity and message-vector pools
-    /// intact — ready for the next event.
-    fn apply_actions(&mut self, node: NodeId, out: &mut ActionBuf) {
-        ActionSink {
-            queue: &mut self.queue,
-            frames: &mut self.frames,
-            free_frames: &mut self.free_frames,
-            timer_slots: &mut self.timer_slots,
-            mac_rng: &mut self.mac_rng,
-            max_jitter: self.scenario.radio.max_contention_jitter,
-            now: self.now,
-            traffic_free: &mut self.traffic_free,
-        }
-        .apply(node, out);
+        self.core
+            .end_publish(publisher, id, publication.topic, &mut out);
+        self.core.action_buf = out;
     }
 
     fn report(&self) -> RunReport {
-        let warmup_metrics: &[ProtocolMetrics] = self.warmup_metrics.as_deref().unwrap_or(&[]);
-        let warmup_traffic: &[TrafficCounters] = self.warmup_traffic.as_deref().unwrap_or(&[]);
+        let core = &self.core;
+        let warmup_metrics: &[ProtocolMetrics] = core.warmup_metrics.as_deref().unwrap_or(&[]);
+        let warmup_traffic: &[TrafficCounters] = core.warmup_traffic.as_deref().unwrap_or(&[]);
 
         let nodes: Vec<NodeReport> = self
+            .pop
             .nodes
             .iter()
             .enumerate()
             .map(|(index, node)| {
                 let metrics = node.protocol.metrics();
                 let base = warmup_metrics.get(index);
-                let traffic = *self.medium.counters(index);
+                let traffic = *core.medium.counters(index);
                 let traffic_base = warmup_traffic.get(index).copied().unwrap_or_default();
                 NodeReport {
                     events_sent: metrics.events_sent - base.map(|b| b.events_sent).unwrap_or(0),
@@ -1132,23 +1062,19 @@ impl World {
             })
             .collect();
 
-        let events: Vec<EventOutcome> = self
+        let events: Vec<EventOutcome> = core
             .published
             .iter()
             .map(|record| {
-                let subscribers = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.protocol.subscriptions().matches(&record.topic))
-                    .count();
-                let delivered = self
-                    .nodes
-                    .iter()
-                    .filter(|n| {
-                        n.protocol.subscriptions().matches(&record.topic)
-                            && n.protocol.has_delivered(&record.id)
-                    })
-                    .count();
+                // One pass: a node counts as a subscriber if its
+                // subscriptions match, and as delivered if it also got it.
+                let (mut subscribers, mut delivered) = (0, 0);
+                for node in &self.pop.nodes {
+                    if node.protocol.subscriptions().matches(&record.topic) {
+                        subscribers += 1;
+                        delivered += usize::from(node.protocol.has_delivered(&record.id));
+                    }
+                }
                 EventOutcome {
                     id: record.id,
                     publisher: record.publisher,
@@ -1159,103 +1085,11 @@ impl World {
             .collect();
 
         RunReport {
-            label: self.scenario.label.clone(),
-            protocol: self.scenario.protocol.name().to_owned(),
+            label: core.scenario.label.clone(),
+            protocol: core.scenario.protocol.name().to_owned(),
             seed: self.seed,
             events,
             nodes,
-        }
-    }
-}
-
-/// The world-side state an action commit mutates, borrowed together so the
-/// single-threaded dispatcher and the sharded engine (which cannot borrow the
-/// whole `World`) run one implementation. Every call consumes MAC randomness
-/// and scheduler sequence numbers, so callers must invoke it in exactly the
-/// sequential dispatch order to keep runs bit-identical.
-struct ActionSink<'a> {
-    queue: &'a mut SchedulerQueue,
-    frames: &'a mut Vec<Option<PendingFrame>>,
-    free_frames: &'a mut Vec<u32>,
-    timer_slots: &'a mut [[Option<EventHandle>; TimerKind::COUNT]],
-    mac_rng: &'a mut SimRng,
-    max_jitter: SimDuration,
-    now: SimTime,
-    /// Cleared on the first broadcast: from here on transmissions may exist,
-    /// so the adaptive window must stop widening (see `World::traffic_free`).
-    traffic_free: &'a mut bool,
-}
-
-impl ActionSink<'_> {
-    /// See [`World::apply_actions`].
-    fn apply(&mut self, node: NodeId, out: &mut ActionBuf) {
-        for action in out.drain() {
-            match action {
-                Action::Broadcast(message) => {
-                    *self.traffic_free = false;
-                    let jitter = self.mac_rng.jitter(self.max_jitter);
-                    let pending = PendingFrame {
-                        sender: node,
-                        message,
-                    };
-                    let frame = match self.free_frames.pop() {
-                        Some(slot) => {
-                            self.frames[slot as usize] = Some(pending);
-                            slot
-                        }
-                        None => {
-                            let slot =
-                                u32::try_from(self.frames.len()).expect("frame slab exceeds u32");
-                            self.frames.push(Some(pending));
-                            slot
-                        }
-                    };
-                    self.queue
-                        .schedule(self.now + jitter, WorldEvent::TxStart { frame });
-                }
-                Action::Deliver(_) => {
-                    // Delivery bookkeeping lives in the protocol metrics; the
-                    // world has nothing extra to do.
-                }
-                Action::SetTimer { kind, after } => {
-                    if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
-                        self.queue.cancel(handle);
-                    }
-                    let handle = self
-                        .queue
-                        .schedule(self.now + after, WorldEvent::Timer { node, kind });
-                    self.timer_slots[node.index()][kind.index()] = Some(handle);
-                }
-                Action::CancelTimer(kind) => {
-                    if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
-                        self.queue.cancel(handle);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// See [`World::resolve_publisher`] — shared with the sharded engine.
-fn resolve_publisher_with(
-    choice: PublisherChoice,
-    node_count: usize,
-    subscriber_cache: &[usize],
-    mac_rng: &mut SimRng,
-) -> usize {
-    match choice {
-        PublisherChoice::Node(index) => index.min(node_count - 1),
-        PublisherChoice::RandomAny => mac_rng.index(node_count),
-        PublisherChoice::RandomSubscriber => {
-            // The ascending subscriber index is cached by populate (and
-            // therefore refreshed on every reset): resolving a random
-            // subscriber allocates nothing per publication event.
-            if subscriber_cache.is_empty() {
-                mac_rng.index(node_count)
-            } else {
-                let pick = mac_rng.index(subscriber_cache.len());
-                subscriber_cache[pick]
-            }
         }
     }
 }
@@ -1511,20 +1345,16 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_mobility_matches_scan_and_naive_references() {
+    fn event_driven_mobility_matches_naive_reference() {
         for seed in [1u64, 2, 3] {
             let event = World::new(pause_heavy_scenario(), seed).unwrap().run();
-            let mut scan_world = World::new(pause_heavy_scenario(), seed).unwrap();
-            scan_world.set_scan_mobility(true);
-            let scan = scan_world.run();
             let mut naive_world = World::new(pause_heavy_scenario(), seed).unwrap();
             naive_world.set_naive_mobility(true);
-            let naive = naive_world.run();
             assert_eq!(
-                event, scan,
-                "event-driven diverged from the scan reference for seed {seed}"
+                event,
+                naive_world.run(),
+                "event-driven diverged from the naive reference for seed {seed}"
             );
-            assert_eq!(scan, naive, "scan diverged from naive for seed {seed}");
         }
         // Stationary nodes sleep forever after the first tick; reports must
         // still match the advance-everyone reference.

@@ -1,6 +1,15 @@
 //! Deterministic sharded stepping: one [`World`], many cores, bit-identical
 //! reports.
 //!
+//! This is the second of the world's two event loops (see the parent module):
+//! same batches, same dispatch order, same [`Coordinator`] methods as the
+//! serial loop — but where the serial loop runs a protocol callback inline
+//! and commits straight away, the [`Engine`] here **segments** a batch,
+//! **forks** the callbacks to the owning shards, replays timer fire/skip
+//! decisions on a per-node slot **overlay**, and **joins** the emitted actions
+//! back into the sequential commit order. Nothing the coordinator owns is
+//! re-declared or re-implemented in this file.
+//!
 //! # The conservative window collapses to one timestamp batch…
 //!
 //! Classic conservative parallel discrete-event simulation advances each
@@ -18,7 +27,7 @@
 //!
 //! The one-millisecond bound is only *needed* when a transmission could
 //! couple two nodes. Until the first `Broadcast` is committed (tracked by
-//! `World::traffic_free`, re-armed by `populate`), the event stream is
+//! `Coordinator::traffic_free`, re-armed by `populate`), the event stream is
 //! mobility ticks and **quiet** timers — kinds whose callbacks, on a world
 //! that has never carried traffic, emit nothing but a re-arm of themselves no
 //! sooner than a static per-kind bound (see `World::quiet_timer_bounds`; for
@@ -35,10 +44,9 @@
 //! [`MAX_FUSED_BATCHES`]× fewer). Any batch that could create a transmission
 //! or otherwise perturb the due horizon — publish, subscribe, warm-up, a
 //! non-quiet timer, a mixed tick+timer batch — terminates the drain and is
-//! dispatched per-timestamp. `World::set_fixed_lookahead` pins the engine to
-//! the one-batch window; the equivalence suite holds the two paths equal.
+//! dispatched per-timestamp.
 //!
-//! # Cost-balanced boundaries and stealing
+//! # Cost-balanced boundaries
 //!
 //! Contiguous index ranges keep commits order-preserving, but equal *node
 //! counts* are not equal *work*: cost concentrates wherever the traffic and
@@ -48,17 +56,14 @@
 //! the run is stepped in epochs of [`REPARTITION_INTERVAL`] batches: between
 //! epochs the worker scope is down and [`BoundaryPartition::rebalance`]
 //! slides the contiguous boundaries toward equal accumulated cost (the
-//! accumulators halve each pass — an EWMA at epoch granularity). For the one
-//! remaining intra-batch skew — a large reception-classify fan-out whose
-//! receivers cluster in few shards — `World::set_classify_work_stealing`
-//! opts into a shared-cursor chunk queue instead of pre-split ranges.
-//! Both mechanisms redistribute identical computations across threads;
-//! neither can change results.
+//! accumulators halve each pass — an EWMA at epoch granularity). That
+//! redistributes identical computations across threads; it cannot change
+//! results.
 //!
 //! # What may run in parallel (and what must not)
 //!
-//! Bit-identity with the single-threaded loop is non-negotiable (the golden
-//! fingerprints and equivalence proptests enforce it), and two global
+//! Bit-identity with the serial loop is non-negotiable (the golden
+//! fingerprints and the oracle proptest enforce it), and two global
 //! sequential resources pin the commit order: the MAC RNG (contention jitter,
 //! fringe draws, publisher choice — one draw order) and the scheduler's
 //! sequence numbers (same-timestamp FIFO). Everything touching either is
@@ -72,39 +77,39 @@
 //! * reception classification (pure function of snapshot + positions).
 //!
 //! The proof obligations are local: a protocol callback cannot observe
-//! another node's state; `ActionSink` commits mutate only world-side state
-//! (scheduler, frame slab, timer slots, MAC RNG) that callbacks never read;
-//! same-timestamp `TxStart`s never overlap the `TxEnd`s of the same batch
-//! (overlap requires `start < end` strictly). Timer fire/skip decisions — the
-//! one place a callback's *validity* depends on earlier commits of the same
-//! batch — are replayed on a per-node slot overlay (see [`SlotSim`]), which is
-//! exact because only a node's own actions can touch its slots.
+//! another node's state; [`Coordinator::commit`] mutates only coordinator
+//! state (scheduler, frame slab, timer slots, MAC RNG) that callbacks never
+//! read; same-timestamp `TxStart`s never overlap the `TxEnd`s of the same
+//! batch (overlap requires `start < end` strictly). Timer fire/skip decisions
+//! — the one place a callback's *validity* depends on earlier commits of the
+//! same batch — are replayed on a per-node slot overlay (see [`SlotSim`]),
+//! which is exact because only a node's own actions can touch its slots.
 //!
 //! # Partitioning
 //!
 //! Nodes are split into [`BoundaryPartition`] contiguous index ranges and
-//! each worker borrows its range of the structure-of-arrays node state
-//! (`split_at_mut` — no copies, no unsafe). Spatial bands were considered and
-//! rejected: with a one-batch window every boundary is "hot" anyway (all
-//! cross-shard traffic routes through the coordinator each batch), so spatial
-//! locality buys nothing that index locality doesn't, and index ranges keep
-//! the hot arrays contiguous per worker. Because ranges are ascending, any
-//! ascending node list splits into per-shard runs whose concatenation — shard
-//! 0 first — restores ascending NodeId order, which is the merge order the
-//! sequential loop uses everywhere.
+//! each worker borrows its range of [`NodeArrays`] (`split_at_mut` — no
+//! copies, no unsafe). Spatial bands were considered and rejected: with a
+//! one-batch window every boundary is "hot" anyway (all cross-shard traffic
+//! routes through the coordinator each batch), so spatial locality buys
+//! nothing that index locality doesn't, and index ranges keep the hot arrays
+//! contiguous per worker. Because ranges are ascending, any ascending node
+//! list splits into per-shard runs ([`Engine::split_runs`]) whose
+//! concatenation — shard 0 first — restores ascending NodeId order, which is
+//! the merge order the serial loop uses everywhere.
 //!
 //! # Exchange
 //!
-//! Workers are long-lived within one `run_until` call (`std::thread::scope`)
-//! and exchange work through single-consumer spin-then-park mailboxes
+//! Workers are long-lived within one epoch (`std::thread::scope`) and
+//! exchange work through single-consumer spin-then-park mailboxes
 //! ([`Mailbox`]): a send is a lock push plus an atomic; an idle receiver
 //! spins briefly (`try_lock`, no syscalls) before parking. Round trips are
-//! ~a microsecond, which per-batch parallel work amortizes. Boundary frames
-//! (receivers in other shards) ride a per-window exchange: receivers are
+//! ~a microsecond, which per-batch parallel work amortizes. The coordinator
+//! doubles as shard 0's worker and files its own result beside the workers'
+//! replies, so every join is one walk over the shards in order: receivers are
 //! routed to their owning shard, callbacks run in parallel, and the emitted
-//! actions are committed at the coordinator in ascending receiver order —
-//! i.e. drained in (time, seq, NodeId) order, since batches are already
-//! (time, seq)-ordered.
+//! actions are committed in ascending receiver order — i.e. drained in
+//! (time, seq, NodeId) order, since batches are already (time, seq)-ordered.
 
 use super::*;
 use netsim::{CompletionSnapshot, RadioConfig, ReceptionClass};
@@ -276,7 +281,8 @@ struct WorkerScratch {
     overlay: HashMap<u32, [SlotSim; TimerKind::COUNT]>,
     /// Fused windows: one entry per owned node due within the window, keyed
     /// by its next wake time (`due(t) = {n : wake ≤ t}` — exactly the nodes
-    /// the sequential active-list/wake-queue merge would advance at tick t).
+    /// the coordinator's active-list/wake-queue merge would advance at tick
+    /// t).
     wake_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Fused windows: nodes advanced at least once (local indices), plus the
     /// dense flags backing the dedup.
@@ -284,14 +290,6 @@ struct WorkerScratch {
     touched_list: Vec<u32>,
     /// Fused windows: the nodes due at the tick currently being replayed.
     due: Vec<u32>,
-}
-
-/// The worker's verdict and position update for one mobility-advanced node.
-#[derive(Clone, Copy)]
-struct NodeMove {
-    node: u32,
-    position: Point,
-    wake: SimTime,
 }
 
 /// One timestamp batch of a fused window, as a worker replays it. The
@@ -303,21 +301,6 @@ enum WorkerSeg {
     /// The next `count` entries of the flattened item list are quiet timer
     /// callbacks firing at `now`.
     Timers { now: SimTime, count: usize },
-}
-
-/// The shared state of one work-stealing classify fan-out: receivers are
-/// claimed in `chunk_size` runs from the atomic cursor by every shard (the
-/// coordinator included), so a spatially skewed receiver set keeps all cores
-/// busy. Results are filed per chunk index and reassembled in index order, so
-/// the classification outcome — and everything downstream of it — is
-/// bit-identical to the pre-split path.
-struct StealShared {
-    snapshot: CompletionSnapshot,
-    config: RadioConfig,
-    items: Vec<(u32, Point)>,
-    chunk_size: usize,
-    cursor: AtomicUsize,
-    results: parking_lot::Mutex<Vec<(u32, Vec<ReceptionClass>)>>,
 }
 
 /// Work the coordinator hands a shard for one phase of the current batch.
@@ -336,8 +319,6 @@ enum Work {
         bufs: Vec<ActionBuf>,
         tick: SimDuration,
     },
-    /// Join a work-stealing classify fan-out until the cursor runs dry.
-    ClassifySteal { shared: Arc<StealShared> },
     /// Run a protocol segment's callbacks for the owned items (FIFO order).
     Protocol {
         now: SimTime,
@@ -368,24 +349,23 @@ enum Work {
     },
     /// Snapshot the owned nodes' protocol metrics (warm-up boundary).
     Snapshot,
-    /// Tear down: the `run_until` call is over.
+    /// Tear down: the epoch is over.
     Exit,
 }
 
-/// A shard's answer, tagged with its shard id by the reply mailbox.
+/// A shard's answer, filed under its shard id (see [`Engine::reply_slots`]).
 enum Reply {
+    /// A mobility tick's moves, or — for a fused window — the **final** state
+    /// of every node advanced at least once; ascending either way.
     Mobility {
         moves: Vec<NodeMove>,
     },
-    /// Fused window: the **final** state of every node advanced at least once
-    /// (ascending), plus the filled timer buffers in item order.
+    /// Fused window: the moves as above, plus the filled timer buffers in
+    /// item order.
     Fused {
         moves: Vec<NodeMove>,
         bufs: Vec<ActionBuf>,
     },
-    /// The shard drained its share of a work-stealing classify cursor (the
-    /// classes travel through [`StealShared::results`]).
-    ClassifySteal,
     Protocol {
         fired: Vec<bool>,
         bufs: Vec<ActionBuf>,
@@ -405,48 +385,50 @@ enum Reply {
     },
 }
 
-/// One shard's exclusive slice of the structure-of-arrays node state:
-/// `nodes[i]` is global node `first + i`.
+/// One shard's exclusive slice of [`NodeArrays`]: `nodes[i]` is global node
+/// `first + i`.
 struct ShardChunk<'a> {
     first: usize,
     nodes: &'a mut [SimNode],
     last_advance: &'a mut [SimTime],
     wake_times: &'a mut [SimTime],
-    /// Per-node work accumulators feeding the periodic repartition: +1 per
-    /// mobility advance, fired protocol callback and delivered message — a
-    /// deterministic function of the simulation, never of thread timing.
-    /// (Classify and publish work is unattributed; both are either spread by
-    /// their own fan-out or too rare to skew a shard.)
+    /// See [`NodeArrays::cost`]. (Classify and publish work is unattributed;
+    /// both are either spread by their own fan-out or too rare to skew a
+    /// shard.)
     cost: &'a mut [f32],
 }
 
-/// Advances one owned node (local index) across the tick ending at `now`:
-/// exactly [`World::advance_due_node`] minus the world-global effects (grid
-/// update, wake-queue routing), which the coordinator replays at commit.
-/// Returns the node's next wake time.
-fn advance_node(
-    chunk: &mut ShardChunk<'_>,
-    index: usize,
-    now: SimTime,
-    tick: SimDuration,
-) -> SimTime {
-    let node = &mut chunk.nodes[index];
-    let skipped = now - chunk.last_advance[index];
-    if skipped > tick {
-        node.mobility.advance(skipped - tick, &mut node.rng);
+impl ShardChunk<'_> {
+    /// Charges one unit of work to the owned node with global id `node` and
+    /// returns its protocol, about to run a callback.
+    fn charge(&mut self, node: u32) -> &mut dyn DisseminationProtocol {
+        let index = node as usize - self.first;
+        self.cost[index] += 1.0;
+        &mut *self.nodes[index].protocol
     }
-    node.mobility.advance(tick, &mut node.rng);
-    chunk.last_advance[index] = now;
-    let speed = node.mobility.speed();
-    let wake = if speed > 0.0 {
-        now
-    } else {
-        now.saturating_add(node.mobility.time_to_transition())
-    };
-    chunk.wake_times[index] = wake;
-    node.protocol.update_speed(Some(speed));
-    chunk.cost[index] += 1.0;
-    wake
+
+    /// Advances the owned node at local `index` across the tick ending at
+    /// `now` and returns its next wake time. The coordinator replays the
+    /// world-global effects at commit.
+    fn advance(&mut self, index: usize, now: SimTime, tick: SimDuration) -> SimTime {
+        self.cost[index] += 1.0;
+        advance(
+            &mut self.nodes[index],
+            &mut self.last_advance[index],
+            &mut self.wake_times[index],
+            now,
+            tick,
+        )
+    }
+
+    /// Where the owned node at local `index` stands now.
+    fn moved(&self, index: usize) -> NodeMove {
+        NodeMove {
+            node: (self.first + index) as u32,
+            position: self.nodes[index].mobility.position(),
+            wake: self.wake_times[index],
+        }
+    }
 }
 
 /// Mobility phase, worker side: advance the due nodes and report each one's
@@ -461,12 +443,8 @@ fn do_mobility(
     due.iter()
         .map(|&global| {
             let index = global as usize - chunk.first;
-            let wake = advance_node(chunk, index, now, tick);
-            NodeMove {
-                node: global,
-                position: chunk.nodes[index].mobility.position(),
-                wake,
-            }
+            chunk.advance(index, now, tick);
+            chunk.moved(index)
         })
         .collect()
 }
@@ -480,7 +458,7 @@ fn do_mobility(
 /// replaces per-tick move traffic.
 ///
 /// Due-node discovery runs on a local heap over the shard's own wake times —
-/// `due(t) = {n : wake(n) ≤ t}`, which is exactly the set the sequential
+/// `due(t) = {n : wake(n) ≤ t}`, which is exactly the set the coordinator's
 /// active-list/wake-queue merge advances at t (moving nodes carry `wake =
 /// last tick ≤ t`; sleepers wake when their pause can end). Per-tick
 /// cross-node order is irrelevant: every mutation here is node-private.
@@ -522,30 +500,24 @@ fn do_fused(
                     scratch.wake_heap.pop();
                     scratch.due.push(index);
                 }
-                let mut due = std::mem::take(&mut scratch.due);
-                for &local in &due {
+                for &local in &scratch.due {
                     let index = local as usize;
-                    let wake = advance_node(chunk, index, now, tick);
+                    let wake = chunk.advance(index, now, tick);
                     if !scratch.touched[index] {
                         scratch.touched[index] = true;
                         scratch.touched_list.push(local);
                     }
-                    let last = last_tick.expect("mobility seg implies a last tick");
-                    if wake <= last {
+                    if last_tick.is_some_and(|last| wake <= last) {
                         scratch.wake_heap.push(Reverse((wake, local)));
                     }
                 }
-                due.clear();
-                scratch.due = due;
             }
             WorkerSeg::Timers { now, count } => {
                 for ((node, kind), buf) in items[cursor..cursor + count]
                     .iter()
                     .zip(&mut bufs[cursor..cursor + count])
                 {
-                    let index = *node as usize - chunk.first;
-                    chunk.nodes[index].protocol.handle_timer(*kind, now, buf);
-                    chunk.cost[index] += 1.0;
+                    chunk.charge(*node).handle_timer(*kind, now, buf);
                 }
                 cursor += count;
             }
@@ -557,14 +529,7 @@ fn do_fused(
     scratch
         .touched_list
         .iter()
-        .map(|&local| {
-            let index = local as usize;
-            NodeMove {
-                node: (chunk.first + index) as u32,
-                position: chunk.nodes[index].mobility.position(),
-                wake: chunk.wake_times[index],
-            }
-        })
+        .map(|&local| chunk.moved(local as usize))
         .collect()
 }
 
@@ -584,45 +549,32 @@ fn do_protocol(
         .zip(bufs.iter_mut())
         .map(|(item, buf)| {
             let overlay = scratch.overlay.entry(item.node).or_insert_with(|| {
-                let mut slots = [SlotSim::Empty; TimerKind::COUNT];
-                for (slot, real) in slots.iter_mut().zip(item.slots) {
-                    if let Some(handle) = real {
-                        *slot = SlotSim::Real(handle);
-                    }
-                }
-                slots
+                item.slots
+                    .map(|slot| slot.map_or(SlotSim::Empty, SlotSim::Real))
             });
-            let index = item.node as usize - chunk.first;
-            let node = &mut chunk.nodes[index];
-            let fired = match &item.op {
+            match &item.op {
                 ProtocolOp::Subscribe(topic) => {
-                    node.protocol.subscribe(topic.clone(), now, buf);
-                    true
+                    chunk.charge(item.node).subscribe(topic.clone(), now, buf);
                 }
                 ProtocolOp::Timer { kind, handle } => {
-                    if overlay[kind.index()] == SlotSim::Real(*handle) {
-                        overlay[kind.index()] = SlotSim::Empty;
-                        node.protocol.handle_timer(*kind, now, buf);
-                        true
-                    } else {
-                        false
+                    if overlay[kind.index()] != SlotSim::Real(*handle) {
+                        return false;
                     }
-                }
-            };
-            if fired {
-                chunk.cost[index] += 1.0;
-                // Track what the commit's ActionSink will do to this node's
-                // real slots, so later items of the segment validate against
-                // the state they would have seen sequentially.
-                for action in buf.actions() {
-                    match action {
-                        Action::SetTimer { kind, .. } => overlay[kind.index()] = SlotSim::Local,
-                        Action::CancelTimer(kind) => overlay[kind.index()] = SlotSim::Empty,
-                        _ => {}
-                    }
+                    overlay[kind.index()] = SlotSim::Empty;
+                    chunk.charge(item.node).handle_timer(*kind, now, buf);
                 }
             }
-            fired
+            // Track what the commit will do to this node's real slots, so
+            // later items of the segment validate against the state they
+            // would have seen sequentially.
+            for action in buf.actions() {
+                match action {
+                    Action::SetTimer { kind, .. } => overlay[kind.index()] = SlotSim::Local,
+                    Action::CancelTimer(kind) => overlay[kind.index()] = SlotSim::Empty,
+                    _ => {}
+                }
+            }
+            true
         })
         .collect()
 }
@@ -636,21 +588,8 @@ fn do_deliver(
     bufs: &mut [ActionBuf],
 ) {
     for (&receiver, buf) in receivers.iter().zip(bufs.iter_mut()) {
-        let index = receiver as usize - chunk.first;
-        chunk.nodes[index]
-            .protocol
-            .handle_message(message, now, buf);
-        chunk.cost[index] += 1.0;
+        chunk.charge(receiver).handle_message(message, now, buf);
     }
-}
-
-/// Pairs each receiver with its current position, the form in which
-/// receivers travel to the shards that classify them.
-fn positioned(medium: &RadioMedium, receivers: &[usize]) -> Vec<(u32, Point)> {
-    receivers
-        .iter()
-        .map(|&receiver| (receiver as u32, medium.position(receiver)))
-        .collect()
 }
 
 /// Classifies one run of a completed frame's receivers, each with its
@@ -666,35 +605,11 @@ fn classify_run(
         .collect()
 }
 
-/// Drains a work-stealing classify cursor: claim chunk indices until the
-/// cursor passes the end, classify each claimed run, and file the classes
-/// under the chunk index (the coordinator reassembles them in index order).
-/// Run by every shard of the fan-out, the coordinator included.
-fn steal_classify(shared: &StealShared) {
-    loop {
-        let chunk = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        let start = chunk * shared.chunk_size;
-        if start >= shared.items.len() {
-            break;
-        }
-        let stop = (start + shared.chunk_size).min(shared.items.len());
-        let classes = classify_run(&shared.snapshot, &shared.config, &shared.items[start..stop]);
-        shared.results.lock().push((chunk as u32, classes));
-    }
-}
-
-/// Warm-up snapshot, worker side.
-fn do_snapshot(chunk: &ShardChunk<'_>) -> Vec<ProtocolMetrics> {
-    chunk
-        .nodes
-        .iter()
-        .map(|node| node.protocol.metrics().clone())
-        .collect()
-}
-
 /// The worker thread: serve phase requests for one shard until `Exit`. The
 /// death flag guard turns a mid-phase panic into a coordinator-visible
-/// signal instead of a join deadlock.
+/// signal instead of a join deadlock. (Only a panic: a worker leaving on
+/// `Exit` must not raise it, or a peer still waiting for its own `Exit`
+/// could mistake the orderly teardown for a death.)
 fn worker_loop(
     shard: usize,
     mut chunk: ShardChunk<'_>,
@@ -706,18 +621,19 @@ fn worker_loop(
     struct DeathFlag<'a>(&'a AtomicBool);
     impl Drop for DeathFlag<'_> {
         fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::Release);
+            }
         }
     }
     let _flag = DeathFlag(dead);
     inbox.register_owner();
     let mut scratch = WorkerScratch::default();
     loop {
-        match inbox.recv(dead, spin) {
-            Work::Mobility { now, tick, nodes } => {
-                let moves = do_mobility(&mut chunk, now, tick, &nodes);
-                replies.send((shard, Reply::Mobility { moves }));
-            }
+        let reply = match inbox.recv(dead, spin) {
+            Work::Mobility { now, tick, nodes } => Reply::Mobility {
+                moves: do_mobility(&mut chunk, now, tick, &nodes),
+            },
             Work::Fused {
                 segs,
                 items,
@@ -725,14 +641,7 @@ fn worker_loop(
                 tick,
             } => {
                 let moves = do_fused(&mut chunk, &mut scratch, &segs, &items, &mut bufs, tick);
-                replies.send((shard, Reply::Fused { moves, bufs }));
-            }
-            Work::ClassifySteal { shared } => {
-                steal_classify(&shared);
-                // Drop our clone before replying so the coordinator can
-                // reclaim the shared state with `Arc::try_unwrap`.
-                drop(shared);
-                replies.send((shard, Reply::ClassifySteal));
+                Reply::Fused { moves, bufs }
             }
             Work::Protocol {
                 now,
@@ -740,19 +649,18 @@ fn worker_loop(
                 mut bufs,
             } => {
                 let fired = do_protocol(&mut chunk, &mut scratch, now, &items, &mut bufs);
-                replies.send((shard, Reply::Protocol { fired, bufs }));
+                Reply::Protocol { fired, bufs }
             }
+            // `snapshot` / `message` are this worker's `Arc` clones: the arm
+            // drops them before the reply is sent, so the coordinator can
+            // reclaim the buffers with `Arc::try_unwrap`.
             Work::Classify {
                 snapshot,
                 config,
                 receivers,
-            } => {
-                let classes = classify_run(&snapshot, &config, &receivers);
-                // Drop our snapshot clone before replying so the coordinator
-                // can reclaim the buffer with `Arc::try_unwrap`.
-                drop(snapshot);
-                replies.send((shard, Reply::Classify { classes }));
-            }
+            } => Reply::Classify {
+                classes: classify_run(&snapshot, &config, &receivers),
+            },
             Work::Deliver {
                 now,
                 message,
@@ -760,8 +668,7 @@ fn worker_loop(
                 mut bufs,
             } => {
                 do_deliver(&mut chunk, now, &message, &receivers, &mut bufs);
-                drop(message);
-                replies.send((shard, Reply::Deliver { bufs }));
+                Reply::Deliver { bufs }
             }
             Work::Publish {
                 now,
@@ -771,72 +678,37 @@ fn worker_loop(
                 payload_bytes,
                 mut buf,
             } => {
-                let id = chunk.nodes[node as usize - chunk.first].protocol.publish(
-                    topic,
-                    validity,
-                    payload_bytes,
-                    now,
-                    &mut buf,
-                );
-                replies.send((shard, Reply::Publish { id, buf }));
+                let publisher = &mut chunk.nodes[node as usize - chunk.first];
+                let id = publisher
+                    .protocol
+                    .publish(topic, validity, payload_bytes, now, &mut buf);
+                Reply::Publish { id, buf }
             }
-            Work::Snapshot => {
-                let metrics = do_snapshot(&chunk);
-                replies.send((shard, Reply::Snapshot { metrics }));
-            }
+            Work::Snapshot => Reply::Snapshot {
+                metrics: metrics_of(chunk.nodes),
+            },
             Work::Exit => break,
-        }
-    }
-}
-
-/// Fuses one all-quiet timer batch into a window being drained: moves the
-/// events into the flat window list, records the segment, and tightens the
-/// window's re-arm limit (`min` over fired events of fire time + the kind's
-/// quiet bound — the earliest any in-window schedule can land).
-fn fuse_timer_batch(
-    quiet: &[Option<SimDuration>; TimerKind::COUNT],
-    time: SimTime,
-    batch: &mut Vec<(EventHandle, WorldEvent)>,
-    segs: &mut Vec<FusedSeg>,
-    events: &mut Vec<(EventHandle, WorldEvent)>,
-    limit: &mut Option<SimTime>,
-) {
-    let start = events.len();
-    for &(_, event) in batch.iter() {
-        let kind = match event {
-            WorldEvent::Timer { kind, .. } => kind,
-            _ => unreachable!("fusable timer batch holds only Timer events"),
         };
-        let bound = quiet[kind.index()].expect("fusable timer batch holds only quiet kinds");
-        let lands = time + bound;
-        *limit = Some(limit.map_or(lands, |current| current.min(lands)));
+        replies.send((shard, reply));
     }
-    events.append(batch);
-    segs.push(FusedSeg::Timers {
-        time,
-        start,
-        stop: events.len(),
-    });
 }
 
-/// Splits the node state into per-shard chunks along the partition's ranges.
-fn split_chunks<'a>(
-    part: &BoundaryPartition,
-    mut nodes: &'a mut [SimNode],
-    mut last_advance: &'a mut [SimTime],
-    mut wake_times: &'a mut [SimTime],
-    mut cost: &'a mut [f32],
-) -> Vec<ShardChunk<'a>> {
+/// Lends the node arrays out as per-shard chunks along the partition's
+/// ranges.
+fn split_chunks<'a>(part: &BoundaryPartition, pop: &'a mut NodeArrays) -> Vec<ShardChunk<'a>> {
+    let mut nodes = pop.nodes.as_mut_slice();
+    let mut last_advance = pop.last_advance.as_mut_slice();
+    let mut wake_times = pop.wake_times.as_mut_slice();
+    let mut cost = pop.cost.as_mut_slice();
     let mut chunks = Vec::with_capacity(part.len());
-    let mut first = 0;
     for shard in 0..part.len() {
-        let width = part.range(shard).len();
-        let (chunk_nodes, rest_nodes) = nodes.split_at_mut(width);
-        let (chunk_last, rest_last) = last_advance.split_at_mut(width);
-        let (chunk_wake, rest_wake) = wake_times.split_at_mut(width);
-        let (chunk_cost, rest_cost) = cost.split_at_mut(width);
+        let range = part.range(shard);
+        let (chunk_nodes, rest_nodes) = nodes.split_at_mut(range.len());
+        let (chunk_last, rest_last) = last_advance.split_at_mut(range.len());
+        let (chunk_wake, rest_wake) = wake_times.split_at_mut(range.len());
+        let (chunk_cost, rest_cost) = cost.split_at_mut(range.len());
         chunks.push(ShardChunk {
-            first,
+            first: range.start,
             nodes: chunk_nodes,
             last_advance: chunk_last,
             wake_times: chunk_wake,
@@ -846,16 +718,15 @@ fn split_chunks<'a>(
         last_advance = rest_last;
         wake_times = rest_wake;
         cost = rest_cost;
-        first += width;
     }
     chunks
 }
 
 impl World {
-    /// The sharded twin of the `run_until` event loop: same batches, same
+    /// The sharded twin of the serial `run_until` loop: same batches, same
     /// dispatch order, same results, with the pure per-node work of each
-    /// batch fanned out to `effective_shards() - 1` scoped worker threads
-    /// (the coordinator doubles as shard 0's worker).
+    /// batch fanned out to `shards - 1` scoped worker threads (the
+    /// coordinator doubles as shard 0's worker).
     ///
     /// The run is stepped in **epochs** of [`REPARTITION_INTERVAL`] batches.
     /// Between epochs the worker scope is down, so the per-node cost
@@ -863,23 +734,18 @@ impl World {
     /// next epoch's chunks are split along the moved boundaries — shards
     /// track measured work, not node count. Repartitioning redistributes
     /// identical computations across threads; it cannot change results.
-    pub(super) fn run_until_sharded(&mut self, deadline: SimTime) {
-        let deadline = deadline.min(self.end);
-        let mut part = BoundaryPartition::balanced(self.nodes.len(), self.effective_shards());
+    pub(super) fn run_until_sharded(&mut self, deadline: SimTime, shards: usize) {
+        let mut part = BoundaryPartition::balanced(self.pop.nodes.len(), shards);
         let mut first_epoch = true;
-        loop {
-            // Don't pay thread spawns when nothing is due (or the run is over).
-            match self.queue.peek_time() {
-                Some(at) if at <= deadline => {}
-                _ => return,
-            }
-            if !first_epoch && self.node_cost.iter().any(|&cost| cost > 0.0) {
+        // Don't pay thread spawns when nothing is due (or the run is over).
+        while matches!(self.core.queue.peek_time(), Some(at) if at <= deadline) {
+            if !first_epoch && self.pop.cost.iter().any(|&cost| cost > 0.0) {
                 // EWMA at epoch granularity: rebalance on the accumulated
                 // costs, then halve them so each pass weighs recent epochs
                 // about twice as much as the epoch before.
-                part.rebalance(&self.node_cost);
-                self.stats.repartitions += 1;
-                for cost in &mut self.node_cost {
+                part.rebalance(&self.pop.cost);
+                self.core.stats.repartitions += 1;
+                for cost in &mut self.pop.cost {
                     *cost *= 0.5;
                 }
             }
@@ -892,42 +758,10 @@ impl World {
     /// partition: split the chunks, spawn the workers, drive the engine,
     /// join.
     fn run_epoch(&mut self, part: &BoundaryPartition, deadline: SimTime) {
-        let radio = self.scenario.radio.clone();
         let quiet = self.quiet_timer_bounds();
-        let adaptive = !self.fixed_lookahead;
-        let steal = self.classify_stealing;
-        let World {
-            scenario,
-            now,
-            queue,
-            nodes,
-            medium,
-            timer_slots,
-            last_advance,
-            wake_times,
-            subscriber_bits,
-            frames,
-            free_frames,
-            mac_rng,
-            published,
-            warmup_metrics,
-            warmup_traffic,
-            sizing,
-            wake_queue,
-            active,
-            active_scratch,
-            wake_scratch,
-            action_buf,
-            batch_scratch,
-            subscriber_cache,
-            end,
-            traffic_free,
-            node_cost,
-            stats,
-            ..
-        } = self;
-        let mut chunks = split_chunks(part, nodes, last_advance, wake_times, node_cost).into_iter();
+        let mut chunks = split_chunks(part, &mut self.pop).into_iter();
         let chunk0 = chunks.next().expect("partition has at least one shard");
+        let core = &mut self.core;
         // The mailboxes and the death flag live outside the scope so their
         // borrows outlive the scope's implicit join.
         let dead = AtomicBool::new(false);
@@ -946,102 +780,60 @@ impl World {
                 }
             }
             let _exit = ExitGuard(&inboxes);
-            let replies_ref = &replies;
-            let dead_ref = &dead;
+            let (replies, dead) = (&replies, &dead);
             let spin = spin_budget(part.len());
-            for (index, chunk) in chunks.enumerate() {
-                let inbox = &inboxes[index];
-                scope.spawn(move || {
-                    worker_loop(index + 1, chunk, inbox, replies_ref, dead_ref, spin)
-                });
+            for ((shard, chunk), inbox) in (1..).zip(chunks).zip(&inboxes) {
+                scope.spawn(move || worker_loop(shard, chunk, inbox, replies, dead, spin));
             }
             let mut engine = Engine {
-                scenario,
-                queue,
-                medium,
-                timer_slots,
-                subscriber_bits,
-                frames,
-                free_frames,
-                mac_rng,
-                published,
-                warmup_metrics,
-                warmup_traffic,
-                sizing,
-                wake_queue,
-                active,
-                active_scratch,
-                wake_scratch,
-                action_buf,
-                subscriber_cache,
-                now: *now,
-                end: *end,
-                radio,
-                part: part.clone(),
+                core,
+                part,
                 chunk0,
                 scratch0: WorkerScratch::default(),
                 inboxes: &inboxes,
-                replies: &replies,
-                dead: &dead,
+                replies,
+                dead,
                 spin,
+                quiet,
                 reply_slots: (0..part.len()).map(|_| None).collect(),
+                runs: Vec::new(),
                 buf_pool: Vec::new(),
                 bufvec_pool: Vec::new(),
                 item_lists: (0..part.len()).map(|_| Vec::new()).collect(),
                 snapshot: CompletionSnapshot::default(),
                 classes: Vec::new(),
                 received: Vec::new(),
-                due: Vec::new(),
-                adaptive,
-                quiet,
-                steal,
-                traffic_free,
-                stats,
                 fused_segs: Vec::new(),
                 fused_events: Vec::new(),
             };
-            engine.run(deadline, batch_scratch, REPARTITION_INTERVAL);
-            *now = engine.now;
+            engine.run(deadline, REPARTITION_INTERVAL);
         });
     }
 }
 
-/// The coordinator of one sharded `run_until` call: owns every piece of world
-/// state the commit order serializes (scheduler, medium, RNG, timer table,
-/// frame slab) plus shard 0's node chunk, and drives the per-batch
-/// fork/join against the worker mailboxes.
+/// The coordinator's event loop of one sharded epoch: drives the
+/// [`Coordinator`] through the per-batch fork/join against the worker
+/// mailboxes, with shard 0's node chunk worked inline.
 struct Engine<'w, 'mb> {
-    scenario: &'w Scenario,
-    queue: &'w mut SchedulerQueue,
-    medium: &'w mut RadioMedium,
-    timer_slots: &'w mut Vec<[Option<EventHandle>; TimerKind::COUNT]>,
-    subscriber_bits: &'w BitSet,
-    frames: &'w mut Vec<Option<PendingFrame>>,
-    free_frames: &'w mut Vec<u32>,
-    mac_rng: &'w mut SimRng,
-    published: &'w mut Vec<PublishedRecord>,
-    warmup_metrics: &'w mut Option<Vec<ProtocolMetrics>>,
-    warmup_traffic: &'w mut Option<Vec<TrafficCounters>>,
-    sizing: &'w ProtocolConfig,
-    wake_queue: &'w mut IndexedMinQueue,
-    active: &'w mut Vec<usize>,
-    active_scratch: &'w mut Vec<usize>,
-    wake_scratch: &'w mut Vec<usize>,
-    action_buf: &'w mut ActionBuf,
-    subscriber_cache: &'w [usize],
-    now: SimTime,
-    end: SimTime,
-    radio: RadioConfig,
-    part: BoundaryPartition,
+    core: &'w mut Coordinator,
     chunk0: ShardChunk<'w>,
     scratch0: WorkerScratch,
+    part: &'mb BoundaryPartition,
     inboxes: &'mb [Mailbox<Work>],
     replies: &'mb Mailbox<(usize, Reply)>,
     dead: &'mb AtomicBool,
     /// Spin budget of this machine (see [`spin_budget`]).
     spin: u32,
-    /// Replies of the in-flight fork, indexed by shard id.
+    /// Per timer kind: `Some(bound)` if the kind is *quiet* while the world is
+    /// traffic-free — its callback emits nothing but a re-arm of itself no
+    /// sooner than `bound` after the fire (see `World::quiet_timer_bounds`).
+    quiet: [Option<SimDuration>; TimerKind::COUNT],
+    /// Results of the in-flight fork, indexed by shard id: the workers'
+    /// replies plus, in slot 0, the coordinator's own inline result.
     reply_slots: Vec<Option<Reply>>,
+    /// Fenceposts of the ascending node list last split along the shard
+    /// boundaries (see [`Engine::split_runs`]).
+    runs: Vec<usize>,
     /// Recycled `ActionBuf`s (with their pooled message vectors) and the
     /// vectors that carry them to workers and back.
     buf_pool: Vec<ActionBuf>,
@@ -1051,21 +843,6 @@ struct Engine<'w, 'mb> {
     snapshot: CompletionSnapshot,
     classes: Vec<ReceptionClass>,
     received: Vec<u32>,
-    due: Vec<u32>,
-    /// Adaptive lookahead enabled (the default; `set_fixed_lookahead(true)`
-    /// pins the engine to the one-batch conservative window).
-    adaptive: bool,
-    /// Per timer kind: `Some(bound)` if the kind is *quiet* while the world is
-    /// traffic-free — its callback emits nothing but a re-arm of itself no
-    /// sooner than `bound` after the fire (see `World::quiet_timer_bounds`).
-    quiet: [Option<SimDuration>; TimerKind::COUNT],
-    /// Within-batch work stealing for the classify fan-out (opt-in).
-    steal: bool,
-    /// No transmission has ever been created (and no publication dispatched):
-    /// the standing precondition of window fusion. Cleared by the world's
-    /// `ActionSink` on the first `Broadcast` commit.
-    traffic_free: &'w mut bool,
-    stats: &'w mut WorldDebugStats,
     /// Scratch of the fused window currently being drained.
     fused_segs: Vec<FusedSeg>,
     fused_events: Vec<(EventHandle, WorldEvent)>,
@@ -1093,45 +870,55 @@ enum FuseKind {
     Timers,
 }
 
+/// The `(node, kind)` of an event the caller knows to be a `Timer`.
+fn timer_of(event: WorldEvent) -> (NodeId, TimerKind) {
+    match event {
+        WorldEvent::Timer { node, kind } => (node, kind),
+        _ => unreachable!("fused segments hold only Timer events"),
+    }
+}
+
 impl Engine<'_, '_> {
-    /// The batch loop — structurally identical to the single-threaded
-    /// `run_until`, with dispatch replaced by segmented fork/join, except
-    /// that a fusable batch may open a widened window covering a whole run
-    /// of consecutive quiet batches (see [`Engine::fused_window`]).
+    /// The batch loop — structurally identical to the serial `run_until`,
+    /// with dispatch replaced by segmented fork/join, except that a fusable
+    /// batch may open a widened window covering a whole run of consecutive
+    /// quiet batches (see [`Engine::fused_window`]).
     ///
     /// Returns after `budget` timestamp batches at the latest, so the caller
     /// can interleave repartition passes; a fused window counts each batch it
     /// consumed.
-    fn run(&mut self, deadline: SimTime, batch: &mut Vec<(EventHandle, WorldEvent)>, budget: u64) {
+    fn run(&mut self, deadline: SimTime, budget: u64) {
+        let mut batch = std::mem::take(&mut self.core.batch_scratch);
         let mut remaining = budget;
         while remaining > 0 {
-            let at = match self.queue.peek_time() {
+            let at = match self.core.queue.peek_time() {
                 Some(at) if at <= deadline => at,
                 _ => break,
             };
-            self.now = at;
+            self.core.now = at;
             batch.clear();
-            self.queue.pop_due_batch(at, batch);
-            let consumed = match self.fuse_kind(batch) {
-                Some(kind) => self.fused_window(kind, batch, deadline),
+            self.core.queue.pop_due_batch(at, &mut batch);
+            let consumed = match self.fuse_kind(&batch) {
+                Some(kind) => self.fused_window(kind, &mut batch, deadline),
                 None => {
-                    self.dispatch_batch(batch);
+                    self.dispatch_batch(&batch);
                     1
                 }
             };
-            remaining = remaining.saturating_sub(consumed.max(1));
+            remaining = remaining.saturating_sub(consumed);
         }
+        self.core.batch_scratch = batch;
     }
 
-    /// Dispatches one timestamp batch the per-timestamp way. `self.now` must
+    /// Dispatches one timestamp batch the per-timestamp way. `core.now` must
     /// already be the batch's time.
     fn dispatch_batch(&mut self, batch: &[(EventHandle, WorldEvent)]) {
         let mut index = 0;
         while index < batch.len() {
+            let mut stop = index + 1;
             match batch[index].1 {
                 WorldEvent::Subscribe { .. } | WorldEvent::Timer { .. } => {
                     // Maximal run of protocol events: one fork/join.
-                    let mut stop = index + 1;
                     while stop < batch.len()
                         && matches!(
                             batch[stop].1,
@@ -1141,43 +928,28 @@ impl Engine<'_, '_> {
                         stop += 1;
                     }
                     self.protocol_segment(&batch[index..stop]);
-                    index = stop;
                 }
-                WorldEvent::TxStart { frame } => {
-                    self.on_tx_start(frame);
-                    index += 1;
-                }
-                WorldEvent::TxEnd { frame, tx } => {
-                    self.on_tx_end(frame, tx);
-                    index += 1;
-                }
-                WorldEvent::MobilityTick => {
-                    self.on_mobility_tick();
-                    index += 1;
-                }
-                WorldEvent::Publish { index: publication } => {
-                    self.on_publish(publication);
-                    index += 1;
-                }
-                WorldEvent::WarmupEnd => {
-                    self.on_warmup_end();
-                    index += 1;
-                }
+                WorldEvent::TxStart { frame } => self.core.on_tx_start(frame),
+                WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx),
+                WorldEvent::MobilityTick => self.on_mobility_tick(),
+                WorldEvent::Publish { index: publication } => self.on_publish(publication),
+                WorldEvent::WarmupEnd => self.on_warmup_end(),
             }
+            index = stop;
         }
     }
 
     /// Decides whether a freshly popped batch may join a widened window.
     ///
     /// Fusable batches are exactly a lone `MobilityTick`, or an all-`Timer`
-    /// batch every kind of which is quiet — and only while adaptive lookahead
-    /// is on, no transmission has ever existed (`traffic_free`), and nothing
-    /// is on the air (every frame slot free; implied by `traffic_free`, kept
-    /// as belt-and-suspenders). A mixed tick+timer batch is never fused: the
+    /// batch every kind of which is quiet — and only while no transmission
+    /// has ever existed (`traffic_free`) and nothing is on the air (every
+    /// frame slot free; implied by `traffic_free`, kept as
+    /// belt-and-suspenders). A mixed tick+timer batch is never fused: the
     /// relative order of `update_speed` and `handle_timer` on one node could
     /// be observable there.
     fn fuse_kind(&self, batch: &[(EventHandle, WorldEvent)]) -> Option<FuseKind> {
-        if !self.adaptive || !*self.traffic_free || self.frames.len() != self.free_frames.len() {
+        if !self.core.traffic_free || self.core.frames.len() != self.core.free_frames.len() {
             return None;
         }
         if batch.len() == 1 && matches!(batch[0].1, WorldEvent::MobilityTick) {
@@ -1189,8 +961,39 @@ impl Engine<'_, '_> {
         all_quiet.then_some(FuseKind::Timers)
     }
 
+    /// Fuses one all-quiet timer batch (popped at `time`) into the window
+    /// being drained: moves the events into the flat window list, records
+    /// the segment, and tightens the window's re-arm `limit` (`min` over
+    /// fired events of fire time + the kind's quiet bound — the earliest any
+    /// in-window schedule can land).
+    fn fuse_timers(
+        &mut self,
+        time: SimTime,
+        batch: &mut Vec<(EventHandle, WorldEvent)>,
+        limit: &mut Option<SimTime>,
+    ) {
+        for &(_, event) in batch.iter() {
+            let bound = self.quiet[timer_of(event).1.index()]
+                .expect("fusable timer batch holds only quiet kinds");
+            let lands = time + bound;
+            *limit = Some(limit.map_or(lands, |current| current.min(lands)));
+        }
+        let start = self.fused_events.len();
+        self.fused_events.append(batch);
+        let stop = self.fused_events.len();
+        self.fused_segs.push(FusedSeg::Timers { time, start, stop });
+    }
+
+    /// Fuses the mobility tick at `time` into the window being drained and
+    /// returns its successor, if the run lasts that long.
+    fn fuse_tick(&mut self, time: SimTime) -> Option<SimTime> {
+        self.fused_segs.push(FusedSeg::Mobility { time });
+        let next = time + self.core.scenario.mobility_tick;
+        (next <= self.core.end).then_some(next)
+    }
+
     /// Drains and executes one widened window starting from `batch`, which
-    /// was already popped at `self.now` and classified as `first`. Returns
+    /// was already popped at `core.now` and classified as `first`. Returns
     /// the number of timestamp batches consumed (fused segments plus the
     /// terminator batch, if one was popped).
     ///
@@ -1214,10 +1017,7 @@ impl Engine<'_, '_> {
         batch: &mut Vec<(EventHandle, WorldEvent)>,
         deadline: SimTime,
     ) -> u64 {
-        let tick = self.scenario.mobility_tick;
-        let start = self.now;
-        let mut segs = std::mem::take(&mut self.fused_segs);
-        let mut events = std::mem::take(&mut self.fused_events);
+        let start = self.core.now;
         // The earliest time any in-window re-arm can land; fused pops stay
         // strictly below it.
         let mut limit: Option<SimTime> = None;
@@ -1227,34 +1027,21 @@ impl Engine<'_, '_> {
         // and is committed (once) after the window.
         let mut next_tick: Option<SimTime> = None;
         match first {
-            FuseKind::Mobility => {
-                segs.push(FusedSeg::Mobility { time: start });
-                let next = start + tick;
-                next_tick = (next <= self.end).then_some(next);
-            }
-            FuseKind::Timers => {
-                fuse_timer_batch(
-                    &self.quiet,
-                    start,
-                    batch,
-                    &mut segs,
-                    &mut events,
-                    &mut limit,
-                );
-            }
+            FuseKind::Mobility => next_tick = self.fuse_tick(start),
+            FuseKind::Timers => self.fuse_timers(start, batch, &mut limit),
         }
         let mut terminator: Option<SimTime> = None;
-        while segs.len() < MAX_FUSED_BATCHES {
+        while self.fused_segs.len() < MAX_FUSED_BATCHES {
             let mut cap = deadline;
             if let Some(limit) = limit {
-                debug_assert!(limit > self.now, "a quiet bound under one clock step");
+                debug_assert!(limit > start, "a quiet bound under one clock step");
                 cap = cap.min(limit - SimDuration::from_millis(1));
             }
             if let Some(next) = next_tick {
                 cap = cap.min(next);
             }
             batch.clear();
-            match self.queue.pop_due_batch_capped(cap, batch) {
+            match self.core.queue.pop_due_batch_capped(cap, batch) {
                 Some(at) if next_tick == Some(at) => {
                     // Collision: real events share the virtual tick's
                     // timestamp. Their seqs predate the tick's (the commit
@@ -1268,77 +1055,53 @@ impl Engine<'_, '_> {
                         // A real wheel tick (only possible while no fused
                         // tick has retired it into `next_tick`).
                         debug_assert!(next_tick.is_none());
-                        segs.push(FusedSeg::Mobility { time: at });
-                        let next = at + tick;
-                        next_tick = (next <= self.end).then_some(next);
+                        next_tick = self.fuse_tick(at);
                     }
-                    Some(FuseKind::Timers) => {
-                        fuse_timer_batch(
-                            &self.quiet,
-                            at,
-                            batch,
-                            &mut segs,
-                            &mut events,
-                            &mut limit,
-                        );
-                    }
+                    Some(FuseKind::Timers) => self.fuse_timers(at, batch, &mut limit),
                     None => {
                         terminator = Some(at);
                         break;
                     }
                 },
-                None => {
-                    if next_tick == Some(cap) {
-                        // Nothing in the queue up to the virtual tick: the
-                        // tick itself is the next batch. Fuse it.
-                        segs.push(FusedSeg::Mobility { time: cap });
-                        let next = cap + tick;
-                        next_tick = (next <= self.end).then_some(next);
-                    } else {
-                        break;
-                    }
-                }
+                // Nothing in the queue up to the virtual tick: the tick
+                // itself is the next batch. Fuse it.
+                None if next_tick == Some(cap) => next_tick = self.fuse_tick(cap),
+                None => break,
             }
         }
-        let consumed = if segs.len() < 2 {
+        let segs = std::mem::take(&mut self.fused_segs);
+        let events = std::mem::take(&mut self.fused_events);
+        let mut consumed = segs.len() as u64;
+        if segs.len() < 2 {
             // A window of one batch: the per-timestamp path is cheaper (a
             // fused round trip scans every owned wake time). Replay it the
             // normal way; the stats only count genuinely widened windows.
-            self.now = start;
             match first {
                 FuseKind::Mobility => self.on_mobility_tick(),
                 FuseKind::Timers => self.protocol_segment(&events),
             }
-            1
         } else {
-            self.execute_fused(&segs, &events, tick);
-            self.stats.windows_widened += 1;
-            self.stats.batches_fused += segs.len() as u64;
-            segs.len() as u64
-        };
-        segs.clear();
-        events.clear();
-        self.fused_segs = segs;
-        self.fused_events = events;
-        if let Some(at) = terminator {
-            self.now = at;
-            self.dispatch_batch(batch);
-            consumed + 1
-        } else {
-            consumed
+            self.execute_fused(&segs, &events);
+            self.core.stats.windows_widened += 1;
+            self.core.stats.batches_fused += consumed;
         }
+        (self.fused_segs, self.fused_events) = (segs, events);
+        self.fused_segs.clear();
+        self.fused_events.clear();
+        if let Some(at) = terminator {
+            self.core.now = at;
+            self.dispatch_batch(batch);
+            consumed += 1;
+        }
+        consumed
     }
 
     /// Executes a drained window of ≥ 2 fused segments: one fork/join for
     /// the whole window, then a sequential commit walk in exact dispatch
     /// order.
-    fn execute_fused(
-        &mut self,
-        segs: &[FusedSeg],
-        events: &[(EventHandle, WorldEvent)],
-        tick: SimDuration,
-    ) {
+    fn execute_fused(&mut self, segs: &[FusedSeg], events: &[(EventHandle, WorldEvent)]) {
         let shard_count = self.part.len();
+        let tick = self.core.scenario.mobility_tick;
         let last_mobility = segs.iter().rev().find_map(|seg| match seg {
             FusedSeg::Mobility { time } => Some(*time),
             FusedSeg::Timers { .. } => None,
@@ -1360,10 +1123,7 @@ impl Engine<'_, '_> {
                 FusedSeg::Timers { time, start, stop } => {
                     counts.fill(0);
                     for &(_, event) in &events[start..stop] {
-                        let (node, kind) = match event {
-                            WorldEvent::Timer { node, kind } => (node, kind),
-                            _ => unreachable!("fused segments hold only Timer events"),
-                        };
+                        let (node, kind) = timer_of(event);
                         let shard = self.part.owner(node.index());
                         worker_items[shard].push((node.0, kind));
                         counts[shard] += 1;
@@ -1378,60 +1138,48 @@ impl Engine<'_, '_> {
         }
         // Fork: workers first, then shard 0 inline on this thread.
         let mut outstanding = 0;
-        let mut segs0 = Vec::new();
-        let mut items0 = Vec::new();
-        for (shard, (shard_segs, items)) in worker_segs.into_iter().zip(worker_items).enumerate() {
-            if shard == 0 {
-                segs0 = shard_segs;
-                items0 = items;
-                continue;
-            }
-            if shard_segs.is_empty() {
+        let mut forks = worker_segs.into_iter().zip(worker_items);
+        let (segs0, items0) = forks.next().expect("partition has at least one shard");
+        for (inbox, (segs, items)) in self.inboxes.iter().zip(forks) {
+            if segs.is_empty() {
                 continue;
             }
             let bufs = self.take_bufs(items.len());
-            self.inboxes[shard - 1].send(Work::Fused {
-                segs: shard_segs,
+            inbox.send(Work::Fused {
+                segs,
                 items,
                 bufs,
                 tick,
             });
             outstanding += 1;
         }
-        let mut bufs0 = self.take_bufs(items0.len());
-        let moves0 = do_fused(
+        let mut bufs = self.take_bufs(items0.len());
+        let moves = do_fused(
             &mut self.chunk0,
             &mut self.scratch0,
             &segs0,
             &items0,
-            &mut bufs0,
+            &mut bufs,
             tick,
         );
+        self.reply_slots[0] = Some(Reply::Fused { moves, bufs });
         self.collect_replies(outstanding);
-        let mut moves_list: Vec<Vec<NodeMove>> = Vec::with_capacity(shard_count);
-        let mut bufs_list: Vec<Vec<ActionBuf>> = Vec::with_capacity(shard_count);
-        moves_list.push(moves0);
-        bufs_list.push(bufs0);
-        for shard in 1..shard_count {
-            match self.reply_slots[shard].take() {
-                Some(Reply::Fused { moves, bufs }) => {
-                    moves_list.push(moves);
-                    bufs_list.push(bufs);
-                }
-                None => {
-                    moves_list.push(Vec::new());
-                    bufs_list.push(Vec::new());
-                }
+        let (moves_list, mut bufs_list): (Vec<Vec<NodeMove>>, Vec<Vec<ActionBuf>>) = self
+            .reply_slots
+            .iter_mut()
+            .map(|slot| match slot.take() {
+                Some(Reply::Fused { moves, bufs }) => (moves, bufs),
+                None => Default::default(),
                 Some(_) => unreachable!("mismatched reply kind"),
-            }
-        }
+            })
+            .unzip();
         // Commit walk: the segments in timestamp order, each timer segment's
         // events in FIFO order — the exact sequential dispatch order.
         let mut cursors = vec![0usize; shard_count];
         for seg in segs {
             match *seg {
                 FusedSeg::Mobility { time } => {
-                    self.now = time;
+                    self.core.now = time;
                     // Sequential stepping schedules the successor while
                     // processing a tick. Only the last one's schedule
                     // survives the window (the earlier ones were consumed
@@ -1440,86 +1188,49 @@ impl Engine<'_, '_> {
                     // same future timestamp, and FIFO order there is seq
                     // order.
                     if Some(time) == last_mobility {
-                        let next = time + tick;
-                        if next <= self.end {
-                            self.queue.schedule(next, WorldEvent::MobilityTick);
-                        }
+                        self.core.schedule_next_tick(time);
                     }
                 }
                 FusedSeg::Timers { time, start, stop } => {
-                    self.now = time;
-                    for (handle, event) in &events[start..stop] {
-                        let (node, kind) = match *event {
-                            WorldEvent::Timer { node, kind } => (node, kind),
-                            _ => unreachable!("fused segments hold only Timer events"),
-                        };
+                    self.core.now = time;
+                    for &(handle, event) in &events[start..stop] {
+                        let (node, kind) = timer_of(event);
                         let shard = self.part.owner(node.index());
                         let cursor = cursors[shard];
                         cursors[shard] += 1;
                         // Quiet kinds are never lazily cancelled, so the
                         // popped event cannot be stale (the sequential fire
                         // check would pass) — see the fusing proof.
-                        debug_assert_eq!(
-                            self.timer_slots[node.index()][kind.index()],
-                            Some(*handle),
-                            "a fused timer event went stale mid-window"
-                        );
-                        self.timer_slots[node.index()][kind.index()] = None;
-                        let mut buf = std::mem::take(&mut bufs_list[shard][cursor]);
-                        self.apply_actions(node, &mut buf);
-                        bufs_list[shard][cursor] = buf;
+                        let armed = self.core.take_armed(node, kind, handle);
+                        debug_assert!(armed, "a fused timer event went stale mid-window");
+                        self.core.commit(node, &mut bufs_list[shard][cursor]);
                     }
                 }
             }
         }
         debug_assert!(
-            *self.traffic_free,
+            self.core.traffic_free,
             "a fused window committed a Broadcast — the quiet table is wrong"
         );
-        // Final mobility state: grid positions and active/wake-queue routing
-        // for every node advanced at least once, in ascending node order
-        // (shard concatenation preserves it). Untouched nodes kept their
-        // wake-queue entries and wake > last tick, exactly as sequentially.
+        // Final mobility state, committed as one tick at the window's last:
+        // the nodes due by then — the active list plus every sleeper whose
+        // wake time fell inside the window — are exactly the nodes the
+        // workers advanced at least once, and shard concatenation restores
+        // their ascending order. Untouched nodes keep their wake-queue
+        // entries and wake > last tick, exactly as sequentially.
         if let Some(last) = last_mobility {
-            let mut next_active = std::mem::take(self.active_scratch);
-            next_active.clear();
-            for moves in &moves_list {
-                for entry in moves {
-                    let index = entry.node as usize;
-                    self.medium.update_position(index, entry.position);
-                    if entry.wake <= last {
-                        // Ends the window moving: it may still hold a queue
-                        // entry from before the window (the coordinator never
-                        // popped in here), which must not wake it again.
-                        self.wake_queue.remove(index);
-                        next_active.push(index);
-                    } else {
-                        self.wake_queue.set(index, entry.wake);
-                    }
-                }
+            let due = self.core.begin_tick(last);
+            debug_assert!(due
+                .iter()
+                .eq(moves_list.iter().flatten().map(|moved| &moved.node)));
+            for &moved in moves_list.iter().flatten() {
+                self.core.commit_move(moved, last);
             }
-            std::mem::swap(self.active, &mut next_active);
-            *self.active_scratch = next_active;
+            self.core.end_tick(due);
         }
         for bufs in bufs_list {
             self.return_bufs(bufs);
         }
-    }
-
-    /// Commits one node's emitted actions — in the exact sequential order the
-    /// caller guarantees — through the shared [`ActionSink`].
-    fn apply_actions(&mut self, node: NodeId, out: &mut ActionBuf) {
-        ActionSink {
-            queue: &mut *self.queue,
-            frames: &mut *self.frames,
-            free_frames: &mut *self.free_frames,
-            timer_slots: &mut *self.timer_slots,
-            mac_rng: &mut *self.mac_rng,
-            max_jitter: self.radio.max_contention_jitter,
-            now: self.now,
-            traffic_free: &mut *self.traffic_free,
-        }
-        .apply(node, out);
     }
 
     /// Blocks until `count` outstanding replies arrived, filing each by shard.
@@ -1549,116 +1260,96 @@ impl Engine<'_, '_> {
         self.bufvec_pool.push(bufs);
     }
 
+    /// Splits an ascending node list along the shard boundaries: afterwards
+    /// `list[self.runs[s]..self.runs[s + 1]]` is shard `s`'s (possibly empty)
+    /// contiguous run.
+    fn split_runs(&mut self, list: &[u32]) {
+        self.runs.clear();
+        self.runs.push(0);
+        let mut cursor = 0;
+        for shard in 0..self.part.len() {
+            let end = self.part.range(shard).end;
+            cursor += list[cursor..].partition_point(|&node| (node as usize) < end);
+            self.runs.push(cursor);
+        }
+    }
+
     /// One maximal run of same-timestamp `Subscribe`/`Timer` events: build
     /// per-shard item lists (with slot snapshots), fork the callbacks, then
     /// commit every emitted action in the original FIFO event order.
     fn protocol_segment(&mut self, events: &[(EventHandle, WorldEvent)]) {
-        let shard_count = self.part.len();
+        let now = self.core.now;
         let mut item_lists = std::mem::take(&mut self.item_lists);
-        for (handle, event) in events {
-            let (node, op) = match *event {
+        for &(handle, event) in events {
+            let (node, op) = match event {
                 WorldEvent::Subscribe { node } => {
-                    let topic = if self.subscriber_bits.contains(node.index()) {
-                        self.scenario.subscriber_topic.clone()
-                    } else {
-                        self.scenario.bystander_topic.clone()
-                    };
-                    (node, ProtocolOp::Subscribe(topic))
+                    (node, ProtocolOp::Subscribe(self.core.subscribe_topic(node)))
                 }
-                WorldEvent::Timer { node, kind } => (
-                    node,
-                    ProtocolOp::Timer {
-                        kind,
-                        handle: *handle,
-                    },
-                ),
+                WorldEvent::Timer { node, kind } => (node, ProtocolOp::Timer { kind, handle }),
                 _ => unreachable!("protocol segments hold only Subscribe/Timer events"),
             };
             item_lists[self.part.owner(node.index())].push(ProtocolItem {
                 node: node.0,
-                slots: self.timer_slots[node.index()],
+                slots: self.core.timer_slots[node.index()],
                 op,
             });
         }
         // Fork: workers first, then shard 0 inline on this thread.
         let mut outstanding = 0;
-        for (shard, list) in item_lists.iter_mut().enumerate().skip(1) {
+        for (inbox, list) in self.inboxes.iter().zip(&mut item_lists[1..]) {
             if list.is_empty() {
                 continue;
             }
             let items = std::mem::take(list);
             let bufs = self.take_bufs(items.len());
-            self.inboxes[shard - 1].send(Work::Protocol {
-                now: self.now,
-                items,
-                bufs,
-            });
+            inbox.send(Work::Protocol { now, items, bufs });
             outstanding += 1;
         }
-        let mut items0 = std::mem::take(&mut item_lists[0]);
-        let mut bufs0 = self.take_bufs(items0.len());
-        let fired0 = do_protocol(
+        let mut bufs = self.take_bufs(item_lists[0].len());
+        let fired = do_protocol(
             &mut self.chunk0,
             &mut self.scratch0,
-            self.now,
-            &items0,
-            &mut bufs0,
+            now,
+            &item_lists[0],
+            &mut bufs,
         );
+        item_lists[0].clear();
+        self.item_lists = item_lists;
+        self.reply_slots[0] = Some(Reply::Protocol { fired, bufs });
         self.collect_replies(outstanding);
         // Join: walk the events in FIFO order again, pulling each item's
         // result from its shard's cursor, and commit.
-        let mut results: Vec<(Vec<bool>, Vec<ActionBuf>)> = Vec::with_capacity(shard_count);
-        results.push((fired0, bufs0));
-        for shard in 1..shard_count {
-            match self.reply_slots[shard].take() {
-                Some(Reply::Protocol { fired, bufs }) => results.push((fired, bufs)),
-                None => results.push((Vec::new(), Vec::new())),
+        let mut results: Vec<(Vec<bool>, Vec<ActionBuf>, usize)> = self
+            .reply_slots
+            .iter_mut()
+            .map(|slot| match slot.take() {
+                Some(Reply::Protocol { fired, bufs }) => (fired, bufs, 0),
+                None => Default::default(),
                 Some(_) => unreachable!("mismatched reply kind"),
-            }
-        }
-        let mut cursors = vec![0usize; shard_count];
-        for (handle, event) in events {
-            let node = match *event {
+            })
+            .collect();
+        for &(handle, event) in events {
+            let node = match event {
                 WorldEvent::Subscribe { node } | WorldEvent::Timer { node, .. } => node,
                 _ => unreachable!(),
             };
-            let shard = self.part.owner(node.index());
-            let cursor = cursors[shard];
-            cursors[shard] += 1;
-            let fired = results[shard].0[cursor];
-            if !fired {
+            let (fired, bufs, cursor) = &mut results[self.part.owner(node.index())];
+            *cursor += 1;
+            if !fired[*cursor - 1] {
                 continue; // skipped stale timer: nothing ran, nothing emitted
             }
-            if let WorldEvent::Timer { node, kind } = *event {
+            if let WorldEvent::Timer { kind, .. } = event {
                 // The overlay fired this timer, which implies no earlier item
                 // of this segment touched the slot — so it still holds this
                 // exact handle, as the sequential fire check would require.
-                debug_assert_eq!(self.timer_slots[node.index()][kind.index()], Some(*handle));
-                self.timer_slots[node.index()][kind.index()] = None;
+                let armed = self.core.take_armed(node, kind, handle);
+                debug_assert!(armed, "the slot overlay fired a timer that is not armed");
             }
-            let mut buf = std::mem::take(&mut results[shard].1[cursor]);
-            self.apply_actions(node, &mut buf);
-            results[shard].1[cursor] = buf;
+            self.core.commit(node, &mut bufs[*cursor - 1]);
         }
-        for (_, bufs) in results {
+        for (_, bufs, _) in results {
             self.return_bufs(bufs);
         }
-        items0.clear();
-        item_lists[0] = items0;
-        self.item_lists = item_lists;
-    }
-
-    /// Identical to the sequential `on_tx_start` (no per-node work to fork).
-    fn on_tx_start(&mut self, frame: u32) {
-        let (sender, size) = match &self.frames[frame as usize] {
-            Some(pending) => (pending.sender, pending.message.wire_size_bytes(self.sizing)),
-            None => return,
-        };
-        let (tx, ends_at) = self
-            .medium
-            .begin_transmission(sender.index(), size, self.now);
-        self.queue
-            .schedule(ends_at, WorldEvent::TxEnd { frame, tx });
     }
 
     /// Frame completion: snapshot (with its receivers) at the coordinator,
@@ -1666,105 +1357,75 @@ impl Engine<'_, '_> {
     /// sequential ascending (RNG order), delivery callbacks fanned out to the
     /// receivers' owners, commits sequential ascending.
     fn on_tx_end(&mut self, frame: u32, tx: TxId) {
-        let pending = match self.frames[frame as usize].take() {
-            Some(pending) => pending,
-            None => return,
+        let Some(pending) = self.core.take_frame(frame) else {
+            return;
         };
-        self.free_frames.push(frame);
         let mut snapshot = std::mem::take(&mut self.snapshot);
-        self.medium.begin_completion(tx, &mut snapshot);
+        self.core.medium.begin_completion(tx, &mut snapshot);
         let mut classes = std::mem::take(&mut self.classes);
         classes.clear();
+        let medium = &self.core.medium;
+        let classify_own =
+            |snapshot: &CompletionSnapshot, own: &[usize], classes: &mut Vec<ReceptionClass>| {
+                classes.extend(own.iter().map(|&receiver| {
+                    snapshot.classify(medium.config(), receiver, medium.position(receiver))
+                }));
+            };
         let work = snapshot.receivers().len() * (snapshot.interferer_count() + 1);
         let parallel = !self.inboxes.is_empty() && work >= PARALLEL_CLASSIFY_MIN_WORK;
-        self.stats.classify_fanouts += u64::from(parallel);
-        let snapshot = if parallel && self.steal {
-            // Work-stealing variant (opt-in): every shard — coordinator
-            // included — claims fixed-size receiver chunks from a shared
-            // cursor, so a spatially skewed receiver set cannot idle the
-            // far shards. Chunks reassemble in index order: bit-identical.
+        if parallel {
             let shard_count = self.part.len();
-            let items = positioned(self.medium, snapshot.receivers());
-            let chunk_size = items.len().div_ceil(shard_count * 4).max(64);
-            let shared = Arc::new(StealShared {
-                snapshot,
-                config: self.radio.clone(),
-                items,
-                chunk_size,
-                cursor: AtomicUsize::new(0),
-                results: parking_lot::Mutex::new(Vec::new()),
-            });
-            for inbox in self.inboxes {
-                inbox.send(Work::ClassifySteal {
-                    shared: Arc::clone(&shared),
-                });
-            }
-            steal_classify(&shared);
-            self.collect_replies(self.inboxes.len());
-            for shard in 1..shard_count {
-                match self.reply_slots[shard].take() {
-                    Some(Reply::ClassifySteal) => {}
-                    _ => unreachable!("mismatched reply kind"),
-                }
-            }
-            let Ok(shared) = Arc::try_unwrap(shared) else {
-                unreachable!("workers drop their shared-state clones before replying")
-            };
-            let mut results = shared.results.into_inner();
-            results.sort_unstable_by_key(|&(chunk, _)| chunk);
-            for (_, chunk_classes) in results {
-                classes.extend(chunk_classes);
-            }
-            shared.snapshot
-        } else if parallel {
-            let shard_count = self.part.len();
-            let snapshot = Arc::new(snapshot);
-            let receivers = snapshot.receivers();
-            let chunk = receivers.len().div_ceil(shard_count);
-            let mut chunks = receivers.chunks(chunk);
+            let shared = Arc::new(snapshot);
+            let mut chunks = shared
+                .receivers()
+                .chunks(shared.receivers().len().div_ceil(shard_count));
             let own = chunks.next().unwrap_or_default();
             let mut outstanding = 0;
             for (inbox, run) in self.inboxes.iter().zip(chunks) {
+                // Receivers travel with their current positions.
+                let receivers = run
+                    .iter()
+                    .map(|&receiver| (receiver as u32, medium.position(receiver)))
+                    .collect();
                 inbox.send(Work::Classify {
-                    snapshot: Arc::clone(&snapshot),
-                    config: self.radio.clone(),
-                    receivers: positioned(self.medium, run),
+                    snapshot: Arc::clone(&shared),
+                    config: medium.config().clone(),
+                    receivers,
                 });
                 outstanding += 1;
             }
-            classes.extend(own.iter().map(|&receiver| {
-                snapshot.classify(&self.radio, receiver, self.medium.position(receiver))
-            }));
+            classify_own(&shared, own, &mut classes);
             self.collect_replies(outstanding);
-            for shard in 1..=outstanding {
-                match self.reply_slots[shard].take() {
+            for slot in &mut self.reply_slots[1..=outstanding] {
+                match slot.take() {
                     Some(Reply::Classify { classes: chunk }) => classes.extend(chunk),
                     _ => unreachable!("mismatched reply kind"),
                 }
             }
-            let Ok(snapshot) = Arc::try_unwrap(snapshot) else {
+            let Ok(reclaimed) = Arc::try_unwrap(shared) else {
                 unreachable!("workers drop their snapshot clones before replying")
             };
-            snapshot
+            snapshot = reclaimed;
         } else {
-            classes.extend(snapshot.receivers().iter().map(|&receiver| {
-                snapshot.classify(&self.radio, receiver, self.medium.position(receiver))
-            }));
-            snapshot
-        };
+            classify_own(&snapshot, snapshot.receivers(), &mut classes);
+        }
+        self.core.stats.classify_fanouts += u64::from(parallel);
         // Sequential half: fringe draws + counters, ascending receiver order.
         let mut received = std::mem::take(&mut self.received);
         received.clear();
         for (&receiver, &class) in snapshot.receivers().iter().zip(classes.iter()) {
-            let outcome = self
-                .medium
-                .resolve_classified(&snapshot, receiver, class, self.mac_rng);
+            let outcome = self.core.medium.resolve_classified(
+                &snapshot,
+                receiver,
+                class,
+                &mut self.core.mac_rng,
+            );
             if outcome == ReceptionOutcome::Received {
                 received.push(receiver as u32);
             }
         }
         if received.is_empty() {
-            self.action_buf.recycle_message(pending.message);
+            self.core.action_buf.recycle_message(pending.message);
         } else {
             self.deliver(&received, pending.message);
         }
@@ -1778,67 +1439,46 @@ impl Engine<'_, '_> {
     /// emitted actions in ascending receiver order — the exact sequential
     /// interleaving, since callbacks draw no randomness.
     fn deliver(&mut self, received: &[u32], message: Message) {
-        let shard_count = self.part.len();
+        let now = self.core.now;
         let message = Arc::new(message);
-        // Per-shard contiguous runs of the ascending receiver list.
-        let range0 = self.part.range(0);
-        let split0 = received.partition_point(|&r| (r as usize) < range0.end);
+        self.split_runs(received);
         let mut outstanding = 0;
-        let mut cursor = split0;
-        for shard in 1..shard_count {
-            let range = self.part.range(shard);
-            let stop = cursor + received[cursor..].partition_point(|&r| (r as usize) < range.end);
-            if stop > cursor {
-                let receivers: Vec<u32> = received[cursor..stop].to_vec();
-                let bufs = self.take_bufs(receivers.len());
-                self.inboxes[shard - 1].send(Work::Deliver {
-                    now: self.now,
-                    message: Arc::clone(&message),
-                    receivers,
-                    bufs,
-                });
-                outstanding += 1;
+        for shard in 1..self.part.len() {
+            let run = &received[self.runs[shard]..self.runs[shard + 1]];
+            if run.is_empty() {
+                continue;
             }
-            cursor = stop;
+            let bufs = self.take_bufs(run.len());
+            self.inboxes[shard - 1].send(Work::Deliver {
+                now,
+                message: Arc::clone(&message),
+                receivers: run.to_vec(),
+                bufs,
+            });
+            outstanding += 1;
         }
-        let mut bufs0 = self.take_bufs(split0);
-        do_deliver(
-            &mut self.chunk0,
-            self.now,
-            &message,
-            &received[..split0],
-            &mut bufs0,
-        );
+        let own = &received[..self.runs[1]];
+        let mut bufs = self.take_bufs(own.len());
+        do_deliver(&mut self.chunk0, now, &message, own, &mut bufs);
+        self.reply_slots[0] = Some(Reply::Deliver { bufs });
         self.collect_replies(outstanding);
-        // Commit ascending: shard 0's run first, then each worker shard's.
-        for (index, &receiver) in received[..split0].iter().enumerate() {
-            let mut buf = std::mem::take(&mut bufs0[index]);
-            self.apply_actions(NodeId(receiver), &mut buf);
-            bufs0[index] = buf;
-        }
-        self.return_bufs(bufs0);
-        let mut cursor = split0;
-        for shard in 1..shard_count {
-            let range = self.part.range(shard);
-            let stop = cursor + received[cursor..].partition_point(|&r| (r as usize) < range.end);
-            if stop > cursor {
-                let mut bufs = match self.reply_slots[shard].take() {
-                    Some(Reply::Deliver { bufs }) => bufs,
-                    _ => unreachable!("mismatched reply kind"),
-                };
-                for (index, &receiver) in received[cursor..stop].iter().enumerate() {
-                    let mut buf = std::mem::take(&mut bufs[index]);
-                    self.apply_actions(NodeId(receiver), &mut buf);
-                    bufs[index] = buf;
-                }
-                self.return_bufs(bufs);
+        // Commit ascending: shard order is receiver order.
+        for shard in 0..self.part.len() {
+            let mut bufs = match self.reply_slots[shard].take() {
+                Some(Reply::Deliver { bufs }) => bufs,
+                None => continue,
+                Some(_) => unreachable!("mismatched reply kind"),
+            };
+            let run = &received[self.runs[shard]..self.runs[shard + 1]];
+            for (&receiver, buf) in run.iter().zip(&mut bufs) {
+                self.core.commit(NodeId(receiver), buf);
             }
-            cursor = stop;
+            self.return_bufs(bufs);
         }
         // All worker clones were dropped before their replies; reclaim the
         // message's vectors for the next broadcast.
         if let Ok(message) = Arc::try_unwrap(message) {
-            self.action_buf.recycle_message(message);
+            self.core.action_buf.recycle_message(message);
         }
     }
 
@@ -1846,144 +1486,77 @@ impl Engine<'_, '_> {
     /// coordinator (heap order is global state); the advances — the O(due)
     /// integration work — fan out to the owners.
     fn on_mobility_tick(&mut self) {
-        let tick = self.scenario.mobility_tick;
-        let now = self.now;
-        let mut woken = std::mem::take(self.wake_scratch);
-        woken.clear();
-        while let Some((_, index)) = self.wake_queue.pop_due(now) {
-            woken.push(index);
-        }
-        woken.sort_unstable();
-        // Merge the (sorted) active and woken lists into one ascending due
-        // list — same order the sequential merge walk advances them in.
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        {
-            let active = &*self.active;
-            let (mut a, mut w) = (0usize, 0usize);
-            loop {
-                match (active.get(a).copied(), woken.get(w).copied()) {
-                    (Some(x), Some(y)) if x < y => {
-                        a += 1;
-                        due.push(x as u32);
-                    }
-                    (_, Some(y)) => {
-                        w += 1;
-                        due.push(y as u32);
-                    }
-                    (Some(x), None) => {
-                        a += 1;
-                        due.push(x as u32);
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
-        *self.wake_scratch = woken;
-        // Fork the advances along shard boundaries (due is ascending).
-        let shard_count = self.part.len();
-        let split0 = {
-            let range0 = self.part.range(0);
-            due.partition_point(|&i| (i as usize) < range0.end)
-        };
+        let (now, tick) = (self.core.now, self.core.scenario.mobility_tick);
+        let due = self.core.begin_tick(now);
+        self.split_runs(&due);
         let mut outstanding = 0;
-        let mut cursor = split0;
-        for shard in 1..shard_count {
-            let range = self.part.range(shard);
-            let stop = cursor + due[cursor..].partition_point(|&i| (i as usize) < range.end);
-            if stop > cursor {
-                self.inboxes[shard - 1].send(Work::Mobility {
-                    now,
-                    tick,
-                    nodes: due[cursor..stop].to_vec(),
-                });
-                outstanding += 1;
+        for shard in 1..self.part.len() {
+            let run = &due[self.runs[shard]..self.runs[shard + 1]];
+            if run.is_empty() {
+                continue;
             }
-            cursor = stop;
+            self.inboxes[shard - 1].send(Work::Mobility {
+                now,
+                tick,
+                nodes: run.to_vec(),
+            });
+            outstanding += 1;
         }
-        let moves0 = do_mobility(&mut self.chunk0, now, tick, &due[..split0]);
+        let moves = do_mobility(&mut self.chunk0, now, tick, &due[..self.runs[1]]);
+        self.reply_slots[0] = Some(Reply::Mobility { moves });
         self.collect_replies(outstanding);
-        // Commit ascending (shard order = node order): grid updates and
-        // active/wake-queue routing, exactly as the sequential walk does.
-        let mut next_active = std::mem::take(self.active_scratch);
-        next_active.clear();
-        let commit =
-            |engine: &mut Engine<'_, '_>, next_active: &mut Vec<usize>, moves: &[NodeMove]| {
-                for entry in moves {
-                    let index = entry.node as usize;
-                    engine.medium.update_position(index, entry.position);
-                    if entry.wake <= now {
-                        next_active.push(index);
-                    } else {
-                        engine.wake_queue.set(index, entry.wake);
+        // Commit ascending (shard order = node order), exactly as the serial
+        // walk does.
+        for shard in 0..self.part.len() {
+            match self.reply_slots[shard].take() {
+                Some(Reply::Mobility { moves }) => {
+                    for moved in moves {
+                        self.core.commit_move(moved, now);
                     }
                 }
-            };
-        commit(self, &mut next_active, &moves0);
-        for shard in 1..shard_count {
-            if let Some(Reply::Mobility { moves }) = self.reply_slots[shard].take() {
-                commit(self, &mut next_active, &moves);
+                None => {}
+                Some(_) => unreachable!("mismatched reply kind"),
             }
         }
-        std::mem::swap(self.active, &mut next_active);
-        *self.active_scratch = next_active;
-        self.due = due;
-        // Schedule the next tick (the sequential loop does this after the
-        // per-path advance).
-        let next = now + tick;
-        if next <= self.end {
-            self.queue.schedule(next, WorldEvent::MobilityTick);
-        }
+        self.core.end_tick(due);
+        self.core.schedule_next_tick(now);
     }
 
-    /// Publication: publisher choice draws MAC randomness at the coordinator;
-    /// the publish callback runs on the owning shard; the commit is inline.
+    /// Publication: the prologue and epilogue are the coordinator's; only the
+    /// publish callback runs on the owning shard.
     fn on_publish(&mut self, index: u32) {
-        // A published event can ride any later quiet timer's broadcast, so
-        // window fusion is off for good from here (until the next populate).
-        *self.traffic_free = false;
-        let publication = self.scenario.publications[index as usize].clone();
-        let publisher = resolve_publisher_with(
-            publication.publisher,
-            self.timer_slots.len(),
-            self.subscriber_cache,
-            self.mac_rng,
-        );
-        let shard = self.part.owner(publisher);
-        let (id, mut buf) = if shard == 0 {
-            let mut buf = self.take_buf();
-            let id = self.chunk0.nodes[publisher - self.chunk0.first]
-                .protocol
-                .publish(
-                    publication.topic.clone(),
-                    publication.validity,
-                    publication.payload_bytes,
-                    self.now,
-                    &mut buf,
-                );
-            (id, buf)
-        } else {
-            let buf = self.take_buf();
-            self.inboxes[shard - 1].send(Work::Publish {
-                now: self.now,
-                node: publisher as u32,
-                topic: publication.topic.clone(),
-                validity: publication.validity,
-                payload_bytes: publication.payload_bytes,
-                buf,
-            });
-            self.collect_replies(1);
-            match self.reply_slots[shard].take() {
-                Some(Reply::Publish { id, buf }) => (id, buf),
-                _ => unreachable!("mismatched reply kind"),
+        let (publication, publisher) = self.core.begin_publish(index);
+        let now = self.core.now;
+        let mut buf = self.take_buf();
+        let id = match self.part.owner(publisher) {
+            0 => self.chunk0.nodes[publisher].protocol.publish(
+                publication.topic.clone(),
+                publication.validity,
+                publication.payload_bytes,
+                now,
+                &mut buf,
+            ),
+            shard => {
+                self.inboxes[shard - 1].send(Work::Publish {
+                    now,
+                    node: publisher as u32,
+                    topic: publication.topic.clone(),
+                    validity: publication.validity,
+                    payload_bytes: publication.payload_bytes,
+                    buf,
+                });
+                self.collect_replies(1);
+                match self.reply_slots[shard].take() {
+                    Some(Reply::Publish { id, buf: filled }) => {
+                        buf = filled;
+                        id
+                    }
+                    _ => unreachable!("mismatched reply kind"),
+                }
             }
         };
-        self.published.push(PublishedRecord {
-            id,
-            publisher,
-            topic: publication.topic,
-        });
-        self.apply_actions(NodeId::from_index(publisher), &mut buf);
+        self.core
+            .end_publish(publisher, id, publication.topic, &mut buf);
         self.buf_pool.push(buf);
     }
 
@@ -1993,15 +1566,14 @@ impl Engine<'_, '_> {
         for inbox in self.inboxes {
             inbox.send(Work::Snapshot);
         }
-        let mut metrics = do_snapshot(&self.chunk0);
+        let mut metrics = metrics_of(self.chunk0.nodes);
         self.collect_replies(self.inboxes.len());
-        for shard in 1..self.part.len() {
-            match self.reply_slots[shard].take() {
+        for slot in &mut self.reply_slots[1..] {
+            match slot.take() {
                 Some(Reply::Snapshot { metrics: chunk }) => metrics.extend(chunk),
                 _ => unreachable!("mismatched reply kind"),
             }
         }
-        *self.warmup_metrics = Some(metrics);
-        *self.warmup_traffic = Some(self.medium.all_counters().to_vec());
+        self.core.snapshot_warmup(metrics);
     }
 }

@@ -56,123 +56,22 @@ impl From<NodeId> for usize {
     }
 }
 
-/// A balanced partition of the dense node-index space `0..total` into
-/// contiguous shard ranges, for splitting a world's per-node arrays across
-/// worker threads.
+/// A partition of the dense node-index space `0..total` into contiguous
+/// shard ranges with **explicit, movable boundaries**, for splitting a
+/// world's per-node arrays across worker threads.
 ///
-/// The first `total % shards` shards hold one extra node, so shard sizes
-/// differ by at most one. Because ranges are contiguous and ascending, any
-/// ascending list of node indices decomposes into at most one contiguous run
-/// per shard — which is what lets a sharded simulator both split its
-/// structure-of-arrays state with `split_at_mut` and merge per-shard results
-/// back in ascending node order by walking shards in order.
+/// Because ranges are contiguous and ascending, any ascending list of node
+/// indices decomposes into at most one contiguous run per shard — which is
+/// what lets a sharded simulator both split its structure-of-arrays state
+/// with `split_at_mut` and merge per-shard results back in ascending node
+/// order by walking shards in order.
 ///
-/// The requested shard count is clamped so no shard is empty (at most one
-/// shard per node, at least one shard overall).
-///
-/// # Examples
-///
-/// ```
-/// use simkit::ShardPartition;
-///
-/// let part = ShardPartition::new(10, 4);
-/// assert_eq!(part.len(), 4);
-/// assert_eq!(part.range(0), 0..3); // 10 = 3 + 3 + 2 + 2
-/// assert_eq!(part.range(2), 6..8);
-/// assert_eq!(part.owner(6), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPartition {
-    total: usize,
-    shards: usize,
-    /// Size of the shards that carry the remainder node (`base + 1`).
-    base: usize,
-    /// Number of leading shards that hold `base + 1` nodes.
-    carry: usize,
-}
-
-impl ShardPartition {
-    /// Partitions `0..total` into `shards` contiguous ranges, clamped to
-    /// `1..=max(total, 1)` shards so every shard is non-empty.
-    pub fn new(total: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, total.max(1));
-        ShardPartition {
-            total,
-            shards,
-            base: total / shards,
-            carry: total % shards,
-        }
-    }
-
-    /// Number of shards (after clamping).
-    pub fn len(&self) -> usize {
-        self.shards
-    }
-
-    /// Always false: a partition holds at least one shard. Present only to
-    /// pair with [`ShardPartition::len`].
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of node indices partitioned.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The contiguous index range owned by `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= len()`.
-    pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
-        assert!(shard < self.shards, "shard {shard} out of range");
-        let start = if shard <= self.carry {
-            shard * (self.base + 1)
-        } else {
-            self.carry * (self.base + 1) + (shard - self.carry) * self.base
-        };
-        let width = if shard < self.carry {
-            self.base + 1
-        } else {
-            self.base
-        };
-        start..start + width
-    }
-
-    /// The shard owning node index `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= total()`.
-    pub fn owner(&self, index: usize) -> usize {
-        assert!(index < self.total, "node index {index} out of range");
-        let fat = self.carry * (self.base + 1);
-        if index < fat {
-            index / (self.base + 1)
-        } else {
-            self.carry + (index - fat) / self.base
-        }
-    }
-}
-
-/// A contiguous partition of `0..total` with **explicit, movable shard
-/// boundaries**, for cost-balanced sharding.
-///
-/// [`ShardPartition`] computes its ranges arithmetically and can therefore
-/// only express equal-size splits. `BoundaryPartition` stores the boundary
-/// vector instead, so a scheduler that measures per-node work can call
-/// [`BoundaryPartition::rebalance`] between stepping epochs and move the
-/// boundaries toward equal *cost* rather than equal *count* — while keeping
-/// every structural invariant the sharded engine relies on: ranges are
-/// contiguous, ascending, cover `0..total` exactly once, and (population
-/// permitting) no shard is empty, so ascending node lists still decompose
-/// into at most one run per shard and per-shard results still concatenate
-/// back in ascending node order.
-///
-/// [`BoundaryPartition::balanced`] produces exactly the ranges
-/// `ShardPartition::new` would, so a partition that never rebalances behaves
-/// identically to the fixed one.
+/// [`BoundaryPartition::balanced`] starts from equal *counts* (shard sizes
+/// differ by at most one); a scheduler that measures per-node work can then
+/// call [`BoundaryPartition::rebalance`] between stepping epochs and move the
+/// boundaries toward equal *cost* — while keeping every structural invariant
+/// above: ranges cover `0..total` exactly once and (population permitting) no
+/// shard is empty.
 ///
 /// # Examples
 ///
@@ -197,14 +96,16 @@ pub struct BoundaryPartition {
 }
 
 impl BoundaryPartition {
-    /// Builds the equal-count partition of `0..total` into `shards` ranges —
-    /// boundary-for-boundary identical to `ShardPartition::new(total, shards)`
-    /// (the shard count is clamped the same way).
+    /// Builds the equal-count partition of `0..total` into `shards` ranges:
+    /// the first `total % shards` shards hold one extra node, so shard sizes
+    /// differ by at most one. The requested shard count is clamped to
+    /// `1..=max(total, 1)` so no shard is empty.
     pub fn balanced(total: usize, shards: usize) -> Self {
-        let fixed = ShardPartition::new(total, shards);
-        let mut bounds = Vec::with_capacity(fixed.len() + 1);
-        bounds.push(0);
-        bounds.extend((0..fixed.len()).map(|shard| fixed.range(shard).end));
+        let shards = shards.clamp(1, total.max(1));
+        let (base, carry) = (total / shards, total % shards);
+        let bounds = (0..=shards)
+            .map(|shard| shard * base + shard.min(carry))
+            .collect();
         BoundaryPartition { bounds }
     }
 
@@ -421,48 +322,6 @@ impl FromIterator<usize> for BitSet {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_partition_covers_every_index_exactly_once() {
-        for total in [0usize, 1, 2, 7, 10, 64, 100, 101] {
-            for shards in [1usize, 2, 3, 4, 8, 200] {
-                let part = ShardPartition::new(total, shards);
-                assert!(!part.is_empty() && part.len() <= shards.max(1));
-                assert_eq!(part.total(), total);
-                let mut next = 0;
-                for shard in 0..part.len() {
-                    let range = part.range(shard);
-                    assert_eq!(range.start, next, "ranges must be contiguous");
-                    assert!(total == 0 || !range.is_empty(), "no shard may be empty");
-                    for index in range.clone() {
-                        assert_eq!(part.owner(index), shard);
-                    }
-                    next = range.end;
-                }
-                assert_eq!(next, total, "ranges must cover 0..total");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_partition_is_balanced() {
-        let part = ShardPartition::new(1003, 8);
-        let sizes: Vec<usize> = (0..part.len()).map(|s| part.range(s).len()).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(max - min <= 1, "sizes differ by more than one: {sizes:?}");
-        assert_eq!(sizes.iter().sum::<usize>(), 1003);
-    }
-
-    #[test]
-    fn shard_partition_clamps_to_population() {
-        let part = ShardPartition::new(3, 16);
-        assert_eq!(part.len(), 3);
-        let empty = ShardPartition::new(0, 4);
-        assert_eq!(empty.len(), 1);
-        assert_eq!(empty.range(0), 0..0);
-        assert!(!empty.is_empty());
-    }
-
     /// Asserts every structural invariant the sharded engine relies on:
     /// contiguous ascending ranges covering `0..total` exactly once, no empty
     /// shard when the population allows, `owner` consistent with `range`.
@@ -482,20 +341,40 @@ mod tests {
     }
 
     #[test]
-    fn boundary_partition_balanced_matches_shard_partition() {
+    fn shard_partition_covers_every_index_exactly_once() {
         for total in [0usize, 1, 2, 7, 10, 64, 100, 101, 1003] {
             for shards in [1usize, 2, 3, 4, 8, 200] {
-                let fixed = ShardPartition::new(total, shards);
                 let part = BoundaryPartition::balanced(total, shards);
-                assert!(!part.is_empty());
-                assert_eq!(part.len(), fixed.len());
+                assert!(!part.is_empty() && part.len() <= shards.max(1));
                 assert_eq!(part.total(), total);
-                for shard in 0..fixed.len() {
-                    assert_eq!(part.range(shard), fixed.range(shard));
-                }
                 assert_partition_invariants(&part);
             }
         }
+    }
+
+    #[test]
+    fn shard_partition_is_balanced() {
+        let part = BoundaryPartition::balanced(1003, 8);
+        let sizes: Vec<usize> = (0..part.len()).map(|s| part.range(s).len()).collect();
+        let min = *sizes.iter().min().unwrap();
+        let max = *sizes.iter().max().unwrap();
+        assert!(max - min <= 1, "sizes differ by more than one: {sizes:?}");
+        assert_eq!(sizes.iter().sum::<usize>(), 1003);
+        // The remainder rides the leading shards: 10 = 3 + 3 + 2 + 2.
+        let part = BoundaryPartition::balanced(10, 4);
+        assert_eq!(part.range(0), 0..3);
+        assert_eq!(part.range(2), 6..8);
+        assert_eq!(part.owner(6), 2);
+    }
+
+    #[test]
+    fn shard_partition_clamps_to_population() {
+        let part = BoundaryPartition::balanced(3, 16);
+        assert_eq!(part.len(), 3);
+        let empty = BoundaryPartition::balanced(0, 4);
+        assert_eq!(empty.len(), 1);
+        assert_eq!(empty.range(0), 0..0);
+        assert!(!empty.is_empty());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
 //! * [`ids`] — dense 32-bit node ids ([`NodeId`]), bit-packed membership
-//!   sets ([`BitSet`]) and balanced contiguous index partitions
-//!   ([`ShardPartition`]) shared by the simulation layers;
+//!   sets ([`BitSet`]) and contiguous index partitions with movable
+//!   boundaries ([`BoundaryPartition`]) shared by the simulation layers;
 //! * [`stats`] — streaming statistics ([`OnlineStats`]) for averaging the 30
 //!   runs per data point used throughout the paper's evaluation.
 //!
@@ -54,7 +54,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod time;
 
-pub use ids::{BitSet, BoundaryPartition, NodeId, ShardPartition};
+pub use ids::{BitSet, BoundaryPartition, NodeId};
 pub use rng::SimRng;
 pub use scheduler::{EventHandle, EventQueue, IndexedMinQueue, TimerWheel};
 pub use stats::{OnlineStats, Summary};

@@ -11,12 +11,13 @@
 //! [`EventQueue`] is the binary-heap reference implementation of the same
 //! contract: a priority queue of `(SimTime, payload)` pairs popped in
 //! non-decreasing time order, with FIFO ordering between events that share
-//! the same timestamp (insertion order breaks ties). The simulation world
-//! keeps it behind a doc-hidden switch so equivalence suites can pin the
-//! wheel's pop order — and therefore every report — against it. Scheduled
-//! events can be cancelled through the [`EventHandle`] returned at insertion
-//! time, which is how protocol timers (heartbeats, back-offs, garbage
-//! collection) are disarmed in both implementations.
+//! the same timestamp (insertion order breaks ties). It is the **model** the
+//! wheel's own property tests pin its pop order against, and a simple queue
+//! for embedders that drive a handful of events directly (the car-park
+//! example); the simulation world runs on the wheel alone. Scheduled events
+//! can be cancelled through the [`EventHandle`] returned at insertion time,
+//! which is how protocol timers (heartbeats, back-offs, garbage collection)
+//! are disarmed in both implementations.
 //!
 //! [`IndexedMinQueue`] is the companion structure for *per-entity* deadlines:
 //! each id in `0..n` holds at most one `SimTime` key, the key can be decreased
@@ -84,9 +85,10 @@ impl<E> Ord for Entry<E> {
 
 /// A cancellable discrete-event priority queue.
 ///
-/// The queue is the heart of the simulation kernel: the simulation `World`
-/// repeatedly pops the earliest pending event, advances the virtual clock to its
-/// timestamp and dispatches it.
+/// The binary-heap model of the scheduler contract: a consumer repeatedly pops
+/// the earliest pending event, advances the virtual clock to its timestamp
+/// and dispatches it. The simulation `World` runs on [`TimerWheel`]; this is
+/// what the wheel is property-tested against.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -133,11 +135,9 @@ impl<E> EventQueue<E> {
     /// handle from a pending one: cancelling one returns `true`, leaves a
     /// tombstone that matches nothing (reclaimed by
     /// [`EventQueue::compact`] / [`EventQueue::clear`]) and makes
-    /// [`EventQueue::len`] undercount by one until then. The simulation
-    /// world consults neither signal (its dense timer-slot table is the
-    /// source of truth for what is armed), but embedders driving the queue
-    /// directly should treat the return value and `len` as advisory once
-    /// they cancel handles that may already have fired.
+    /// [`EventQueue::len`] undercount by one until then. Embedders should
+    /// treat the return value and `len` as advisory once they cancel handles
+    /// that may already have fired.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         if handle.0 >= self.next_seq {
             return false;
@@ -199,18 +199,6 @@ impl<E> EventQueue<E> {
         Some(time)
     }
 
-    /// Alias of [`EventQueue::pop_due_batch`], mirroring
-    /// [`TimerWheel::pop_due_batch_capped`]: a heap peek carries no floor
-    /// state, so probing beyond the earliest event has no side effect to
-    /// avoid in the first place.
-    pub fn pop_due_batch_capped(
-        &mut self,
-        cap: SimTime,
-        out: &mut Vec<(EventHandle, E)>,
-    ) -> Option<SimTime> {
-        self.pop_due_batch(cap, out)
-    }
-
     /// Removes every cancelled entry still buried in the heap, releasing the
     /// tombstone set.
     ///
@@ -222,11 +210,10 @@ impl<E> EventQueue<E> {
     /// matches nothing — compaction clears those too, restoring an exact
     /// [`EventQueue::len`].
     ///
-    /// The simulation world never needs this: its per-seed reset goes through
-    /// [`EventQueue::clear`], which drops tombstones wholesale. `compact` is
-    /// for long-lived queues that cannot restart their handle space — an
-    /// embedder driving the queue directly (like the car-park example) can
-    /// call it at quiet points to bound tombstone memory.
+    /// [`EventQueue::clear`] drops tombstones wholesale; `compact` is for
+    /// long-lived queues that cannot restart their handle space — an embedder
+    /// driving the queue directly (like the car-park example) can call it at
+    /// quiet points to bound tombstone memory.
     pub fn compact(&mut self) {
         if self.cancelled.is_empty() {
             return;
@@ -269,9 +256,9 @@ impl<E> EventQueue<E> {
     /// Drops every pending event, every cancel tombstone, and restarts the
     /// handle space from zero.
     ///
-    /// Recycled queues (a simulation world reset for the next seed of a
-    /// sweep) therefore carry no dead handles across runs and the sequence
-    /// space does not grow without bound over thousands of seeds. Handles
+    /// Recycled queues therefore carry no dead handles across runs and the
+    /// sequence space does not grow without bound over thousands of reuses.
+    /// Handles
     /// issued before `clear` are invalidated and **must not** be passed to
     /// [`EventQueue::cancel`] afterwards: the sequence numbers they carry
     /// will be reissued to new events.

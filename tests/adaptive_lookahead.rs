@@ -5,13 +5,12 @@
 //! stretches (no transmission in flight, no frame leased) by draining runs of
 //! mobility-tick and quiet-timer batches into one fused worker round-trip,
 //! and periodically rebalances shard boundaries from measured per-node cost.
-//! `tests/shard_equivalence.rs` pins adaptive ≡ fixed-lookahead on random
+//! `tests/shard_equivalence.rs` pins the engine ≡ the naive oracle on random
 //! scenarios; this suite pins the adaptive sharded engine against the same
 //! *golden* fingerprints the single-threaded refactors were pinned to
 //! (`tests/integration_determinism.rs`), and asserts the widening actually
 //! happens — the counters must advance on a traffic-free scenario, otherwise
-//! the equivalence suite would be vacuously comparing two identical
-//! per-timestamp runs.
+//! the equivalence suite would never reach the fused-window paths.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{MobilityKind, ProtocolKind, Publication, PublisherChoice, ScenarioBuilder, World};

@@ -298,8 +298,7 @@ fn timer_dense(protocol: ProtocolKind) -> manet_sim::Scenario {
 /// These golden fingerprints were captured from the pre-wheel implementation
 /// (commit 576e53c) on the timer-dense scenario; any divergence means the
 /// wheel (or the batched dispatch, or the dense timer slots) changed event
-/// order, outcomes, or RNG consumption. The doc-hidden heap path must keep
-/// matching them too.
+/// order, outcomes, or RNG consumption.
 #[test]
 fn timer_wheel_reproduces_pre_refactor_reports_seed_for_seed() {
     let golden_frugal: [(u64, u64); 3] = [
@@ -310,32 +309,18 @@ fn timer_wheel_reproduces_pre_refactor_reports_seed_for_seed() {
     let golden_flooding: [(u64, u64); 2] = [(1, 0x56d3_86a8_bec0_880a), (2, 0xff22_69cc_add9_965e)];
     for (seed, expected) in golden_frugal {
         let s = timer_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
-        let wheel = fingerprint(&World::new(s.clone(), seed).unwrap().run());
+        let wheel = fingerprint(&World::new(s, seed).unwrap().run());
         assert_eq!(
             wheel, expected,
             "timer-dense frugal report changed for seed {seed}: {wheel:#018x}"
         );
-        let mut heap_world = World::new(s, seed).unwrap();
-        heap_world.set_heap_queue(true);
-        let heap = fingerprint(&heap_world.run());
-        assert_eq!(
-            heap, expected,
-            "heap reference diverged for frugal seed {seed}: {heap:#018x}"
-        );
     }
     for (seed, expected) in golden_flooding {
         let s = timer_dense(ProtocolKind::Flooding(FloodingPolicy::Simple));
-        let wheel = fingerprint(&World::new(s.clone(), seed).unwrap().run());
+        let wheel = fingerprint(&World::new(s, seed).unwrap().run());
         assert_eq!(
             wheel, expected,
             "timer-dense flooding report changed for seed {seed}: {wheel:#018x}"
-        );
-        let mut heap_world = World::new(s, seed).unwrap();
-        heap_world.set_heap_queue(true);
-        let heap = fingerprint(&heap_world.run());
-        assert_eq!(
-            heap, expected,
-            "heap reference diverged for flooding seed {seed}: {heap:#018x}"
         );
     }
 }
@@ -572,9 +557,7 @@ fn sharded_worlds_reproduce_single_threaded_reports_at_every_shard_count() {
     ];
     for s in scenarios {
         for seed in [1u64, 2] {
-            let mut reference = World::new(s.clone(), seed).unwrap();
-            reference.set_single_shard(true);
-            let reference = reference.run();
+            let reference = World::new(s.clone(), seed).unwrap().run();
             for shards in [2usize, 4, 8] {
                 let mut world = World::new(s.clone(), seed).unwrap();
                 world.set_shards(shards);

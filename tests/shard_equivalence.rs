@@ -1,27 +1,24 @@
-//! Equivalence suite for the sharded event loop.
+//! Equivalence suite for the engine: every shard count against one oracle.
 //!
-//! The sharded world (PR 7) splits the node population into contiguous
-//! [`simkit::ShardPartition`] ranges and steps each same-timestamp batch —
-//! the degenerate conservative time window of this model, see
-//! [`World::lookahead`] — with the pure per-node work fanned out to worker
-//! threads, while every random draw and every scheduler mutation stays in
-//! the sequential dispatch order. None of that may change a single bit of
-//! any run: these properties pin whole `RunReport`s bit-identical between
-//! sharded worlds (2, 3, 4 and 8 shards) and the doc-hidden single-thread
-//! reference (`World::set_single_shard`) on random scenarios — all four
-//! protocol variants, all mobility models, fresh and arena-recycled worlds,
-//! and the sharded seed-sweep runner.
-//!
-//! The adaptive-lookahead engine (this PR) widens the conservative window
-//! over traffic-free stretches and rebalances shard boundaries by measured
-//! cost; both are pinned here against the doc-hidden fixed-lookahead
-//! reference (`World::set_fixed_lookahead`), and the work-stealing classify
-//! fan-out against the pre-split default.
+//! The world has two event loops — the serial one (`set_shards(1)`, the
+//! default) and the sharded engine, which splits the node population into
+//! contiguous [`simkit::BoundaryPartition`] ranges and steps each
+//! same-timestamp batch (the degenerate conservative time window of this
+//! model, see [`World::lookahead`]; widened adaptively while the air is
+//! provably silent) with the pure per-node work fanned out to worker threads,
+//! while every random draw and every scheduler mutation stays in the
+//! sequential dispatch order. None of that may change a single bit of any
+//! run: these properties pin whole `RunReport`s bit-identical between the
+//! default engine at 1 to 8 shards and the **one reference oracle** — the
+//! naive, single-threaded advance-everyone world behind the doc-hidden
+//! `World::set_naive_mobility` — on random scenarios: all four protocol
+//! variants, all mobility models, fresh and arena-recycled worlds, and the
+//! sharded seed-sweep runner.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
     run_scenario_reports, run_scenario_reports_sharded, MobilityKind, ProtocolKind, Publication,
-    PublisherChoice, Scenario, ScenarioBuilder, SeedPlan, World, WorldArena,
+    PublisherChoice, RunReport, Scenario, ScenarioBuilder, SeedPlan, World, WorldArena,
 };
 use mobility::Area;
 use netsim::RadioConfig;
@@ -56,23 +53,88 @@ fn random_scenario(
         .unwrap()
 }
 
-/// Runs `scenario` single-threaded (the forced reference path) and at
-/// `shards` shards, asserting bit-identical reports.
-fn assert_sharded_matches_single(scenario: Scenario, seed: u64, shards: usize) {
-    let mut reference = World::new(scenario.clone(), seed).unwrap();
-    reference.set_single_shard(true);
-    let reference = reference.run();
-    let mut sharded = World::new(scenario, seed).unwrap();
-    sharded.set_shards(shards);
-    let sharded = sharded.run();
+/// The reference oracle's report: the naive advance-everyone world, which is
+/// single-threaded whatever its shard count.
+fn oracle(scenario: &Scenario, seed: u64) -> RunReport {
+    let mut world = World::new(scenario.clone(), seed).unwrap();
+    world.set_naive_mobility(true);
+    world.run()
+}
+
+/// Runs `scenario` on the default engine at `shards` shards, asserting a
+/// report bit-identical to the oracle's.
+fn assert_engine_matches_oracle(scenario: Scenario, seed: u64, shards: usize) {
+    let reference = oracle(&scenario, seed);
+    let mut world = World::new(scenario, seed).unwrap();
+    world.set_shards(shards);
     assert_eq!(
-        sharded, reference,
-        "{shards}-shard world diverged from the single-thread reference for seed {seed}"
+        world.run(),
+        reference,
+        "the {shards}-shard engine diverged from the naive oracle for seed {seed}"
     );
+}
+
+/// The four protocol variants, by proptest-drawn pick.
+fn protocol(pick: u8) -> ProtocolKind {
+    match pick {
+        0 => ProtocolKind::Frugal(ProtocolConfig::paper_default()),
+        1 => ProtocolKind::Flooding(FloodingPolicy::Simple),
+        2 => ProtocolKind::Flooding(FloodingPolicy::InterestAware),
+        _ => ProtocolKind::Flooding(FloodingPolicy::NeighborInterest),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The oracle test: the default engine at 1, 2 and 4 shards — the serial
+    /// loop and the sharded engine, adaptive windows and cost-balanced
+    /// boundaries included — reproduces the naive oracle's whole `RunReport`
+    /// on random scenarios across all four protocol variants and the
+    /// random-waypoint, city-section and stationary models, on a fresh world
+    /// and again on the same world recycled for the next seed. The
+    /// publication keeps the flooding runs traffic-free only up to 4 s, so
+    /// the fused, the terminated and the per-timestamp paths are all
+    /// exercised.
+    #[test]
+    fn default_engine_matches_naive_oracle(
+        seed in 0u64..1_000_000,
+        nodes in 4usize..16,
+        tick_ms in 200u64..1_000,
+        pause_s in 0u64..20,
+        protocol_pick in 0u8..4,
+        mobility_pick in 0u8..3,
+    ) {
+        let (mobility, range_m) = match mobility_pick {
+            0 => (
+                MobilityKind::RandomWaypoint {
+                    area: Area::square(400.0),
+                    speed_min: 2.0,
+                    speed_max: 25.0,
+                    pause: SimDuration::from_secs(pause_s),
+                },
+                180.0,
+            ),
+            1 => (MobilityKind::CityCampus, 60.0),
+            _ => (MobilityKind::Stationary { area: Area::square(700.0) }, 200.0),
+        };
+        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, range_m);
+        let references = [oracle(&scenario, seed), oracle(&scenario, seed + 1)];
+        for shards in [1usize, 2, 4] {
+            let mut arena = WorldArena::new();
+            for (seed, reference) in (seed..).zip(&references) {
+                let world = arena.checkout(&scenario, seed).unwrap();
+                world.set_shards(shards);
+                prop_assert_eq!(
+                    &world.run_mut(),
+                    reference,
+                    "the {}-shard engine diverged from the naive oracle for seed {}",
+                    shards,
+                    seed
+                );
+            }
+        }
+    }
 
     /// Whole-world equivalence under the random-waypoint model: random
     /// populations, shard counts (including counts above the population, so
@@ -94,14 +156,8 @@ proptest! {
             speed_max: 25.0,
             pause: SimDuration::from_secs(pause_s),
         };
-        let protocol = match protocol_pick {
-            0 => ProtocolKind::Frugal(ProtocolConfig::paper_default()),
-            1 => ProtocolKind::Flooding(FloodingPolicy::Simple),
-            2 => ProtocolKind::Flooding(FloodingPolicy::InterestAware),
-            _ => ProtocolKind::Flooding(FloodingPolicy::NeighborInterest),
-        };
-        let scenario = random_scenario(mobility, protocol, nodes, tick_ms, 180.0);
-        assert_sharded_matches_single(scenario, seed, shards);
+        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, 180.0);
+        assert_engine_matches_oracle(scenario, seed, shards);
     }
 
     /// Same property under the city-section model, whose tighter clusters
@@ -121,7 +177,7 @@ proptest! {
             tick_ms,
             60.0,
         );
-        assert_sharded_matches_single(scenario, seed, shards);
+        assert_engine_matches_oracle(scenario, seed, shards);
     }
 
     /// Timer-heavy stationary populations: the run is pure protocol-timer
@@ -148,56 +204,12 @@ proptest! {
             500,
             200.0,
         );
-        assert_sharded_matches_single(scenario, seed, shards);
+        assert_engine_matches_oracle(scenario, seed, shards);
     }
 
-    /// Adaptive lookahead must be invisible in the reports: a sharded world
-    /// with the default widened windows is bit-identical to one pinned to
-    /// the per-timestamp window (`set_fixed_lookahead`), across random
-    /// scenarios, shard counts and all four protocol variants. The
-    /// publication keeps the run traffic-free only up to 4 s, so both the
-    /// fused and the terminated/fallback paths are exercised.
-    #[test]
-    fn adaptive_lookahead_matches_fixed_window(
-        seed in 0u64..1_000_000,
-        nodes in 4usize..16,
-        shards in 2usize..9,
-        tick_ms in 200u64..1_000,
-        pause_s in 0u64..20,
-        protocol_pick in 0u8..4,
-    ) {
-        let mobility = MobilityKind::RandomWaypoint {
-            area: Area::square(400.0),
-            speed_min: 2.0,
-            speed_max: 25.0,
-            pause: SimDuration::from_secs(pause_s),
-        };
-        let protocol = match protocol_pick {
-            0 => ProtocolKind::Frugal(ProtocolConfig::paper_default()),
-            1 => ProtocolKind::Flooding(FloodingPolicy::Simple),
-            2 => ProtocolKind::Flooding(FloodingPolicy::InterestAware),
-            _ => ProtocolKind::Flooding(FloodingPolicy::NeighborInterest),
-        };
-        let scenario = random_scenario(mobility, protocol, nodes, tick_ms, 180.0);
-        let mut fixed = World::new(scenario.clone(), seed).unwrap();
-        fixed.set_shards(shards);
-        fixed.set_fixed_lookahead(true);
-        let fixed = fixed.run();
-        let mut adaptive = World::new(scenario, seed).unwrap();
-        adaptive.set_shards(shards);
-        let adaptive = adaptive.run();
-        prop_assert_eq!(
-            adaptive,
-            fixed,
-            "adaptive windows diverged from the fixed window at {} shards for seed {}",
-            shards,
-            seed
-        );
-    }
-
-    /// Arena-recycled sharded worlds must match fresh single-thread worlds:
-    /// the shard knob survives `World::reset` and recycling may never leak
-    /// state across seeds.
+    /// Arena-recycled sharded worlds must match fresh oracle worlds: the
+    /// shard knob survives `World::reset` and recycling may never leak state
+    /// across seeds.
     #[test]
     fn arena_recycled_sharded_worlds_match_fresh_reference(
         seed in 0u64..1_000_000,
@@ -222,12 +234,9 @@ proptest! {
             let world = arena.checkout(&scenario, seed).unwrap();
             world.set_shards(shards);
             let sharded = world.run_mut();
-            let mut reference = World::new(scenario.clone(), seed).unwrap();
-            reference.set_single_shard(true);
-            let reference = reference.run();
             prop_assert_eq!(
                 &sharded,
-                &reference,
+                &oracle(&scenario, seed),
                 "recycled {}-shard world diverged for seed {}",
                 shards,
                 seed
@@ -262,7 +271,7 @@ fn dense_classification_fanout_matches_single_thread() {
         .build()
         .unwrap();
     for shards in [2usize, 4] {
-        assert_sharded_matches_single(scenario.clone(), 1, shards);
+        assert_engine_matches_oracle(scenario.clone(), 1, shards);
     }
     // The threshold counts in-range receivers × nearby interferers; make sure
     // this scenario still crosses it, or the runs above pin only the inline
@@ -274,23 +283,6 @@ fn dense_classification_fanout_matches_single_thread() {
         fanned.debug_stats().classify_fanouts > 0,
         "no completed frame was heavy enough to fan its classification out"
     );
-    // The work-stealing variant of the same fan-out (opt-in) must be
-    // invisible too: chunks reassemble in index order, so the classification
-    // outcome — and the whole report — is bit-identical to the pre-split
-    // default and the single-thread reference.
-    for shards in [2usize, 4] {
-        let mut reference = World::new(scenario.clone(), 1).unwrap();
-        reference.set_single_shard(true);
-        let reference = reference.run();
-        let mut stealing = World::new(scenario.clone(), 1).unwrap();
-        stealing.set_shards(shards);
-        stealing.set_classify_work_stealing(true);
-        let stealing = stealing.run();
-        assert_eq!(
-            stealing, reference,
-            "work-stealing classification diverged at {shards} shards"
-        );
-    }
 }
 
 /// The sharded seed-sweep runner must reproduce the default runner's reports
