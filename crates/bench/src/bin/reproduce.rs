@@ -223,7 +223,13 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
                 index += 2;
             }
             "--seeds" => {
-                options.seeds = Some(numeric(value_of(args, index, "--seeds"), "--seeds"));
+                let runs: u64 = numeric(value_of(args, index, "--seeds"), "--seeds");
+                if runs == 0 {
+                    // A table of zeros would read as a measurement.
+                    eprintln!("--seeds: a seed plan needs at least 1 run");
+                    std::process::exit(2);
+                }
+                options.seeds = Some(runs);
                 index += 2;
             }
             "--first-seed" => {

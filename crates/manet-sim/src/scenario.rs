@@ -123,7 +123,7 @@ pub struct Scenario {
 }
 
 /// Errors detected when validating a [`Scenario`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// The scenario has no nodes.
     NoNodes,
@@ -138,6 +138,22 @@ pub enum ScenarioError {
     WarmupTooLong,
     /// The mobility tick is zero.
     ZeroMobilityTick,
+    /// The radio range is not positive and finite.
+    BadRadioRange(f64),
+    /// Random-waypoint speeds are negative, not finite, or minimum above
+    /// maximum.
+    BadSpeedRange(f64, f64),
+    /// The stationary line's length is not positive and finite.
+    BadLineLength(f64),
+    /// A publication names a publisher index the population does not have.
+    PublisherOutOfRange {
+        /// The offending node index.
+        index: usize,
+        /// The population size.
+        node_count: usize,
+    },
+    /// The frugal configuration fails [`ProtocolConfig::validate`].
+    BadProtocolConfig(String),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -158,6 +174,25 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::WarmupTooLong => write!(f, "warm-up must be shorter than the duration"),
             ScenarioError::ZeroMobilityTick => write!(f, "mobility tick must be positive"),
+            ScenarioError::BadRadioRange(range) => {
+                write!(f, "radio range must be positive and finite, got {range} m")
+            }
+            ScenarioError::BadSpeedRange(min, max) => {
+                write!(
+                    f,
+                    "speeds must satisfy 0 <= min <= max, got {min}..{max} m/s"
+                )
+            }
+            ScenarioError::BadLineLength(length) => {
+                write!(f, "line length must be positive and finite, got {length} m")
+            }
+            ScenarioError::PublisherOutOfRange { index, node_count } => {
+                write!(
+                    f,
+                    "publisher index {index} is out of range for {node_count} nodes"
+                )
+            }
+            ScenarioError::BadProtocolConfig(reason) => write!(f, "{reason}"),
         }
     }
 }
@@ -189,6 +224,38 @@ impl Scenario {
         }
         if self.mobility_tick.is_zero() {
             return Err(ScenarioError::ZeroMobilityTick);
+        }
+        if !(self.radio.range_m.is_finite() && self.radio.range_m > 0.0) {
+            return Err(ScenarioError::BadRadioRange(self.radio.range_m));
+        }
+        match self.mobility {
+            MobilityKind::RandomWaypoint {
+                speed_min: min,
+                speed_max: max,
+                ..
+            } if !(0.0 <= min && min <= max && max.is_finite()) => {
+                return Err(ScenarioError::BadSpeedRange(min, max));
+            }
+            MobilityKind::StationaryLine { length } if !(length.is_finite() && length > 0.0) => {
+                return Err(ScenarioError::BadLineLength(length));
+            }
+            _ => {}
+        }
+        for publication in &self.publications {
+            match publication.publisher {
+                PublisherChoice::Node(index) if index >= self.node_count => {
+                    return Err(ScenarioError::PublisherOutOfRange {
+                        index,
+                        node_count: self.node_count,
+                    });
+                }
+                _ => {}
+            }
+        }
+        if let ProtocolKind::Frugal(config) = &self.protocol {
+            config
+                .validate()
+                .map_err(ScenarioError::BadProtocolConfig)?;
         }
         Ok(())
     }
@@ -452,6 +519,71 @@ mod tests {
             ScenarioError::SubscriberTopicDoesNotCoverEventTopic
         );
         assert!(ScenarioError::NoNodes.to_string().contains("no nodes"));
+    }
+
+    /// Five scenarios `build()` used to accept: `World::new` panicked on the
+    /// first four and silently clamped the publisher index of the fifth.
+    #[test]
+    fn validation_rejects_what_world_new_used_to_panic_on() {
+        let waypoints = |speed_min, speed_max| MobilityKind::RandomWaypoint {
+            area: Area::square(100.0),
+            speed_min,
+            speed_max,
+            pause: SimDuration::ZERO,
+        };
+        let publisher_99 = Publication {
+            publisher: PublisherChoice::Node(99),
+            topic: ".news.local".parse().unwrap(),
+            at: SimTime::from_secs(600),
+            validity: SimDuration::from_secs(10),
+            payload_bytes: 400,
+        };
+        let bad_x = ProtocolConfig {
+            x: 0.0,
+            ..ProtocolConfig::paper_default()
+        };
+        let new = ScenarioBuilder::new;
+        let cases = [
+            (
+                new().radio(RadioConfig::ideal(0.0)),
+                ScenarioError::BadRadioRange(0.0),
+                "radio range must be positive and finite, got 0 m",
+            ),
+            (
+                new().mobility(waypoints(9.0, 3.0)),
+                ScenarioError::BadSpeedRange(9.0, 3.0),
+                "speeds must satisfy 0 <= min <= max, got 9..3 m/s",
+            ),
+            (
+                new().mobility(MobilityKind::StationaryLine { length: f64::NAN }),
+                ScenarioError::BadLineLength(f64::NAN),
+                "line length must be positive and finite, got NaN m",
+            ),
+            (
+                new().protocol(ProtocolKind::Frugal(bad_x)),
+                ScenarioError::BadProtocolConfig("x must be positive and finite, got 0".into()),
+                "x must be positive and finite, got 0",
+            ),
+            (
+                new().nodes(5).publications(vec![publisher_99]),
+                ScenarioError::PublisherOutOfRange {
+                    index: 99,
+                    node_count: 5,
+                },
+                "publisher index 99 is out of range for 5 nodes",
+            ),
+        ];
+        for (builder, expected, message) in cases {
+            let err = builder.clone().build().unwrap_err();
+            // Compared through `Debug`: the NaN payload is not equal to itself.
+            assert_eq!(format!("{err:?}"), format!("{expected:?}"));
+            assert_eq!(err.to_string(), message);
+            let from_world = crate::world::World::new(builder.scenario, 1).err();
+            assert_eq!(
+                from_world.map(|err| err.to_string()).as_deref(),
+                Some(message)
+            );
+        }
     }
 
     #[test]

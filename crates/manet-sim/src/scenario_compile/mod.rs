@@ -44,13 +44,21 @@
 //! values = [10, 20, 40]
 //! ```
 //!
-//! [`compile_str`] parses, validates (every error carries the `line:col` it
-//! was detected at) and compiles this into a [`CompiledMatrix`]: one
-//! [`Scenario`] per sweep-axis combination plus the [`SeedPlan`], ready for
-//! [`crate::runner::run_scenario_reports_sharded`]. The `reproduce
-//! --scenario` binary is the CLI entry; `examples/*.toml` are compiled twins
-//! of the repository's hard-coded scenarios, pinned byte-identical by the
-//! round-trip test suite.
+//! [`compile_str`] compiles this into a [`CompiledMatrix`]: one [`Scenario`]
+//! per sweep-axis combination plus the [`SeedPlan`], ready for
+//! [`crate::runner::run_scenario_reports_sharded`]. It parses, decodes the
+//! sections straight into a [`Scenario`], then clones that per matrix point,
+//! assigns the axis values and runs [`Scenario::validate`]. Every error of
+//! the base document carries the `line:col` it was detected at. The
+//! `reproduce --scenario` binary is the CLI entry; `examples/*.toml` are
+//! compiled twins of the repository's hard-coded scenarios, pinned
+//! byte-identical by the round-trip test suite.
+//!
+//! Every numeric key is declared once, as a row `(key, unit, setter)` of its
+//! section's schema table; a unit is one range rule. Decoding, the
+//! unknown-key diagnostic, sweep assignment and [`SweepAxis::supported`] all
+//! read those tables, so file values and sweep values pass the same check.
+//! Rules relating several fields live in [`Scenario::validate`] alone.
 //!
 //! The front-end is the hand-rolled [`toml`] subset parser rather than a
 //! serde derive pipeline: the vendored serde shim has no-op derives, and
@@ -71,6 +79,7 @@ use pubsub::Topic;
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 use std::path::Path;
+use std::slice::from_mut;
 use std::str::FromStr;
 
 /// Hard cap on the experiment-matrix size, so a typo in a sweep axis cannot
@@ -146,7 +155,7 @@ pub struct CompiledMatrix {
 /// One sweep axis: a parameter name and the values it takes.
 ///
 /// Parameter names are dotted paths into the scenario schema; see
-/// [`SweepAxis::SUPPORTED`] for the full list. Values are numeric;
+/// [`SweepAxis::supported`] for the full list. Values are numeric;
 /// integer-valued parameters reject fractional values at compile time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxis {
@@ -157,32 +166,19 @@ pub struct SweepAxis {
 }
 
 impl SweepAxis {
-    /// Every sweepable parameter path.
-    pub const SUPPORTED: &'static [&'static str] = &[
-        "nodes",
-        "subscriber_fraction",
-        "warmup_s",
-        "duration_s",
-        "mobility_tick_ms",
-        "protocol.hb_delay_default_ms",
-        "protocol.hb_upper_bound_ms",
-        "protocol.hb_lower_bound_ms",
-        "protocol.x",
-        "protocol.hb2bo",
-        "protocol.hb2ngc",
-        "protocol.bo_jitter_fraction",
-        "protocol.event_table_capacity",
-        "protocol.departed_memory_capacity",
-        "mobility.speed_min_mps",
-        "mobility.speed_max_mps",
-        "mobility.pause_s",
-        "radio.range_m",
-        "radio.fringe_loss_probability",
-        "radio.fringe_start_fraction",
-        "publication.at_s",
-        "publication.validity_s",
-        "publication.payload_bytes",
-    ];
+    /// Every sweepable parameter path: each numeric key of the schema, the
+    /// `[scenario]` keys bare and the others behind their section's name.
+    pub fn supported() -> Vec<String> {
+        fn keys<T>(section: &'static str, rows: &'static [Row<T>]) -> impl Iterator<Item = String> {
+            rows.iter().map(move |row| format!("{section}{}", row.0))
+        }
+        keys("", SCENARIO)
+            .chain(keys("protocol.", PROTOCOL))
+            .chain(keys("mobility.", MOBILITY))
+            .chain(keys("radio.", RADIO))
+            .chain(keys("publication.", PUBLICATION))
+            .collect()
+    }
 }
 
 impl FromStr for SweepAxis {
@@ -237,8 +233,18 @@ pub fn compile_str_with_sweeps(
     extra_axes: &[SweepAxis],
 ) -> Result<CompiledMatrix, CompileError> {
     let root = toml::parse(source)?;
-    root_sections(&root)?;
-    let spec = decode_spec(&root)?;
+    let root = Sect::new("", &root);
+    root.check_unknown([
+        "scenario",
+        "topics",
+        "protocol",
+        "mobility",
+        "radio",
+        "publication",
+        "seeds",
+        "sweep",
+    ])?;
+    let base = decode_scenario(&root)?;
     let seeds = decode_seeds(&root)?;
     let mut axes = decode_sweeps(&root)?;
     for extra in extra_axes {
@@ -254,11 +260,10 @@ pub fn compile_str_with_sweeps(
             None => axes.push(extra.clone()),
         }
     }
-    let points = expand_matrix(&spec, &axes)?;
     Ok(CompiledMatrix {
-        label: spec.label.clone(),
+        label: base.label.clone(),
         seeds,
-        points,
+        points: expand_matrix(&root, base, &axes)?,
     })
 }
 
@@ -279,211 +284,267 @@ pub fn compile_path(
 }
 
 // ---------------------------------------------------------------------------
-// Intermediate spec: the decoded document before sweep expansion.
+// The schema: one row per numeric key, one range rule per unit.
 // ---------------------------------------------------------------------------
 
-/// The mobility section, kept symbolic so sweeps can adjust parameters
-/// before the final [`MobilityKind`] is built.
-#[derive(Debug, Clone)]
-enum MobilitySpec {
-    RandomWaypoint {
-        width_m: f64,
-        height_m: f64,
-        speed_min_mps: f64,
-        speed_max_mps: f64,
-        pause: SimDuration,
-    },
-    CityCampus,
-    Stationary {
-        width_m: f64,
-        height_m: f64,
-    },
-    StationaryLine {
-        length_m: f64,
-    },
+/// What a numeric key measures, which is the range its values must lie in.
+/// File values and sweep values go through the same [`Unit::check`].
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    /// A non-negative integer (a size in bytes, a capacity, milliseconds).
+    Count,
+    /// An integer of at least 1.
+    AtLeastOne,
+    /// A non-negative, possibly fractional number of seconds.
+    Seconds,
+    /// Any finite number; [`Scenario::validate`] holds the key's real rule.
+    Finite,
+    /// A finite number above zero (a length in metres).
+    Positive,
+    /// A number within `[0, 1]`.
+    Fraction,
 }
 
-#[derive(Debug, Clone)]
-struct PublicationSpec {
-    publisher: PublisherChoice,
-    topic: Topic,
-    at: SimTime,
-    validity: SimDuration,
-    payload_bytes: usize,
-}
-
-#[derive(Debug, Clone)]
-struct ScenarioSpec {
-    label: String,
-    nodes: usize,
-    subscriber_fraction: f64,
-    warmup: SimDuration,
-    duration: SimDuration,
-    mobility_tick: SimDuration,
-    subscriber_topic: Topic,
-    event_topic: Topic,
-    bystander_topic: Topic,
-    protocol: ProtocolKind,
-    mobility: MobilitySpec,
-    radio: RadioConfig,
-    publications: Vec<PublicationSpec>,
-}
-
-impl ScenarioSpec {
-    /// Builds and validates the final [`Scenario`] for one matrix point.
-    fn build(&self, point: &str) -> Result<Scenario, CompileError> {
-        let context = |message: String| {
-            CompileError::nowhere(if point.is_empty() {
-                message
-            } else {
-                format!("{point}: {message}")
-            })
-        };
-        if let ProtocolKind::Frugal(config) = &self.protocol {
-            config
-                .validate()
-                .map_err(|err| context(format!("[protocol] {err}")))?;
-        }
-        let mobility = match &self.mobility {
-            MobilitySpec::RandomWaypoint {
-                width_m,
-                height_m,
-                speed_min_mps,
-                speed_max_mps,
-                pause,
-            } => {
-                check_speeds(*speed_min_mps, *speed_max_mps).map_err(&context)?;
-                MobilityKind::RandomWaypoint {
-                    area: checked_area(*width_m, *height_m).map_err(&context)?,
-                    speed_min: *speed_min_mps,
-                    speed_max: *speed_max_mps,
-                    pause: *pause,
-                }
+impl Unit {
+    /// Checks `value` against the unit's range. The error is the broken rule,
+    /// worded to follow the key's name.
+    fn check(self, value: f64) -> Result<(), String> {
+        // Node ids and the sizes derived from counts are 32-bit.
+        let integer = value >= 0.0 && value.fract() == 0.0 && value <= f64::from(u32::MAX);
+        let (holds, rule) = match self {
+            Unit::AtLeastOne if integer => (value >= 1.0, "at least 1"),
+            Unit::Count | Unit::AtLeastOne => {
+                (integer, "a non-negative integer of at most 32 bits")
             }
-            MobilitySpec::CityCampus => MobilityKind::CityCampus,
-            MobilitySpec::Stationary { width_m, height_m } => MobilityKind::Stationary {
-                area: checked_area(*width_m, *height_m).map_err(&context)?,
-            },
-            MobilitySpec::StationaryLine { length_m } => {
-                if !(length_m.is_finite() && *length_m > 0.0) {
-                    return Err(context(format!(
-                        "[mobility] length_m must be positive and finite, got {length_m}"
-                    )));
-                }
-                MobilityKind::StationaryLine { length: *length_m }
-            }
+            Unit::Seconds => (value >= 0.0 && value.is_finite(), "non-negative and finite"),
+            Unit::Finite => (value.is_finite(), "finite"),
+            Unit::Positive => (value > 0.0 && value.is_finite(), "positive and finite"),
+            Unit::Fraction => ((0.0..=1.0).contains(&value), "within [0, 1]"),
         };
-        if !(self.radio.range_m.is_finite() && self.radio.range_m > 0.0) {
-            return Err(context(format!(
-                "[radio] range_m must be positive and finite, got {}",
-                self.radio.range_m
-            )));
-        }
-        for publication in &self.publications {
-            if let PublisherChoice::Node(index) = publication.publisher {
-                if index >= self.nodes {
-                    return Err(context(format!(
-                        "[[publication]] publisher index {index} is out of range for {} nodes",
-                        self.nodes
-                    )));
-                }
-            }
-        }
-        let scenario = Scenario {
-            label: self.label.clone(),
-            protocol: self.protocol.clone(),
-            mobility,
-            radio: self.radio.clone(),
-            node_count: self.nodes,
-            subscriber_fraction: self.subscriber_fraction,
-            subscriber_topic: self.subscriber_topic.clone(),
-            bystander_topic: self.bystander_topic.clone(),
-            event_topic: self.event_topic.clone(),
-            publications: self
-                .publications
-                .iter()
-                .map(|p| Publication {
-                    publisher: p.publisher,
-                    topic: p.topic.clone(),
-                    at: p.at,
-                    validity: p.validity,
-                    payload_bytes: p.payload_bytes,
-                })
-                .collect(),
-            duration: self.duration,
-            warmup: self.warmup,
-            mobility_tick: self.mobility_tick,
-        };
-        scenario
-            .validate()
-            .map_err(|err: ScenarioError| context(format!("[scenario] {err}")))?;
-        Ok(scenario)
+        let broken = || format!("must be {rule}, got {value}");
+        holds.then_some(()).ok_or_else(broken)
     }
 }
 
-fn checked_area(width: f64, height: f64) -> Result<Area, String> {
-    if width.is_finite() && height.is_finite() && width > 0.0 && height > 0.0 {
-        Ok(Area::new(width, height))
-    } else {
-        Err(format!(
-            "[mobility] area dimensions must be positive and finite, got {width} x {height}"
-        ))
+/// One numeric key of a section that decodes into a `T`: its name, its unit
+/// and how a checked value is stored.
+type Row<T> = (&'static str, Unit, fn(&mut T, f64));
+
+fn secs(value: f64) -> SimDuration {
+    SimDuration::from_secs_f64(value)
+}
+
+fn millis(value: f64) -> SimDuration {
+    SimDuration::from_millis(value as u64)
+}
+
+const SCENARIO: &[Row<Scenario>] = &[
+    ("nodes", Unit::AtLeastOne, |s, v| s.node_count = v as usize),
+    ("subscriber_fraction", Unit::Fraction, |s, v| {
+        s.subscriber_fraction = v
+    }),
+    ("warmup_s", Unit::Seconds, |s, v| s.warmup = secs(v)),
+    ("duration_s", Unit::Seconds, |s, v| s.duration = secs(v)),
+    ("mobility_tick_ms", Unit::AtLeastOne, |s, v| {
+        s.mobility_tick = millis(v)
+    }),
+];
+
+const PROTOCOL: &[Row<ProtocolConfig>] = &[
+    ("hb_delay_default_ms", Unit::Count, |c, v| {
+        c.hb_delay_default = millis(v)
+    }),
+    ("hb_upper_bound_ms", Unit::Count, |c, v| {
+        c.hb_upper_bound = millis(v)
+    }),
+    ("hb_lower_bound_ms", Unit::Count, |c, v| {
+        c.hb_lower_bound = millis(v)
+    }),
+    ("x", Unit::Finite, |c, v| c.x = v),
+    ("hb2bo", Unit::Finite, |c, v| c.hb2bo = v),
+    ("hb2ngc", Unit::Finite, |c, v| c.hb2ngc = v),
+    ("bo_jitter_fraction", Unit::Finite, |c, v| {
+        c.bo_jitter_fraction = v
+    }),
+    ("event_table_capacity", Unit::Count, |c, v| {
+        c.event_table_capacity = v as usize
+    }),
+    ("departed_memory_capacity", Unit::Count, |c, v| {
+        c.departed_memory_capacity = v as usize
+    }),
+    ("heartbeat_size_bytes", Unit::Count, |c, v| {
+        c.heartbeat_size_bytes = v as usize
+    }),
+    ("message_header_bytes", Unit::Count, |c, v| {
+        c.message_header_bytes = v as usize
+    }),
+];
+
+/// A row assigns only on the models that have its field; [`mobility_keys`]
+/// says which those are, and both callers ask it first.
+const MOBILITY: &[Row<MobilityKind>] = &[
+    ("width_m", Unit::Positive, |m, v| {
+        if let MobilityKind::RandomWaypoint { area, .. } | MobilityKind::Stationary { area } = m {
+            *area = Area::new(v, area.height());
+        }
+    }),
+    ("height_m", Unit::Positive, |m, v| {
+        if let MobilityKind::RandomWaypoint { area, .. } | MobilityKind::Stationary { area } = m {
+            *area = Area::new(area.width(), v);
+        }
+    }),
+    ("speed_min_mps", Unit::Finite, |m, v| {
+        if let MobilityKind::RandomWaypoint { speed_min, .. } = m {
+            *speed_min = v;
+        }
+    }),
+    ("speed_max_mps", Unit::Finite, |m, v| {
+        if let MobilityKind::RandomWaypoint { speed_max, .. } = m {
+            *speed_max = v;
+        }
+    }),
+    ("pause_s", Unit::Seconds, |m, v| {
+        if let MobilityKind::RandomWaypoint { pause, .. } = m {
+            *pause = secs(v);
+        }
+    }),
+    ("length_m", Unit::Positive, |m, v| {
+        if let MobilityKind::StationaryLine { length } = m {
+            *length = v;
+        }
+    }),
+];
+
+/// The numeric keys of a mobility model. A file must give every one of them.
+fn mobility_keys(kind: &MobilityKind) -> &'static [&'static str] {
+    match kind {
+        MobilityKind::RandomWaypoint { .. } => &[
+            "width_m",
+            "height_m",
+            "speed_min_mps",
+            "speed_max_mps",
+            "pause_s",
+        ],
+        MobilityKind::CityCampus => &[],
+        MobilityKind::Stationary { .. } => &["width_m", "height_m"],
+        MobilityKind::StationaryLine { .. } => &["length_m"],
     }
 }
 
-fn check_speeds(speed_min: f64, speed_max: f64) -> Result<(), String> {
-    if !(speed_min.is_finite() && speed_max.is_finite() && speed_min > 0.0) {
-        return Err(format!(
-            "[mobility] speeds must be positive and finite, got {speed_min}..{speed_max} m/s"
-        ));
+const RADIO: &[Row<RadioConfig>] = &[
+    ("range_m", Unit::Positive, |r, v| r.range_m = v),
+    ("overhead_bytes", Unit::Count, |r, v| {
+        r.overhead_bytes = v as usize
+    }),
+    ("fringe_loss_probability", Unit::Fraction, |r, v| {
+        r.fringe_loss_probability = v
+    }),
+    ("fringe_start_fraction", Unit::Fraction, |r, v| {
+        r.fringe_start_fraction = v
+    }),
+    ("max_contention_jitter_ms", Unit::Count, |r, v| {
+        r.max_contention_jitter = millis(v)
+    }),
+];
+
+const PUBLICATION: &[Row<Publication>] = &[
+    ("at_s", Unit::Seconds, |p, v| p.at = SimTime::ZERO + secs(v)),
+    ("validity_s", Unit::Seconds, |p, v| p.validity = secs(v)),
+    ("payload_bytes", Unit::Count, |p, v| {
+        p.payload_bytes = v as usize
+    }),
+];
+
+/// Assigns one sweep value: finds the row `param` names (a bare `[scenario]`
+/// key, or `section.key`), checks the value against the row's unit and
+/// stores it. A `publication.*` parameter assigns to every publication. The
+/// error is worded to follow the parameter's name.
+fn sweep_assign(scenario: &mut Scenario, param: &str, value: f64) -> Result<(), String> {
+    fn set<T>(rows: &[Row<T>], key: &str, value: f64, targets: &mut [T]) -> Result<(), String> {
+        let row = rows.iter().find(|row| row.0 == key);
+        let &(_, unit, set) = row.ok_or("is not a sweep parameter")?;
+        unit.check(value)?;
+        targets.iter_mut().for_each(|target| set(target, value));
+        Ok(())
     }
-    if speed_min > speed_max {
-        return Err(format!(
-            "[mobility] speed_min_mps ({speed_min}) exceeds speed_max_mps ({speed_max})"
-        ));
+    match param.split_once('.') {
+        None => set(SCENARIO, param, value, from_mut(scenario)),
+        Some(("protocol", key)) => match &mut scenario.protocol {
+            ProtocolKind::Frugal(config) => set(PROTOCOL, key, value, from_mut(config)),
+            ProtocolKind::Flooding(_) => {
+                Err("only applies to the frugal protocol, but the scenario floods".to_owned())
+            }
+        },
+        Some(("mobility", key)) if !mobility_keys(&scenario.mobility).contains(&key) => {
+            Err("does not apply to the scenario's mobility model".to_owned())
+        }
+        Some(("mobility", key)) => set(MOBILITY, key, value, from_mut(&mut scenario.mobility)),
+        Some(("radio", key)) => set(RADIO, key, value, from_mut(&mut scenario.radio)),
+        Some(("publication", key)) => set(PUBLICATION, key, value, &mut scenario.publications),
+        Some(_) => Err("is not a sweep parameter".to_owned()),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Section decoding.
 // ---------------------------------------------------------------------------
 
-/// A named section of the document; every accessor error names the section
-/// and carries the position of the offending key or value.
+/// A section of the document: `[name]`, the `index`-th `[[name]]` table
+/// (from 1), or the document root (the empty name). Every accessor error
+/// names the section and carries the position of the offending key or value.
 struct Sect<'a> {
-    name: String,
+    name: &'static str,
+    index: usize,
     table: &'a Table,
 }
 
-impl<'a> Sect<'a> {
-    fn new(name: impl Into<String>, table: &'a Table) -> Self {
-        Sect {
-            name: name.into(),
-            table,
+impl fmt::Display for Sect<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.name, self.index) {
+            ("", _) => write!(f, "document:"),
+            (name, 0) => write!(f, "[{name}]"),
+            (name, index) => write!(f, "[[{name}]] #{index}"),
         }
+    }
+}
+
+impl<'a> Sect<'a> {
+    fn new(name: &'static str, table: &'a Table) -> Self {
+        let index = 0;
+        Sect { name, index, table }
     }
 
     fn err_at(&self, pos: Pos, message: impl fmt::Display) -> CompileError {
-        CompileError::at(pos, format!("{} {message}", self.name))
+        CompileError::at(pos, format!("{self} {message}"))
     }
 
     fn missing(&self, key: &str) -> CompileError {
         self.err_at(self.table.pos, format!("is missing required key `{key}`"))
     }
 
-    fn check_unknown(&self, allowed: &[&str]) -> Result<(), CompileError> {
-        match self.table.first_unknown_key(allowed) {
+    fn check_unknown<'k, I>(&self, allowed: I) -> Result<(), CompileError>
+    where
+        I: IntoIterator<Item = &'k str>,
+        I::IntoIter: Clone,
+    {
+        let allowed = allowed.into_iter();
+        let mut keys = self.table.entries().map(|(key, _)| key);
+        match keys.find(|key| !allowed.clone().any(|a| a == key.value)) {
             Some(key) => Err(self.err_at(
                 key.pos,
                 format!(
                     "unknown key `{}` (expected one of: {})",
                     key.value,
-                    allowed.join(", ")
+                    allowed.collect::<Vec<_>>().join(", ")
                 ),
             )),
             None => Ok(()),
         }
+    }
+
+    /// A string key whose value is none of the names it selects among.
+    fn unknown(&self, pos: Pos, what: &str, got: &str, expected: &str) -> CompileError {
+        self.err_at(pos, format!("unknown {what} `{got}` (expected {expected})"))
     }
 
     fn req(&self, key: &str) -> Result<&'a Spanned<Value>, CompileError> {
@@ -497,33 +558,61 @@ impl<'a> Sect<'a> {
         )
     }
 
-    fn req_str(&self, key: &str) -> Result<(&'a str, Pos), CompileError> {
-        let spanned = self.req(key)?;
+    fn opt_str(&self, key: &str) -> Result<Option<(&'a str, Pos)>, CompileError> {
+        let Some(spanned) = self.table.get(key) else {
+            return Ok(None);
+        };
         match &spanned.value {
-            Value::Str(s) => Ok((s, spanned.pos)),
+            Value::Str(text) => Ok(Some((text, spanned.pos))),
             _ => Err(self.type_err(key, "string", spanned)),
         }
     }
 
-    fn opt_f64(&self, key: &str) -> Result<Option<(f64, Pos)>, CompileError> {
+    fn req_str(&self, key: &str) -> Result<(&'a str, Pos), CompileError> {
+        self.opt_str(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// The value of a numeric key, checked against its unit, when present.
+    fn number(&self, key: &str, unit: Unit) -> Result<Option<f64>, CompileError> {
         let Some(spanned) = self.table.get(key) else {
             return Ok(None);
         };
+        // Integer units take integers only: `nodes = 6.0` is a type error.
+        let integer = matches!(unit, Unit::Count | Unit::AtLeastOne);
         let value = match spanned.value {
             Value::Int(i) => i as f64,
-            Value::Float(f) => f,
+            Value::Float(f) if !integer => f,
+            _ if integer => return Err(self.type_err(key, "integer", spanned)),
             _ => return Err(self.type_err(key, "number", spanned)),
         };
-        if !value.is_finite() {
-            return Err(self.err_at(spanned.pos, format!("`{key}` must be finite")));
+        match unit.check(value) {
+            Ok(()) => Ok(Some(value)),
+            Err(rule) => Err(self.err_at(spanned.pos, format!("`{key}` {rule}"))),
         }
-        Ok(Some((value, spanned.pos)))
     }
 
-    fn req_f64(&self, key: &str) -> Result<(f64, Pos), CompileError> {
-        self.opt_f64(key)?.ok_or_else(|| self.missing(key))
+    /// Decodes the section's numeric keys into `target` through the rows of
+    /// its schema table, after rejecting every key that is neither a row nor
+    /// one of the `other` keys the caller decodes itself.
+    fn numbers<T: 'static>(
+        &self,
+        rows: impl Iterator<Item = &'static Row<T>> + Clone,
+        other: &[&str],
+        required: &[&str],
+        target: &mut T,
+    ) -> Result<(), CompileError> {
+        self.check_unknown(other.iter().copied().chain(rows.clone().map(|row| row.0)))?;
+        for &(key, unit, set) in rows {
+            match self.number(key, unit)? {
+                Some(value) => set(target, value),
+                None if required.contains(&key) => return Err(self.missing(key)),
+                None => {}
+            }
+        }
+        Ok(())
     }
 
+    /// `[seeds]` keys span the whole `u64` range, wider than any [`Unit`].
     fn opt_u64(&self, key: &str) -> Result<Option<(u64, Pos)>, CompileError> {
         let Some(spanned) = self.table.get(key) else {
             return Ok(None);
@@ -538,447 +627,198 @@ impl<'a> Sect<'a> {
         }
     }
 
-    fn opt_usize(&self, key: &str) -> Result<Option<(usize, Pos)>, CompileError> {
-        Ok(self.opt_u64(key)?.map(|(v, pos)| (v as usize, pos)))
-    }
-
-    fn opt_bool(&self, key: &str) -> Result<Option<bool>, CompileError> {
-        let Some(spanned) = self.table.get(key) else {
-            return Ok(None);
-        };
-        match spanned.value {
-            Value::Bool(b) => Ok(Some(b)),
-            _ => Err(self.type_err(key, "boolean", spanned)),
-        }
-    }
-
-    /// A non-negative duration given in (possibly fractional) seconds.
-    fn opt_duration_s(&self, key: &str) -> Result<Option<SimDuration>, CompileError> {
-        let Some((secs, pos)) = self.opt_f64(key)? else {
-            return Ok(None);
-        };
-        if secs < 0.0 {
-            return Err(self.err_at(pos, format!("`{key}` must be non-negative, got {secs}")));
-        }
-        Ok(Some(SimDuration::from_secs_f64(secs)))
-    }
-
-    fn req_duration_s(&self, key: &str) -> Result<SimDuration, CompileError> {
-        self.opt_duration_s(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    /// A duration given as an integer number of milliseconds.
-    fn opt_duration_ms(&self, key: &str) -> Result<Option<SimDuration>, CompileError> {
-        Ok(self
-            .opt_u64(key)?
-            .map(|(ms, _)| SimDuration::from_millis(ms)))
-    }
-
     fn opt_topic(&self, key: &str) -> Result<Option<Topic>, CompileError> {
-        let Some(spanned) = self.table.get(key) else {
+        let Some((text, pos)) = self.opt_str(key)? else {
             return Ok(None);
         };
-        let Value::Str(text) = &spanned.value else {
-            return Err(self.type_err(key, "string", spanned));
+        let parsed = text.parse::<Topic>().map(Some);
+        parsed.map_err(|err| self.err_at(pos, format!("`{key}` is not a valid topic: {err}")))
+    }
+
+    /// The `[name]` sub-table of the document root, when there is one.
+    fn opt_section(&self, name: &'static str) -> Result<Option<Sect<'a>>, CompileError> {
+        match self.table.get(name) {
+            None => Ok(None),
+            Some(spanned) => match &spanned.value {
+                Value::Table(table) => Ok(Some(Sect::new(name, table))),
+                _ => Err(self.type_err(name, "table", spanned)),
+            },
+        }
+    }
+
+    fn req_section(&self, name: &'static str) -> Result<Sect<'a>, CompileError> {
+        let missing = || self.err_at(self.table.pos, format!("missing required section [{name}]"));
+        self.opt_section(name)?.ok_or_else(missing)
+    }
+
+    /// The tables of the root's `[[name]]` array as numbered sections; none
+    /// when the document has no such array.
+    fn table_array(&self, name: &'static str) -> Result<Vec<Sect<'a>>, CompileError> {
+        let Some(spanned) = self.table.get(name) else {
+            return Ok(Vec::new());
         };
-        text.parse::<Topic>()
-            .map(Some)
-            .map_err(|err| self.err_at(spanned.pos, format!("`{key}` is not a valid topic: {err}")))
+        let Value::Array(items) = &spanned.value else {
+            return Err(self.type_err(name, "list of tables", spanned));
+        };
+        let numbered = items.iter().zip(1..);
+        let sections = numbered.map(|(item, index)| match &item.value {
+            Value::Table(table) => Ok(Sect { name, index, table }),
+            _ => Err(self.type_err(name, "list of tables", item)),
+        });
+        sections.collect()
     }
 }
 
-/// Checks the root table for unknown sections.
-fn root_sections(root: &Table) -> Result<(), CompileError> {
-    Sect::new("document:", root).check_unknown(&[
-        "scenario",
-        "topics",
-        "protocol",
-        "mobility",
-        "radio",
-        "publication",
-        "seeds",
-        "sweep",
-    ])
-}
-
-/// Fetches a `[section]` sub-table, or errors when it is missing/mis-typed.
-fn req_section<'a>(root: &'a Table, name: &str) -> Result<Sect<'a>, CompileError> {
-    match root.get(name) {
-        Some(spanned) => match &spanned.value {
-            Value::Table(table) => Ok(Sect::new(format!("[{name}]"), table)),
-            other => Err(CompileError::at(
-                spanned.pos,
-                format!("`{name}` must be a table, got a {}", other.type_name()),
-            )),
-        },
-        None => Err(CompileError::at(
-            root.pos,
-            format!("missing required section [{name}]"),
-        )),
-    }
-}
-
-fn opt_section<'a>(root: &'a Table, name: &str) -> Result<Option<Sect<'a>>, CompileError> {
-    match root.get(name) {
-        None => Ok(None),
-        Some(_) => req_section(root, name).map(Some),
-    }
-}
-
-fn decode_spec(root: &Table) -> Result<ScenarioSpec, CompileError> {
-    let scenario = req_section(root, "scenario")?;
-    scenario.check_unknown(&[
-        "label",
-        "nodes",
-        "subscriber_fraction",
-        "warmup_s",
-        "duration_s",
-        "mobility_tick_ms",
-    ])?;
-    let (label, _) = scenario.req_str("label")?;
-    let (nodes, nodes_pos) = scenario
-        .opt_usize("nodes")?
-        .ok_or_else(|| scenario.missing("nodes"))?;
-    if nodes == 0 {
-        return Err(scenario.err_at(nodes_pos, "`nodes` must be at least 1"));
-    }
-    let (subscriber_fraction, fraction_pos) = scenario.req_f64("subscriber_fraction")?;
-    if !(0.0..=1.0).contains(&subscriber_fraction) {
-        return Err(scenario.err_at(
-            fraction_pos,
-            format!("`subscriber_fraction` must be within [0, 1], got {subscriber_fraction}"),
-        ));
-    }
-    let warmup = scenario.req_duration_s("warmup_s")?;
-    let duration = scenario.req_duration_s("duration_s")?;
-    let mobility_tick = scenario
-        .opt_duration_ms("mobility_tick_ms")?
-        .unwrap_or(SimDuration::from_millis(500));
-
+fn decode_scenario(root: &Sect<'_>) -> Result<Scenario, CompileError> {
+    let section = root.req_section("scenario")?;
+    let (label, _) = section.req_str("label")?;
     let (subscriber_topic, event_topic, bystander_topic) = decode_topics(root)?;
-    let protocol = decode_protocol(root)?;
-    let mobility = decode_mobility(root)?;
-    let radio = decode_radio(root)?;
-    let publications = decode_publications(root, &event_topic)?;
-
-    Ok(ScenarioSpec {
+    let mut scenario = Scenario {
         label: label.to_owned(),
-        nodes,
-        subscriber_fraction,
-        warmup,
-        duration,
-        mobility_tick,
+        protocol: decode_protocol(root)?,
+        mobility: decode_mobility(root)?,
+        radio: decode_radio(root)?,
+        node_count: 0,
+        subscriber_fraction: 0.0,
+        publications: decode_publications(root, &event_topic)?,
         subscriber_topic,
-        event_topic,
         bystander_topic,
-        protocol,
-        mobility,
-        radio,
-        publications,
-    })
+        event_topic,
+        duration: SimDuration::ZERO,
+        warmup: SimDuration::ZERO,
+        mobility_tick: SimDuration::from_millis(500),
+    };
+    let required = ["nodes", "subscriber_fraction", "warmup_s", "duration_s"];
+    section.numbers(SCENARIO.iter(), &["label"], &required, &mut scenario)?;
+    Ok(scenario)
 }
 
-fn decode_topics(root: &Table) -> Result<(Topic, Topic, Topic), CompileError> {
-    let default = |text: &str| text.parse::<Topic>().expect("static default topic");
-    let Some(topics) = opt_section(root, "topics")? else {
-        return Ok((
-            default(".news"),
-            default(".news.local"),
-            default(".background.chatter"),
-        ));
+fn decode_topics(root: &Sect<'_>) -> Result<(Topic, Topic, Topic), CompileError> {
+    let topics = root.opt_section("topics")?;
+    if let Some(topics) = &topics {
+        topics.check_unknown(["subscriber", "event", "bystander"])?;
+    }
+    let topic = |key: &str, default: &str| -> Result<Topic, CompileError> {
+        let given = match &topics {
+            Some(topics) => topics.opt_topic(key)?,
+            None => None,
+        };
+        Ok(given.unwrap_or_else(|| default.parse().expect("static default topic")))
     };
-    topics.check_unknown(&["subscriber", "event", "bystander"])?;
     Ok((
-        topics
-            .opt_topic("subscriber")?
-            .unwrap_or_else(|| default(".news")),
-        topics
-            .opt_topic("event")?
-            .unwrap_or_else(|| default(".news.local")),
-        topics
-            .opt_topic("bystander")?
-            .unwrap_or_else(|| default(".background.chatter")),
+        topic("subscriber", ".news")?,
+        topic("event", ".news.local")?,
+        topic("bystander", ".background.chatter")?,
     ))
 }
 
-fn decode_protocol(root: &Table) -> Result<ProtocolKind, CompileError> {
-    let protocol = req_section(root, "protocol")?;
+fn decode_protocol(root: &Sect<'_>) -> Result<ProtocolKind, CompileError> {
+    let protocol = root.req_section("protocol")?;
     let (kind, kind_pos) = protocol.req_str("kind")?;
-    match kind {
+    let policy = match kind {
         "frugal" => {
-            protocol.check_unknown(&[
-                "kind",
-                "hb_delay_default_ms",
-                "x",
-                "hb2bo",
-                "hb2ngc",
-                "hb_upper_bound_ms",
-                "hb_lower_bound_ms",
-                "event_table_capacity",
-                "adapt_to_speed",
-                "bo_jitter_fraction",
-                "departed_memory_capacity",
-                "heartbeat_size_bytes",
-                "message_header_bytes",
-            ])?;
             let mut config = ProtocolConfig::paper_default();
-            if let Some(d) = protocol.opt_duration_ms("hb_delay_default_ms")? {
-                config.hb_delay_default = d;
+            let other = ["kind", "adapt_to_speed"];
+            protocol.numbers(PROTOCOL.iter(), &other, &[], &mut config)?;
+            if let Some(spanned) = protocol.table.get("adapt_to_speed") {
+                let Value::Bool(adapt) = spanned.value else {
+                    return Err(protocol.type_err("adapt_to_speed", "boolean", spanned));
+                };
+                config.adapt_to_speed = adapt;
             }
-            if let Some((x, _)) = protocol.opt_f64("x")? {
-                config.x = x;
-            }
-            if let Some((v, _)) = protocol.opt_f64("hb2bo")? {
-                config.hb2bo = v;
-            }
-            if let Some((v, _)) = protocol.opt_f64("hb2ngc")? {
-                config.hb2ngc = v;
-            }
-            if let Some(d) = protocol.opt_duration_ms("hb_upper_bound_ms")? {
-                config.hb_upper_bound = d;
-            }
-            if let Some(d) = protocol.opt_duration_ms("hb_lower_bound_ms")? {
-                config.hb_lower_bound = d;
-            }
-            if let Some((v, _)) = protocol.opt_usize("event_table_capacity")? {
-                config.event_table_capacity = v;
-            }
-            if let Some(v) = protocol.opt_bool("adapt_to_speed")? {
-                config.adapt_to_speed = v;
-            }
-            if let Some((v, _)) = protocol.opt_f64("bo_jitter_fraction")? {
-                config.bo_jitter_fraction = v;
-            }
-            if let Some((v, _)) = protocol.opt_usize("departed_memory_capacity")? {
-                config.departed_memory_capacity = v;
-            }
-            if let Some((v, _)) = protocol.opt_usize("heartbeat_size_bytes")? {
-                config.heartbeat_size_bytes = v;
-            }
-            if let Some((v, _)) = protocol.opt_usize("message_header_bytes")? {
-                config.message_header_bytes = v;
-            }
-            config
-                .validate()
-                .map_err(|err| protocol.err_at(protocol.table.pos, err))?;
-            Ok(ProtocolKind::Frugal(config))
+            return Ok(ProtocolKind::Frugal(config));
         }
-        "simple-flooding" | "interests-aware-flooding" | "neighbors-interests-flooding" => {
-            if let Some(key) = protocol.table.first_unknown_key(&["kind"]) {
-                return Err(protocol.err_at(
-                    key.pos,
-                    format!("key `{}` only applies to kind = \"frugal\"", key.value),
-                ));
-            }
-            Ok(ProtocolKind::Flooding(match kind {
-                "simple-flooding" => FloodingPolicy::Simple,
-                "interests-aware-flooding" => FloodingPolicy::InterestAware,
-                _ => FloodingPolicy::NeighborInterest,
-            }))
-        }
-        other => Err(protocol.err_at(
-            kind_pos,
-            format!(
-                "unknown protocol kind `{other}` (expected frugal, simple-flooding, \
-                 interests-aware-flooding or neighbors-interests-flooding)"
-            ),
-        )),
-    }
-}
-
-fn decode_mobility(root: &Table) -> Result<MobilitySpec, CompileError> {
-    let mobility = req_section(root, "mobility")?;
-    let (model, model_pos) = mobility.req_str("model")?;
-    match model {
-        "random-waypoint" => {
-            mobility.check_unknown(&[
-                "model",
-                "width_m",
-                "height_m",
-                "speed_min_mps",
-                "speed_max_mps",
-                "pause_s",
-            ])?;
-            let (width_m, _) = mobility.req_f64("width_m")?;
-            let (height_m, _) = mobility.req_f64("height_m")?;
-            let (speed_min_mps, _) = mobility.req_f64("speed_min_mps")?;
-            let (speed_max_mps, speed_pos) = mobility.req_f64("speed_max_mps")?;
-            check_speeds(speed_min_mps, speed_max_mps)
-                .map_err(|err| CompileError::at(speed_pos, err))?;
-            checked_area(width_m, height_m)
-                .map_err(|err| CompileError::at(mobility.table.pos, err))?;
-            Ok(MobilitySpec::RandomWaypoint {
-                width_m,
-                height_m,
-                speed_min_mps,
-                speed_max_mps,
-                pause: mobility.req_duration_s("pause_s")?,
-            })
-        }
-        "city-campus" => {
-            mobility.check_unknown(&["model"])?;
-            Ok(MobilitySpec::CityCampus)
-        }
-        "stationary" => {
-            mobility.check_unknown(&["model", "width_m", "height_m"])?;
-            let (width_m, _) = mobility.req_f64("width_m")?;
-            let (height_m, _) = mobility.req_f64("height_m")?;
-            checked_area(width_m, height_m)
-                .map_err(|err| CompileError::at(mobility.table.pos, err))?;
-            Ok(MobilitySpec::Stationary { width_m, height_m })
-        }
-        "stationary-line" => {
-            mobility.check_unknown(&["model", "length_m"])?;
-            let (length_m, length_pos) = mobility.req_f64("length_m")?;
-            if length_m <= 0.0 {
-                return Err(mobility.err_at(
-                    length_pos,
-                    format!("`length_m` must be positive, got {length_m}"),
-                ));
-            }
-            Ok(MobilitySpec::StationaryLine { length_m })
-        }
-        other => Err(mobility.err_at(
-            model_pos,
-            format!(
-                "unknown mobility model `{other}` (expected random-waypoint, city-campus, \
-                 stationary or stationary-line)"
-            ),
-        )),
-    }
-}
-
-fn decode_radio(root: &Table) -> Result<RadioConfig, CompileError> {
-    let radio = req_section(root, "radio")?;
-    radio.check_unknown(&[
-        "preset",
-        "bit_rate",
-        "range_m",
-        "overhead_bytes",
-        "fringe_loss_probability",
-        "fringe_start_fraction",
-        "max_contention_jitter_ms",
-    ])?;
-    let (preset, preset_pos) = radio.req_str("preset")?;
-    let mut config = match preset {
-        "paper-random-waypoint" => RadioConfig::paper_random_waypoint(),
-        "paper-city-section" => RadioConfig::paper_city_section(),
-        "ideal" => {
-            let (range_m, range_pos) = radio.req_f64("range_m")?;
-            if range_m <= 0.0 {
-                return Err(radio.err_at(
-                    range_pos,
-                    format!("`range_m` must be positive, got {range_m}"),
-                ));
-            }
-            RadioConfig::ideal(range_m)
-        }
+        "simple-flooding" => FloodingPolicy::Simple,
+        "interests-aware-flooding" => FloodingPolicy::InterestAware,
+        "neighbors-interests-flooding" => FloodingPolicy::NeighborInterest,
         other => {
-            return Err(radio.err_at(
-                preset_pos,
-                format!(
-                    "unknown radio preset `{other}` (expected paper-random-waypoint, \
-                     paper-city-section or ideal)"
-                ),
-            ))
+            let kinds = "frugal, simple-flooding, interests-aware-flooding or \
+                         neighbors-interests-flooding";
+            return Err(protocol.unknown(kind_pos, "protocol kind", other, kinds));
         }
     };
-    if let Some(spanned) = radio.table.get("bit_rate") {
-        let Value::Str(rate) = &spanned.value else {
-            return Err(radio.type_err("bit_rate", "string", spanned));
-        };
-        config.bit_rate = match rate.as_str() {
+    if let Some(key) = protocol.table.first_unknown_key(&["kind"]) {
+        return Err(protocol.err_at(
+            key.pos,
+            format!("key `{}` only applies to kind = \"frugal\"", key.value),
+        ));
+    }
+    Ok(ProtocolKind::Flooding(policy))
+}
+
+fn decode_mobility(root: &Sect<'_>) -> Result<MobilityKind, CompileError> {
+    let mobility = root.req_section("mobility")?;
+    let (model, model_pos) = mobility.req_str("model")?;
+    // Every numeric key of a model is required, so its rows overwrite each of
+    // these starting values.
+    let area = Area::square(1.0);
+    let mut kind = match model {
+        "random-waypoint" => MobilityKind::RandomWaypoint {
+            area,
+            speed_min: 0.0,
+            speed_max: 0.0,
+            pause: SimDuration::ZERO,
+        },
+        "city-campus" => MobilityKind::CityCampus,
+        "stationary" => MobilityKind::Stationary { area },
+        "stationary-line" => MobilityKind::StationaryLine { length: 0.0 },
+        other => {
+            let models = "random-waypoint, city-campus, stationary or stationary-line";
+            return Err(mobility.unknown(model_pos, "mobility model", other, models));
+        }
+    };
+    let keys = mobility_keys(&kind);
+    let rows = MOBILITY.iter().filter(|row| keys.contains(&row.0));
+    mobility.numbers(rows, &["model"], keys, &mut kind)?;
+    Ok(kind)
+}
+
+fn decode_radio(root: &Sect<'_>) -> Result<RadioConfig, CompileError> {
+    let radio = root.req_section("radio")?;
+    let (preset, preset_pos) = radio.req_str("preset")?;
+    let (mut config, required): (_, &[&str]) = match preset {
+        "paper-random-waypoint" => (RadioConfig::paper_random_waypoint(), &[]),
+        "paper-city-section" => (RadioConfig::paper_city_section(), &[]),
+        // The ideal radio has no range of its own: the file must give one.
+        "ideal" => (RadioConfig::ideal(0.0), &["range_m"]),
+        other => {
+            let presets = "paper-random-waypoint, paper-city-section or ideal";
+            return Err(radio.unknown(preset_pos, "radio preset", other, presets));
+        }
+    };
+    if let Some((rate, rate_pos)) = radio.opt_str("bit_rate")? {
+        config.bit_rate = match rate {
             "1mbps" => BitRate::Mbps1,
             "2mbps" => BitRate::Mbps2,
             "6mbps" => BitRate::Mbps6,
             "11mbps" => BitRate::Mbps11,
             other => {
-                return Err(radio.err_at(
-                    spanned.pos,
-                    format!("unknown bit rate `{other}` (expected 1mbps, 2mbps, 6mbps or 11mbps)"),
-                ))
+                let rates = "1mbps, 2mbps, 6mbps or 11mbps";
+                return Err(radio.unknown(rate_pos, "bit rate", other, rates));
             }
         };
     }
-    if let Some((range_m, range_pos)) = radio.opt_f64("range_m")? {
-        if range_m <= 0.0 {
-            return Err(radio.err_at(
-                range_pos,
-                format!("`range_m` must be positive, got {range_m}"),
-            ));
-        }
-        config.range_m = range_m;
-    }
-    if let Some((v, _)) = radio.opt_usize("overhead_bytes")? {
-        config.overhead_bytes = v;
-    }
-    if let Some((p, pos)) = radio.opt_f64("fringe_loss_probability")? {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(radio.err_at(
-                pos,
-                format!("`fringe_loss_probability` must be within [0, 1], got {p}"),
-            ));
-        }
-        config.fringe_loss_probability = p;
-    }
-    if let Some((f, pos)) = radio.opt_f64("fringe_start_fraction")? {
-        if !(0.0..=1.0).contains(&f) {
-            return Err(radio.err_at(
-                pos,
-                format!("`fringe_start_fraction` must be within [0, 1], got {f}"),
-            ));
-        }
-        config.fringe_start_fraction = f;
-    }
-    if let Some(d) = radio.opt_duration_ms("max_contention_jitter_ms")? {
-        config.max_contention_jitter = d;
-    }
+    radio.numbers(RADIO.iter(), &["preset", "bit_rate"], required, &mut config)?;
     Ok(config)
 }
 
 fn decode_publications(
-    root: &Table,
+    root: &Sect<'_>,
     event_topic: &Topic,
-) -> Result<Vec<PublicationSpec>, CompileError> {
-    let Some(spanned) = root.get("publication") else {
-        return Ok(Vec::new());
-    };
-    let Value::Array(items) = &spanned.value else {
-        return Err(CompileError::at(
-            spanned.pos,
-            format!(
-                "`publication` must be an array of tables ([[publication]]), got a {}",
-                spanned.value.type_name()
-            ),
-        ));
-    };
-    let mut publications = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let Value::Table(table) = &item.value else {
-            return Err(CompileError::at(
-                item.pos,
-                format!(
-                    "`publication` entries must be tables, got a {}",
-                    item.value.type_name()
-                ),
-            ));
+) -> Result<Vec<Publication>, CompileError> {
+    let mut publications = Vec::new();
+    for section in root.table_array("publication")? {
+        let topic = section.opt_topic("topic")?;
+        let mut publication = Publication {
+            publisher: decode_publisher(&section)?,
+            topic: topic.unwrap_or_else(|| event_topic.clone()),
+            at: SimTime::ZERO,
+            validity: SimDuration::ZERO,
+            payload_bytes: 400,
         };
-        let section = Sect::new(format!("[[publication]] #{}", index + 1), table);
-        section.check_unknown(&["publisher", "topic", "at_s", "validity_s", "payload_bytes"])?;
-        let publisher = decode_publisher(&section)?;
-        let topic = section
-            .opt_topic("topic")?
-            .unwrap_or_else(|| event_topic.clone());
-        let at_s = section.req_duration_s("at_s")?;
-        let validity = section.req_duration_s("validity_s")?;
-        let payload_bytes = section.opt_usize("payload_bytes")?.map_or(400, |(v, _)| v);
-        publications.push(PublicationSpec {
-            publisher,
-            topic,
-            at: SimTime::ZERO + at_s,
-            validity,
-            payload_bytes,
-        });
+        let (other, required) = (["publisher", "topic"], ["at_s", "validity_s"]);
+        section.numbers(PUBLICATION.iter(), &other, &required, &mut publication)?;
+        publications.push(publication);
     }
     Ok(publications)
 }
@@ -989,13 +829,10 @@ fn decode_publisher(section: &Sect<'_>) -> Result<PublisherChoice, CompileError>
         Value::Str(text) => match text.as_str() {
             "random-subscriber" => Ok(PublisherChoice::RandomSubscriber),
             "random-any" => Ok(PublisherChoice::RandomAny),
-            other => Err(section.err_at(
-                spanned.pos,
-                format!(
-                    "unknown publisher `{other}` (expected random-subscriber, random-any \
-                     or a node index)"
-                ),
-            )),
+            other => {
+                let publishers = "random-subscriber, random-any or a node index";
+                Err(section.unknown(spanned.pos, "publisher", other, publishers))
+            }
         },
         Value::Int(i) if *i >= 0 => Ok(PublisherChoice::Node(*i as usize)),
         Value::Int(i) => Err(section.err_at(
@@ -1006,42 +843,25 @@ fn decode_publisher(section: &Sect<'_>) -> Result<PublisherChoice, CompileError>
     }
 }
 
-fn decode_seeds(root: &Table) -> Result<SeedPlan, CompileError> {
-    let Some(seeds) = opt_section(root, "seeds")? else {
+fn decode_seeds(root: &Sect<'_>) -> Result<SeedPlan, CompileError> {
+    let Some(seeds) = root.opt_section("seeds")? else {
         return Ok(SeedPlan::quick());
     };
-    seeds.check_unknown(&["first", "runs"])?;
+    seeds.check_unknown(["first", "runs"])?;
     let first = seeds.opt_u64("first")?.map_or(1, |(v, _)| v);
-    let runs = seeds.opt_u64("runs")?.map_or(3, |(v, _)| v);
+    let runs = match seeds.opt_u64("runs")? {
+        // No runs would print a row of zeros that reads as a measurement.
+        Some((0, pos)) => return Err(seeds.err_at(pos, "`runs` must be at least 1")),
+        Some((runs, _)) => runs,
+        None => 3,
+    };
     Ok(SeedPlan::new(first, runs))
 }
 
-fn decode_sweeps(root: &Table) -> Result<Vec<SweepAxis>, CompileError> {
-    let Some(spanned) = root.get("sweep") else {
-        return Ok(Vec::new());
-    };
-    let Value::Array(items) = &spanned.value else {
-        return Err(CompileError::at(
-            spanned.pos,
-            format!(
-                "`sweep` must be an array of tables ([[sweep]]), got a {}",
-                spanned.value.type_name()
-            ),
-        ));
-    };
-    let mut axes: Vec<SweepAxis> = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let Value::Table(table) = &item.value else {
-            return Err(CompileError::at(
-                item.pos,
-                format!(
-                    "`sweep` entries must be tables, got a {}",
-                    item.value.type_name()
-                ),
-            ));
-        };
-        let section = Sect::new(format!("[[sweep]] #{}", index + 1), table);
-        section.check_unknown(&["param", "values"])?;
+fn decode_sweeps(root: &Sect<'_>) -> Result<Vec<SweepAxis>, CompileError> {
+    let mut axes: Vec<SweepAxis> = Vec::new();
+    for section in root.table_array("sweep")? {
+        section.check_unknown(["param", "values"])?;
         let (param, param_pos) = section.req_str("param")?;
         check_sweep_param(param, Some(param_pos))?;
         if axes.iter().any(|a| a.param == param) {
@@ -1057,188 +877,53 @@ fn decode_sweeps(root: &Table) -> Result<Vec<SweepAxis>, CompileError> {
         if raw_values.is_empty() {
             return Err(section.err_at(values_spanned.pos, "`values` must not be empty"));
         }
-        let mut values = Vec::with_capacity(raw_values.len());
-        for raw in raw_values {
-            let value = match raw.value {
-                Value::Int(i) => i as f64,
-                Value::Float(f) if f.is_finite() => f,
-                _ => {
-                    return Err(section.err_at(
-                        raw.pos,
-                        format!(
-                            "sweep values must be finite numbers, got a {}",
-                            raw.value.type_name()
-                        ),
-                    ))
-                }
-            };
-            values.push(value);
-        }
+        let values = raw_values.iter().map(|raw| match raw.value {
+            Value::Int(i) => Ok(i as f64),
+            Value::Float(f) if f.is_finite() => Ok(f),
+            _ => Err(section.err_at(
+                raw.pos,
+                format!(
+                    "sweep values must be finite numbers, got a {}",
+                    raw.value.type_name()
+                ),
+            )),
+        });
         axes.push(SweepAxis {
             param: param.to_owned(),
-            values,
+            values: values.collect::<Result<_, _>>()?,
         });
     }
     Ok(axes)
 }
 
 fn check_sweep_param(param: &str, pos: Option<Pos>) -> Result<(), CompileError> {
-    if SweepAxis::SUPPORTED.contains(&param) {
+    let supported = SweepAxis::supported();
+    if supported.iter().any(|name| name == param) {
         return Ok(());
     }
-    let message = format!(
-        "unknown sweep parameter `{param}` (supported: {})",
-        SweepAxis::SUPPORTED.join(", ")
-    );
-    Err(match pos {
-        Some(pos) => CompileError::at(pos, message),
-        None => CompileError::nowhere(message),
-    })
+    let supported = supported.join(", ");
+    let message = format!("unknown sweep parameter `{param}` (supported: {supported})");
+    Err(CompileError { pos, message })
 }
 
 // ---------------------------------------------------------------------------
-// Sweep application and matrix expansion.
+// Matrix expansion.
 // ---------------------------------------------------------------------------
 
-/// Applies one `param = value` sweep assignment to a spec clone.
-fn apply_sweep(spec: &mut ScenarioSpec, param: &str, value: f64) -> Result<(), String> {
-    let as_count = |what: &str| -> Result<usize, String> {
-        if value >= 0.0 && value.fract() == 0.0 && value <= u32::MAX as f64 {
-            Ok(value as usize)
-        } else {
-            Err(format!(
-                "{what} must be a non-negative integer, got {value}"
-            ))
+/// The section a failed [`Scenario::validate`] rule concerns, as its header
+/// is written: it opens the message and, for the base document, its position
+/// in the file is the error's.
+fn section_of(err: &ScenarioError) -> &'static str {
+    match err {
+        ScenarioError::SubscriberTopicDoesNotCoverEventTopic => "[topics]",
+        ScenarioError::BadProtocolConfig(_) => "[protocol]",
+        ScenarioError::BadSpeedRange(..) | ScenarioError::BadLineLength(_) => "[mobility]",
+        ScenarioError::BadRadioRange(_) => "[radio]",
+        ScenarioError::PublicationAfterEnd | ScenarioError::PublisherOutOfRange { .. } => {
+            "[[publication]]"
         }
-    };
-    let as_ms = |what: &str| -> Result<SimDuration, String> {
-        as_count(what).map(|ms| SimDuration::from_millis(ms as u64))
-    };
-    let as_secs = |what: &str| -> Result<SimDuration, String> {
-        if value >= 0.0 && value.is_finite() {
-            Ok(SimDuration::from_secs_f64(value))
-        } else {
-            Err(format!("{what} must be a non-negative number, got {value}"))
-        }
-    };
-    fn frugal<'a>(
-        spec: &'a mut ScenarioSpec,
-        param: &str,
-    ) -> Result<&'a mut ProtocolConfig, String> {
-        match &mut spec.protocol {
-            ProtocolKind::Frugal(config) => Ok(config),
-            ProtocolKind::Flooding(_) => Err(format!(
-                "`{param}` only applies to the frugal protocol, but the scenario floods"
-            )),
-        }
+        _ => "[scenario]",
     }
-    match param {
-        "nodes" => {
-            spec.nodes = as_count("nodes")?;
-            if spec.nodes == 0 {
-                return Err("nodes must be at least 1".to_owned());
-            }
-        }
-        "subscriber_fraction" => {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(format!(
-                    "subscriber_fraction must be within [0, 1], got {value}"
-                ));
-            }
-            spec.subscriber_fraction = value;
-        }
-        "warmup_s" => spec.warmup = as_secs("warmup_s")?,
-        "duration_s" => spec.duration = as_secs("duration_s")?,
-        "mobility_tick_ms" => {
-            spec.mobility_tick = as_ms("mobility_tick_ms")?;
-            if spec.mobility_tick.is_zero() {
-                return Err("mobility_tick_ms must be positive".to_owned());
-            }
-        }
-        "protocol.hb_delay_default_ms" => frugal(spec, param)?.hb_delay_default = as_ms(param)?,
-        "protocol.hb_upper_bound_ms" => frugal(spec, param)?.hb_upper_bound = as_ms(param)?,
-        "protocol.hb_lower_bound_ms" => frugal(spec, param)?.hb_lower_bound = as_ms(param)?,
-        "protocol.x" => frugal(spec, param)?.x = value,
-        "protocol.hb2bo" => frugal(spec, param)?.hb2bo = value,
-        "protocol.hb2ngc" => frugal(spec, param)?.hb2ngc = value,
-        "protocol.bo_jitter_fraction" => frugal(spec, param)?.bo_jitter_fraction = value,
-        "protocol.event_table_capacity" => {
-            frugal(spec, param)?.event_table_capacity = as_count(param)?;
-        }
-        "protocol.departed_memory_capacity" => {
-            frugal(spec, param)?.departed_memory_capacity = as_count(param)?;
-        }
-        "mobility.speed_min_mps" | "mobility.speed_max_mps" => match &mut spec.mobility {
-            MobilitySpec::RandomWaypoint {
-                speed_min_mps,
-                speed_max_mps,
-                ..
-            } => {
-                if param == "mobility.speed_min_mps" {
-                    *speed_min_mps = value;
-                } else {
-                    *speed_max_mps = value;
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "`{param}` only applies to the random-waypoint mobility model"
-                ))
-            }
-        },
-        "mobility.pause_s" => match &mut spec.mobility {
-            MobilitySpec::RandomWaypoint { pause, .. } => *pause = as_secs(param)?,
-            _ => {
-                return Err(format!(
-                    "`{param}` only applies to the random-waypoint mobility model"
-                ))
-            }
-        },
-        "radio.range_m" => {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(format!("radio.range_m must be positive, got {value}"));
-            }
-            spec.radio.range_m = value;
-        }
-        "radio.fringe_loss_probability" => {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(format!(
-                    "radio.fringe_loss_probability must be within [0, 1], got {value}"
-                ));
-            }
-            spec.radio.fringe_loss_probability = value;
-        }
-        "radio.fringe_start_fraction" => {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(format!(
-                    "radio.fringe_start_fraction must be within [0, 1], got {value}"
-                ));
-            }
-            spec.radio.fringe_start_fraction = value;
-        }
-        "publication.at_s" => {
-            let at = SimTime::ZERO + as_secs(param)?;
-            for publication in &mut spec.publications {
-                publication.at = at;
-            }
-        }
-        "publication.validity_s" => {
-            let validity = as_secs(param)?;
-            for publication in &mut spec.publications {
-                publication.validity = validity;
-            }
-        }
-        "publication.payload_bytes" => {
-            let bytes = as_count(param)?;
-            for publication in &mut spec.publications {
-                publication.payload_bytes = bytes;
-            }
-        }
-        // `check_sweep_param` runs before expansion, so this is unreachable
-        // for user input; keep a readable error anyway.
-        other => return Err(format!("unknown sweep parameter `{other}`")),
-    }
-    Ok(())
 }
 
 /// Renders an axis value the way it was written (`20`, not `20.0`).
@@ -1251,13 +936,22 @@ fn fmt_axis_value(value: f64) -> String {
 }
 
 fn expand_matrix(
-    spec: &ScenarioSpec,
+    root: &Sect<'_>,
+    base: Scenario,
     axes: &[SweepAxis],
 ) -> Result<Vec<MatrixPoint>, CompileError> {
     if axes.is_empty() {
+        base.validate().map_err(|err| {
+            let section = section_of(&err);
+            let header = root.table.get(section.trim_matches(['[', ']']));
+            CompileError::at(
+                header.map_or(root.table.pos, |spanned| spanned.pos),
+                format!("{section} {err}"),
+            )
+        })?;
         return Ok(vec![MatrixPoint {
-            label: spec.label.clone(),
-            scenario: spec.build("")?,
+            label: base.label.clone(),
+            scenario: base,
         }]);
     }
     let total: usize = axes
@@ -1271,35 +965,27 @@ fn expand_matrix(
         )));
     }
     let mut points = Vec::with_capacity(total);
-    let mut indices = vec![0usize; axes.len()];
-    loop {
-        let mut point_spec = spec.clone();
+    for point in 0..total {
+        let mut scenario = base.clone();
         let mut assignments = Vec::with_capacity(axes.len());
-        for (axis, &value_index) in axes.iter().zip(&indices) {
-            let value = axis.values[value_index];
+        // The axes are the digits of `point`, the last axis changing fastest.
+        let mut stride = total;
+        for axis in axes {
+            stride /= axis.values.len();
+            let value = axis.values[point / stride % axis.values.len()];
             let assignment = format!("{}={}", axis.param, fmt_axis_value(value));
-            apply_sweep(&mut point_spec, &axis.param, value)
-                .map_err(|err| CompileError::nowhere(format!("sweep {assignment}: {err}")))?;
+            sweep_assign(&mut scenario, &axis.param, value).map_err(|rule| {
+                CompileError::nowhere(format!("sweep {assignment}: {} {rule}", axis.param))
+            })?;
             assignments.push(assignment);
         }
         let label = assignments.join(", ");
-        let scenario = point_spec.build(&label)?;
+        scenario
+            .validate()
+            .map_err(|err| CompileError::nowhere(format!("{label}: {} {err}", section_of(&err))))?;
         points.push(MatrixPoint { label, scenario });
-
-        // Odometer increment, last axis fastest.
-        let mut axis = axes.len();
-        loop {
-            if axis == 0 {
-                return Ok(points);
-            }
-            axis -= 1;
-            indices[axis] += 1;
-            if indices[axis] < axes[axis].values.len() {
-                break;
-            }
-            indices[axis] = 0;
-        }
     }
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -1612,6 +1298,119 @@ validity_s = 19.0
             err.message.contains("only applies to the frugal protocol"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn integer_keys_take_32_bit_integers_only() {
+        // Used to reach the grid and panic with "node count exceeds u32".
+        let err = compile_str(&patch(MINIMAL, "nodes = 6", "nodes = 5000000000")).unwrap_err();
+        assert!(
+            err.message
+                .contains("`nodes` must be a non-negative integer")
+                && err.message.contains("got 5000000000"),
+            "{err}"
+        );
+        assert_eq!(err.pos.unwrap().line, 3);
+
+        let err = compile_str(&patch(MINIMAL, "nodes = 6", "nodes = 6.0")).unwrap_err();
+        assert!(
+            err.message
+                .contains("`nodes` must be a integer, got a float"),
+            "{err}"
+        );
+        assert_eq!(err.pos.unwrap().line, 3);
+    }
+
+    #[test]
+    fn zero_mobility_tick_and_zero_runs_are_positioned() {
+        let source = patch(MINIMAL, "nodes = 6", "nodes = 6\nmobility_tick_ms = 0");
+        let err = compile_str(&source).unwrap_err();
+        assert!(
+            err.message
+                .contains("`mobility_tick_ms` must be at least 1"),
+            "{err}"
+        );
+        assert_eq!(err.pos.unwrap().line, 4);
+
+        let err = compile_str(&format!("{MINIMAL}\n[seeds]\nruns = 0\n")).unwrap_err();
+        assert!(err.message.contains("`runs` must be at least 1"), "{err}");
+        assert_eq!(err.pos.unwrap().line, 29);
+    }
+
+    #[test]
+    fn base_document_validate_failures_point_at_their_section() {
+        let err = compile_str(&patch(MINIMAL, "publisher = 0", "publisher = 6")).unwrap_err();
+        assert!(err.message.starts_with("[[publication]] publisher index 6"));
+        assert_eq!(err.pos.unwrap().line, 23, "{err}");
+
+        let source = patch(MINIMAL, "kind = \"frugal\"", "kind = \"frugal\"\nx = 0.0");
+        let err = compile_str(&source).unwrap_err();
+        assert!(err.message.starts_with("[protocol] x must be positive"));
+        assert_eq!(err.pos.unwrap().line, 8, "{err}");
+
+        let source = patch(MINIMAL, "speed_min_mps = 5.0", "speed_min_mps = 9.0");
+        let err = compile_str(&source).unwrap_err();
+        assert!(err.message.starts_with("[mobility] speeds must satisfy"));
+        assert_eq!(err.pos.unwrap().line, 11, "{err}");
+    }
+
+    #[test]
+    fn zero_minimum_speed_is_accepted_as_the_builder_does() {
+        let source = patch(MINIMAL, "speed_min_mps = 5.0", "speed_min_mps = 0");
+        let scenario = compile_str(&source).unwrap().points.remove(0).scenario;
+        let MobilityKind::RandomWaypoint { speed_min, .. } = scenario.mobility else {
+            panic!("random-waypoint scenario")
+        };
+        assert_eq!(speed_min, 0.0);
+    }
+
+    #[test]
+    fn every_numeric_key_is_sweepable() {
+        let source = format!(
+            "{MINIMAL}\n[[sweep]]\nparam = \"protocol.heartbeat_size_bytes\"\nvalues = [8]\n\n\
+             [[sweep]]\nparam = \"protocol.message_header_bytes\"\nvalues = [12]\n\n\
+             [[sweep]]\nparam = \"radio.overhead_bytes\"\nvalues = [34]\n\n\
+             [[sweep]]\nparam = \"radio.max_contention_jitter_ms\"\nvalues = [7]\n"
+        );
+        let scenario = compile_str(&source).unwrap().points.remove(0).scenario;
+        let ProtocolKind::Frugal(config) = &scenario.protocol else {
+            panic!("frugal scenario")
+        };
+        assert_eq!(config.heartbeat_size_bytes, 8);
+        assert_eq!(config.message_header_bytes, 12);
+        assert_eq!(scenario.radio.overhead_bytes, 34);
+        assert_eq!(
+            scenario.radio.max_contention_jitter,
+            SimDuration::from_millis(7)
+        );
+
+        // The supported list is the tables: every entry assigns on a scenario
+        // that has its section, or says why it does not apply.
+        let supported = SweepAxis::supported();
+        assert_eq!(supported.len(), 30);
+        for param in &supported {
+            let mut scenario = compile_str(MINIMAL).unwrap().points.remove(0).scenario;
+            match sweep_assign(&mut scenario, param, 1.0) {
+                Ok(()) => {}
+                Err(reason) => assert_eq!(param, "mobility.length_m", "{reason}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_publication_sweeps_are_rejected_without_publications() {
+        let (source, _) = MINIMAL.split_once("[[publication]]").unwrap();
+        let axis: SweepAxis = "publication.bogus=1".parse().unwrap();
+        let err = compile_str_with_sweeps(source, &[axis]).unwrap_err();
+        assert!(
+            err.message
+                .contains("unknown sweep parameter `publication.bogus`"),
+            "{err}"
+        );
+        // A known one compiles and has nothing to assign to.
+        let axis: SweepAxis = "publication.payload_bytes=1".parse().unwrap();
+        let compiled = compile_str_with_sweeps(source, &[axis]).unwrap();
+        assert!(compiled.points[0].scenario.publications.is_empty());
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //!
 //! # Two loops, one coordinator
 //!
-//! A world is two halves. The [`Coordinator`] owns everything the sequential
+//! A world is two halves. The `Coordinator` owns everything the sequential
 //! dispatch order serializes — clock, wheel, medium, timer slots, frame slab,
 //! MAC RNG, publications, the wake queue — and carries the coordinator-side
 //! logic **once**, as methods: the action commit, `on_tx_start`, the publish
 //! prologue/epilogue, the warm-up snapshot, the due-node merge and move
-//! commit of a mobility tick. [`NodeArrays`] holds the per-node state,
+//! commit of a mobility tick. `NodeArrays` holds the per-node state,
 //! structure-of-arrays (cold boxed protocol/mobility state plus the hot
 //! last-advance and wake times), which is all a shard worker ever borrows.
 //!
@@ -403,7 +403,7 @@ impl Coordinator {
         let publication = self.scenario.publications[index as usize].clone();
         let node_count = self.scenario.node_count;
         let publisher = match publication.publisher {
-            PublisherChoice::Node(index) => index.min(node_count - 1),
+            PublisherChoice::Node(index) => index,
             PublisherChoice::RandomSubscriber if !self.subscriber_cache.is_empty() => {
                 self.subscriber_cache[self.mac_rng.index(self.subscriber_cache.len())]
             }
@@ -867,7 +867,7 @@ impl World {
     /// sharing the earliest pending timestamp is drained from the scheduler
     /// in one call and dispatched in FIFO order. Timer events are validated
     /// against the dense slot table at dispatch (see
-    /// [`Coordinator::take_armed`]), so eager draining cannot fire a timer
+    /// `Coordinator::take_armed`), so eager draining cannot fire a timer
     /// that an earlier event of the same batch cancelled or re-armed.
     pub fn run_mut(&mut self) -> RunReport {
         self.run_until(self.core.end);

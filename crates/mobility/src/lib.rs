@@ -4,17 +4,15 @@
 //! a Mobile Environment"* (Middleware 2005). The paper evaluates its protocol
 //! under the two most popular MANET mobility models, both implemented here:
 //!
-//! * [`RandomWaypoint`](random_waypoint::RandomWaypoint) — nodes alternate
-//!   straight-line trips to uniformly random waypoints with pause times
-//!   (used for Figures 11, 12 and the frugality comparison, Figures 17–20);
-//! * [`CitySection`](city_section::CitySection) — nodes drive on a street
-//!   network with per-road speed limits, popularity-weighted destinations and
-//!   intersection pauses (used for Figures 13–16);
+//! * [`RandomWaypoint`] — nodes alternate straight-line trips to uniformly
+//!   random waypoints with pause times (used for Figures 11, 12 and the
+//!   frugality comparison, Figures 17–20);
+//! * [`CitySection`] — nodes drive on a street network with per-road speed
+//!   limits, popularity-weighted destinations and intersection pauses (used
+//!   for Figures 13–16);
 //!
-//! plus a [`Stationary`](model::Stationary) model, geometric primitives
-//! ([`Point`], [`Area`]) and trace recording/replay
-//! ([`trace::TraceRecorder`], [`trace::TraceReplay`]) so different protocols
-//! can be compared on identical node movements.
+//! plus a [`Stationary`] model and geometric primitives ([`Point`],
+//! [`Area`]).
 //!
 //! # Examples
 //!
@@ -39,10 +37,8 @@ pub mod city_section;
 pub mod model;
 pub mod point;
 pub mod random_waypoint;
-pub mod trace;
 
 pub use city_section::{CitySection, CitySectionConfig, StreetMap, StreetMapBuilder};
 pub use model::{BoxedMobility, MobilityModel, Stationary};
 pub use point::{Area, Point, Vector};
 pub use random_waypoint::{RandomWaypoint, RandomWaypointConfig};
-pub use trace::{MobilityTrace, TraceRecorder, TraceReplay};

@@ -7,9 +7,6 @@
 //! matching rule (a subscriber of `.a` receives events of `.a` and of every
 //! subtopic such as `.a.b`).
 //!
-//! [`TopicTree`] mirrors the paper's event-table organisation: values stored
-//! along the topic hierarchy with efficient subtree queries.
-//!
 //! # Examples
 //!
 //! ```
@@ -40,9 +37,7 @@
 pub mod event;
 pub mod subscription;
 pub mod topic;
-pub mod topic_tree;
 
 pub use event::{Event, EventId, ProcessId};
 pub use subscription::SubscriptionSet;
 pub use topic::{ParseTopicError, Topic};
-pub use topic_tree::TopicTree;

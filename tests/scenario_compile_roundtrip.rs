@@ -187,6 +187,40 @@ fn zero_nodes_is_rejected() {
     );
 }
 
+#[test]
+fn oversized_node_count_is_a_positioned_error_not_a_panic() {
+    let source = MINIMAL_OK.replace("nodes = 6", "nodes = 5000000000");
+    let err = compile_str(&source).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("4:9: [scenario] `nodes` must be a non-negative integer"),
+        "got: {err}"
+    );
+}
+
+#[test]
+fn zero_seed_runs_are_rejected() {
+    let source = format!("{MINIMAL_OK}\n[seeds]\nruns = 0\n");
+    let err = compile_str(&source).unwrap_err();
+    assert!(
+        err.to_string().contains("`runs` must be at least 1"),
+        "got: {err}"
+    );
+    assert!(err.pos.is_some(), "the key's position is reported");
+}
+
+/// The schema walk-through of `examples/README.md` is the documentation a
+/// config author copies from: it must keep compiling as the schema moves.
+#[test]
+fn readme_schema_example_compiles() {
+    let readme = std::fs::read_to_string(example("README.md")).unwrap();
+    let (_, rest) = readme.split_once("```toml\n").expect("a toml block");
+    let (block, _) = rest.split_once("```").expect("a closing fence");
+    let matrix = compile_str(block).unwrap_or_else(|err| panic!("README example: {err}"));
+    assert_eq!(matrix.label, "my-experiment");
+    assert_eq!(matrix.points.len(), 3);
+}
+
 // ---------------------------------------------------------------------------
 // Sweep axes and the sharded-runner path.
 // ---------------------------------------------------------------------------
