@@ -14,7 +14,8 @@
 //! `ablation`, or `all` (the default). Without `--paper` the reduced smoke
 //! configurations are used (seconds to minutes); with `--paper` the paper's
 //! full methodology runs (150 nodes, 30 seeds — hours). `--csv` prints CSV
-//! instead of Markdown.
+//! instead of Markdown. Any other flag, or a second experiment, is a usage
+//! error (exit 2).
 //!
 //! `--scenario` switches to the declarative path: the TOML file is compiled
 //! into an experiment matrix (see `manet_sim::scenario_compile` for the
@@ -23,8 +24,10 @@
 //! matrix point. `--sweep param=v1,v2` adds a sweep axis from the command
 //! line (repeatable; overrides a file axis sweeping the same parameter), and
 //! `--seeds` / `--first-seed` override the file's `[seeds]` section.
-//! `--shards` defaults to `auto`, which splits `available_parallelism()`
-//! across the seed workers (the resolved count is echoed in the run header);
+//! `--shards` defaults to 1, the serial loop: on a 2-core host the
+//! repository benchmark measured two shards slower than one on every
+//! workload. `--shards auto` splits `available_parallelism()` across the
+//! seed workers (the header echoes the resolved count and the split);
 //! `--verbose` prints the sharded engine's debug counters — widened windows,
 //! fused batches, repartition passes — after each matrix point.
 
@@ -159,7 +162,7 @@ struct ScenarioArgs {
     verbose: bool,
 }
 
-/// The `--shards` flag: an explicit count, or `auto` (the default), which
+/// The `--shards` flag: an explicit count (default 1), or `auto`, which
 /// gives each seed worker an equal slice of `available_parallelism()` —
 /// `workers × shards ≈ cores`, the split the sharded runner documents.
 #[derive(Debug, Clone, Copy)]
@@ -172,36 +175,47 @@ impl ShardCount {
     fn resolve(self, workers: usize) -> usize {
         match self {
             ShardCount::Fixed(shards) => shards,
-            ShardCount::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (cores / workers.max(1)).max(1)
-            }
+            ShardCount::Auto => (cores() / workers).max(1),
         }
     }
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 /// Parses the arguments that follow `--scenario`. Exits with a diagnostic on
 /// a malformed flag, mirroring the unknown-experiment path.
 fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
     fn value_of<'a>(args: &'a [String], index: usize, flag: &str) -> &'a str {
-        args.get(index + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
+        args.get(index + 1)
+            .map(String::as_str)
+            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
     }
     fn numeric<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-        text.parse().unwrap_or_else(|_| {
-            eprintln!("{flag}: `{text}` is not a valid value");
-            std::process::exit(2);
-        })
+        text.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag}: `{text}` is not a valid value")))
+    }
+    /// A count that must be at least 1; `zero` says why.
+    fn positive(text: &str, flag: &str, zero: &str) -> usize {
+        match numeric(text, flag) {
+            0 => usage_error(&format!("{flag}: {zero}")),
+            count => count,
+        }
     }
     let mut options = ScenarioArgs {
         path: String::new(),
         sweeps: Vec::new(),
         seeds: None,
         first_seed: None,
-        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        shards: ShardCount::Auto,
+        workers: cores(),
+        shards: ShardCount::Fixed(1),
         verbose: false,
     };
     let mut index = 0;
@@ -215,21 +229,18 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
                 let spec = value_of(args, index, "--sweep");
                 match spec.parse::<SweepAxis>() {
                     Ok(axis) => options.sweeps.push(axis),
-                    Err(err) => {
-                        eprintln!("--sweep: {err}");
-                        std::process::exit(2);
-                    }
+                    Err(err) => usage_error(&format!("--sweep: {err}")),
                 }
                 index += 2;
             }
             "--seeds" => {
-                let runs: u64 = numeric(value_of(args, index, "--seeds"), "--seeds");
-                if runs == 0 {
-                    // A table of zeros would read as a measurement.
-                    eprintln!("--seeds: a seed plan needs at least 1 run");
-                    std::process::exit(2);
-                }
-                options.seeds = Some(runs);
+                // A table of zeros would read as a measurement.
+                let runs = positive(
+                    value_of(args, index, "--seeds"),
+                    "--seeds",
+                    "a seed plan needs at least 1 run",
+                );
+                options.seeds = Some(runs as u64);
                 index += 2;
             }
             "--first-seed" => {
@@ -240,8 +251,11 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
                 index += 2;
             }
             "--workers" => {
-                options.workers =
-                    numeric::<usize>(value_of(args, index, "--workers"), "--workers").max(1);
+                options.workers = positive(
+                    value_of(args, index, "--workers"),
+                    "--workers",
+                    "a run needs at least 1 worker",
+                );
                 index += 2;
             }
             "--shards" => {
@@ -249,7 +263,11 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
                 options.shards = if value == "auto" {
                     ShardCount::Auto
                 } else {
-                    ShardCount::Fixed(numeric::<usize>(value, "--shards").max(1))
+                    ShardCount::Fixed(positive(
+                        value,
+                        "--shards",
+                        "a world needs at least 1 shard",
+                    ))
                 };
                 index += 2;
             }
@@ -258,13 +276,29 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
                 index += 1;
             }
             "--csv" | "--paper" => index += 1,
-            other => {
-                eprintln!("unknown flag {other:?} in --scenario mode");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other:?} in --scenario mode")),
         }
     }
     options
+}
+
+/// Parses figure mode's arguments: at most one experiment name (default
+/// `all`) plus `--paper` and `--csv`.
+fn parse_experiment(args: &[String]) -> String {
+    let mut experiment = None;
+    for arg in args {
+        match arg.as_str() {
+            "--paper" | "--csv" => {}
+            flag if flag.starts_with("--") => usage_error(&format!(
+                "unknown flag {flag:?}; expected --paper, --csv or --scenario"
+            )),
+            name if experiment.is_none() => experiment = Some(name.to_lowercase()),
+            extra => usage_error(&format!(
+                "unexpected argument {extra:?}: one experiment per run"
+            )),
+        }
+    }
+    experiment.unwrap_or_else(|| "all".to_owned())
 }
 
 /// Compiles and runs a scenario file, printing one table with a row per
@@ -286,8 +320,12 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
     }
     let shards = options.shards.resolve(options.workers);
     let shards_note = match options.shards {
-        ShardCount::Auto => " [auto]",
-        ShardCount::Fixed(_) => "",
+        ShardCount::Auto => format!(
+            " [auto: {} core(s) / {} worker(s)]",
+            cores(),
+            options.workers
+        ),
+        ShardCount::Fixed(_) => String::new(),
     };
     eprintln!(
         "# {}: {} matrix point(s), {} seed(s) each, {} worker(s), {} shard(s){}",
@@ -371,12 +409,7 @@ fn main() {
         run_scenario_file(&options, format);
         return;
     }
-    let experiment = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all")
-        .to_lowercase();
+    let experiment = parse_experiment(&args);
 
     if scale == Scale::Quick {
         eprintln!(
@@ -407,11 +440,8 @@ fn main() {
             run_frugality(scale, format, &[17, 18, 19, 20]);
             run_ablation(scale, format);
         }
-        other => {
-            eprintln!(
-                "unknown experiment {other:?}; expected one of fig11..fig20, frugality, ablation, all"
-            );
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown experiment {other:?}; expected one of fig11..fig20, frugality, ablation, all"
+        )),
     }
 }

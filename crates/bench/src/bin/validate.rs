@@ -9,7 +9,8 @@
 //! comparison the repository has: no checked-in `EXPERIMENTS.md` exists yet
 //! (generating one from these tables is ROADMAP item 5(c)).
 //!
-//! Run with: `cargo run --release -p bench --bin validate`
+//! Run with: `cargo run --release -p bench --bin validate` (it takes no
+//! arguments; any argument is a usage error, exit 2).
 
 use manet_sim::experiments::city::{fig13, fig16, CityConfig};
 use manet_sim::experiments::fig11::{self, Fig11Config};
@@ -19,6 +20,10 @@ use manet_sim::SeedPlan;
 use simkit::SimDuration;
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("validate takes no arguments, got {arg:?}");
+        std::process::exit(2);
+    }
     let t0 = std::time::Instant::now();
     println!("# Paper-scale spot checks (reduced seed count)\n");
 

@@ -1,26 +1,72 @@
-//! Command-line contract of `reproduce --scenario`: what the process prints
-//! and how it exits, which no library test can see.
+//! Command-line contract of `reproduce` and `validate`: what the process
+//! prints and how it exits, which no library test can see.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn reproduce(args: &[&str]) -> std::process::Output {
+fn run(binary: &str, args: &[&str]) -> Output {
+    Command::new(binary)
+        .args(args)
+        .output()
+        .expect("the binary runs")
+}
+
+/// `reproduce --scenario examples/quickstart.toml ARGS`.
+fn reproduce(args: &[&str]) -> Output {
     let quickstart = format!(
         "{}/../../examples/quickstart.toml",
         env!("CARGO_MANIFEST_DIR")
     );
-    Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["--scenario", &quickstart])
-        .args(args)
-        .output()
-        .expect("the reproduce binary runs")
+    let mut full = vec!["--scenario", &quickstart];
+    full.extend_from_slice(args);
+    run(env!("CARGO_BIN_EXE_reproduce"), &full)
 }
 
-/// `--seeds 0` used to print a row of zeros that read as a measurement.
+/// A count of 0 used to print a row of zeros that read as a measurement
+/// (`--seeds`), or was silently clamped to 1 (`--workers`, `--shards`).
 #[test]
 fn zero_seeds_is_a_usage_error() {
-    let output = reproduce(&["--seeds", "0"]);
-    assert_eq!(output.status.code(), Some(2));
-    assert!(output.stdout.is_empty(), "no table is printed");
+    for (flag, diagnostic) in [
+        ("--seeds", "--seeds: a seed plan needs at least 1 run\n"),
+        ("--workers", "--workers: a run needs at least 1 worker\n"),
+        ("--shards", "--shards: a world needs at least 1 shard\n"),
+    ] {
+        let output = reproduce(&[flag, "0"]);
+        assert_eq!(output.status.code(), Some(2), "{flag} 0");
+        assert!(output.stdout.is_empty(), "{flag} 0: no table is printed");
+        assert_eq!(String::from_utf8(output.stderr).unwrap(), diagnostic);
+    }
+}
+
+/// Figure mode used to ignore a misspelt flag or a second experiment and run
+/// the smoke-scale figure anyway; `validate` takes no arguments at all.
+#[test]
+fn unknown_arguments_are_usage_errors() {
+    let reproduce = env!("CARGO_BIN_EXE_reproduce");
+    for (binary, args) in [
+        (reproduce, &["fig11", "--papr"][..]),
+        (reproduce, &["fig11", "fig12"]),
+        (env!("CARGO_BIN_EXE_validate"), &["--paper"]),
+    ] {
+        let output = run(binary, args);
+        assert_eq!(output.status.code(), Some(2), "{binary} {args:?}");
+        assert!(
+            output.stdout.is_empty(),
+            "{binary} {args:?} printed a table"
+        );
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(stderr.lines().count(), 1, "one-line diagnostic: {stderr}");
+    }
+}
+
+/// One seed worker gets the serial loop: `auto` would pick two shards on a
+/// 2-core host, which the repository benchmark measured slower everywhere.
+#[test]
+fn shards_default_to_one() {
+    let output = reproduce(&["--seeds", "1", "--workers", "1"]);
+    assert!(output.status.success());
     let stderr = String::from_utf8(output.stderr).unwrap();
-    assert_eq!(stderr, "--seeds: a seed plan needs at least 1 run\n");
+    assert!(
+        stderr.contains(", 1 worker(s), 1 shard(s)\n"),
+        "header: {stderr}"
+    );
 }

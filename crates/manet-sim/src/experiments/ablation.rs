@@ -97,7 +97,7 @@ impl AblationConfig {
         }
     }
 
-    /// Reduced ablation for smoke tests and benches.
+    /// A reduced ablation for tests and `reproduce`.
     pub fn quick() -> Self {
         AblationConfig {
             variants: Self::default_variants(),

@@ -65,7 +65,7 @@ impl CityConfig {
         }
     }
 
-    /// A reduced configuration for smoke tests and benches.
+    /// The reduced configuration for tests and `reproduce`.
     pub fn quick() -> Self {
         CityConfig {
             node_count: 15,

@@ -46,7 +46,7 @@ impl Fig11Config {
         }
     }
 
-    /// A reduced sweep for smoke tests and benches.
+    /// The reduced sweep for tests and `reproduce`.
     pub fn quick() -> Self {
         Fig11Config {
             speeds: vec![0.0, 10.0, 30.0],

@@ -44,7 +44,7 @@ impl Fig12Config {
         }
     }
 
-    /// A reduced sweep for smoke tests and benches.
+    /// The reduced sweep for tests and `reproduce`.
     pub fn quick() -> Self {
         Fig12Config {
             speed_range: (1.0, 40.0),

@@ -65,7 +65,7 @@ impl FrugalityConfig {
         }
     }
 
-    /// A reduced sweep for smoke tests and benches.
+    /// The reduced sweep for tests and `reproduce`.
     pub fn quick() -> Self {
         FrugalityConfig {
             subscriber_fractions: vec![0.2, 1.0],

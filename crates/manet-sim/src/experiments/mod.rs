@@ -31,7 +31,7 @@ use simkit::{SimDuration, SimTime};
 pub enum Effort {
     /// Paper-scale parameters (slow, matches Section 5.1).
     Paper,
-    /// Reduced parameters for smoke tests and benches (fast).
+    /// Reduced parameters for tests and `reproduce` (faster).
     Quick,
 }
 

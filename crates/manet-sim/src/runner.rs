@@ -31,8 +31,8 @@ impl SeedPlan {
         }
     }
 
-    /// A cheap smoke-test plan (3 runs), used by the quick experiment mode and
-    /// the Criterion benchmarks.
+    /// A cheap smoke-test plan (3 runs), used by the quick experiment mode
+    /// (`reproduce`, not `--paper`).
     pub fn quick() -> Self {
         SeedPlan {
             first_seed: 1,

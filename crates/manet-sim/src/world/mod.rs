@@ -784,8 +784,8 @@ impl World {
     /// fully advances every node on every tick, on the serial loop whatever
     /// the shard count. Semantically identical to the default engine at
     /// every shard count (the `shard_equivalence` oracle proptest pins whole
-    /// reports bit-identical); kept for tests and the `mobility_scaling`
-    /// benchmark. Call before [`World::run`]; `false` restores the default.
+    /// reports bit-identical); kept as the reference for the equivalence
+    /// proptests. Call before [`World::run`]; `false` restores the default.
     #[doc(hidden)]
     pub fn set_naive_mobility(&mut self, naive: bool) {
         self.naive_mobility = naive;

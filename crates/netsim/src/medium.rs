@@ -29,8 +29,8 @@
 //! Receivers are visited in ascending node index, which keeps the RNG stream
 //! — and therefore every simulation report — bit-identical to the brute-force
 //! full scan against every overlapping frame world-wide (kept as
-//! [`RadioMedium::complete_transmission_brute`] for equivalence tests and the
-//! scaling benchmark).
+//! [`RadioMedium::complete_transmission_brute`], the oracle which the
+//! equivalence tests consult).
 //!
 //! The medium also does per-node traffic accounting ([`TrafficCounters`]),
 //! which the frugality experiments (Fig. 17–20) read back.
@@ -393,8 +393,8 @@ impl RadioMedium {
     /// checks each against **every** transmission that overlapped the frame
     /// in time, wherever it was sent from. Semantically identical to
     /// [`RadioMedium::complete_transmission`] but O(nodes) per frame and
-    /// O(frames on the air) per receiver; kept so equivalence tests and the
-    /// scaling benchmark can compare the two.
+    /// O(frames on the air) per receiver; kept as the oracle the
+    /// equivalence tests compare the local path against.
     #[doc(hidden)]
     pub fn complete_transmission_brute(
         &mut self,

@@ -1,6 +1,6 @@
 //! # frugal-repro — workspace facade
 //!
-//! Re-exports the seven crates of the reproduction of *"Frugal Event
+//! Re-exports the six library crates of the reproduction of *"Frugal Event
 //! Dissemination in a Mobile Environment"* (Baehni, Chhabra, Guerraoui —
 //! Middleware 2005) so the top-level integration tests and examples have a
 //! single anchor package:
@@ -10,13 +10,14 @@
 //! * [`frugal`] — the paper's dissemination protocol and the flooding baselines;
 //! * [`mobility`] — random-waypoint and city-section mobility models;
 //! * [`netsim`] — broadcast radio medium and propagation;
-//! * [`manet_sim`] — scenario runner and per-figure experiments;
-//! * [`bench`](mod@bench) — benchmark harness and figure-reproduction binaries.
+//! * [`manet_sim`] — scenario runner and per-figure experiments.
+//!
+//! The figure-reproduction binaries (`reproduce`, `validate`) live in the
+//! bins-only `bench` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ::bench;
 pub use frugal;
 pub use manet_sim;
 pub use mobility;

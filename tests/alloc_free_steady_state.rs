@@ -6,10 +6,11 @@
 //! id exchanges, back-off broadcasts, receptions, timer re-arms and garbage
 //! collection all cycle through recycled capacity. This test enforces that
 //! contract exactly (not "few allocations": zero), for the frugal protocol
-//! and for the simple-flooding baseline, by counting every heap operation of
-//! the test thread inside a steady-state measurement window.
+//! and for the simple-flooding baseline, at 12, 250 and 1000 nodes, by
+//! counting every heap operation of the test thread inside a steady-state
+//! measurement window.
 //!
-//! The scenario is a stationary full mesh so the steady state is genuinely
+//! The population is stationary so the steady state is genuinely
 //! steady: no node ever joins or leaves a neighborhood (an arriving neighbor
 //! legitimately allocates its table entry), and the one event published
 //! during warm-up stays valid to the end, keeping id exchange and event
@@ -79,16 +80,25 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
     })
 }
 
-/// A dense stationary full mesh: 12 nodes inside one radio range, all
-/// subscribed, one long-validity event published during warm-up.
-fn steady_scenario(protocol: ProtocolKind) -> Scenario {
+/// ~8 expected neighbours per node under a 150 m ideal radio.
+const DENSITY_PER_M2: f64 = 1.2e-4;
+
+/// A busy stationary population, all subscribed, with one long-validity
+/// event published during warm-up: 12 nodes form a full mesh inside one
+/// radio range, larger populations spread at a constant density.
+fn steady_scenario(protocol: ProtocolKind, nodes: usize) -> Scenario {
+    let side = if nodes <= 12 {
+        80.0
+    } else {
+        (nodes as f64 / DENSITY_PER_M2).sqrt()
+    };
     ScenarioBuilder::new()
         .label("alloc-steady")
         .protocol(protocol)
-        .nodes(12)
+        .nodes(nodes)
         .subscriber_fraction(1.0)
         .mobility(MobilityKind::Stationary {
-            area: Area::square(80.0),
+            area: Area::square(side),
         })
         .radio(RadioConfig::ideal(150.0))
         .timing(SimDuration::from_secs(2), SimDuration::from_secs(120))
@@ -104,11 +114,12 @@ fn steady_scenario(protocol: ProtocolKind) -> Scenario {
         .unwrap()
 }
 
-/// Warms `protocol`'s world up, counts heap operations over a 50-simulated-
-/// second steady-state window, and returns `(allocations, frames_sent)` —
-/// the frame total proving the window actually carried traffic.
-fn steady_state_allocations(protocol: ProtocolKind) -> (u64, u64) {
-    let mut world = World::new(steady_scenario(protocol), 1).unwrap();
+/// Warms a world of `nodes` up, counts heap operations over a
+/// 50-simulated-second steady-state window, and returns
+/// `(allocations, frames_sent)` — the frame total proving the window
+/// actually carried traffic.
+fn steady_state_allocations(protocol: ProtocolKind, nodes: usize) -> (u64, u64) {
+    let mut world = World::new(steady_scenario(protocol, nodes), 1).unwrap();
     // Warm-up: grow every scratch buffer, pool and slab to its peak.
     world.run_until(SimTime::from_secs(60));
     let allocations = count_allocations(|| world.run_until(SimTime::from_secs(110)));
@@ -117,30 +128,34 @@ fn steady_state_allocations(protocol: ProtocolKind) -> (u64, u64) {
     (allocations, frames)
 }
 
+/// The populations checked, each with the frame count its run must exceed:
+/// the 12-node mesh, and two sizes where one stray allocation per event
+/// would add up to tens of thousands per window.
+const POPULATIONS: [(usize, u64); 3] = [(12, 500), (250, 1000), (1000, 1000)];
+
+fn assert_allocation_free(name: &str, protocol: ProtocolKind) {
+    for (nodes, min_frames) in POPULATIONS {
+        let (allocations, frames) = steady_state_allocations(protocol.clone(), nodes);
+        assert!(
+            frames > min_frames,
+            "{name}/{nodes}: the mesh must stay busy, sent {frames} frames"
+        );
+        assert_eq!(
+            allocations, 0,
+            "{name}/{nodes}: the steady state must be allocation free"
+        );
+    }
+}
+
 #[test]
 fn frugal_steady_state_allocates_nothing() {
-    let (allocations, frames) =
-        steady_state_allocations(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
-    assert!(
-        frames > 500,
-        "the mesh must stay busy, sent {frames} frames"
-    );
-    assert_eq!(
-        allocations, 0,
-        "the frugal steady state must be allocation free"
+    assert_allocation_free(
+        "frugal",
+        ProtocolKind::Frugal(ProtocolConfig::paper_default()),
     );
 }
 
 #[test]
 fn simple_flooding_steady_state_allocates_nothing() {
-    let (allocations, frames) =
-        steady_state_allocations(ProtocolKind::Flooding(FloodingPolicy::Simple));
-    assert!(
-        frames > 500,
-        "the mesh must stay busy, sent {frames} frames"
-    );
-    assert_eq!(
-        allocations, 0,
-        "the flooding steady state must be allocation free"
-    );
+    assert_allocation_free("flooding", ProtocolKind::Flooding(FloodingPolicy::Simple));
 }
