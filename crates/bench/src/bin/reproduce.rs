@@ -3,27 +3,33 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin reproduce -- [EXPERIMENT] [--paper] [--csv]
-//! cargo run --release -p bench --bin reproduce -- --scenario FILE.toml \
-//!     [--sweep param=v1,v2]... [--seeds N] [--first-seed N] \
-//!     [--workers N] [--shards N|auto] [--verbose] [--csv]
+//! cargo run --release -p bench --bin reproduce -- [FIGURE] [--paper] [OPTIONS]
+//! cargo run --release -p bench --bin reproduce -- --scenario FILE.toml [OPTIONS]
+//!
+//! OPTIONS: [--sweep param=v1,v2]... [--seeds N] [--first-seed N]
+//!          [--workers N] [--shards N|auto] [--verbose] [--csv]
 //! ```
 //!
-//! `EXPERIMENT` is one of `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`,
+//! `FIGURE` is one of `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`,
 //! `fig17`, `fig18`, `fig19`, `fig20`, `frugality` (= fig17–20 in one sweep),
-//! `ablation`, or `all` (the default). Without `--paper` the reduced smoke
-//! configurations are used (seconds to minutes); with `--paper` the paper's
-//! full methodology runs (150 nodes, 30 seeds — hours). `--csv` prints CSV
-//! instead of Markdown. Any other flag, or a second experiment, is a usage
-//! error (exit 2).
+//! `ablation`, or `all` (the default). It names files under `figures/`: the
+//! `*.quick.toml` twins, which shrink the population, the seeds and the
+//! durations so that `all` takes about a second, or with `--paper` the
+//! paper's full methodology (150 nodes, 30 seeds; `figures/README.md` has
+//! the time of each: 9 minutes for all of them with 2 workers on a 2-core
+//! host). `--scenario` runs any scenario file instead (see
+//! `manet_sim::scenario_compile` for the schema and `examples/*.toml` for
+//! worked files); `--paper` applies only to a figure name.
 //!
-//! `--scenario` switches to the declarative path: the TOML file is compiled
-//! into an experiment matrix (see `manet_sim::scenario_compile` for the
-//! schema and `examples/*.toml` for worked files), every point runs through
-//! the sharded multi-seed runner, and one table is printed with a row per
-//! matrix point. `--sweep param=v1,v2` adds a sweep axis from the command
-//! line (repeatable; overrides a file axis sweeping the same parameter), and
-//! `--seeds` / `--first-seed` override the file's `[seeds]` section.
+//! Either way the file is compiled into an experiment matrix, every point
+//! runs through the multi-seed runner, and the file's tables are printed (a
+//! file without `[[table]]` gets one row per matrix point). `--sweep
+//! param=v1,v2` adds a sweep axis (repeatable; it replaces a file axis
+//! sweeping the same parameter), `--seeds` / `--first-seed` override the
+//! file's `[seeds]`, and `--csv` prints CSV instead of Markdown. A malformed
+//! command line exits 2 with a one-line diagnostic; a file that does not
+//! compile exits 1 with `file: line:col: message`.
+//!
 //! `--shards` defaults to 1, the serial loop: on a 2-core host the
 //! repository benchmark measured two shards slower than one on every
 //! workload. `--shards auto` splits `available_parallelism()` across the
@@ -31,153 +37,44 @@
 //! `--verbose` prints the sharded engine's debug counters — widened windows,
 //! fused batches, repartition passes — after each matrix point.
 
-use manet_sim::experiments::{ablation, city, fig11, fig12, frugality};
-use manet_sim::{
-    compile_path, run_scenario_reports_sharded_with_stats, DataTable, ExperimentPoint, SweepAxis,
-};
+use manet_sim::{compile_path, run_matrix, SweepAxis};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scale {
-    Quick,
-    Paper,
-}
+/// Where the figure files live.
+const FIGURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../figures");
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Markdown,
-    Csv,
-}
+/// Each figure name: the file under `figures/` it runs, and which of the
+/// file's tables it prints (all of them when `None`). `all` runs each file
+/// once, in this order.
+const NAMES: [(&str, &str, Option<usize>); 12] = [
+    ("fig11", "fig11", None),
+    ("fig12", "fig12", None),
+    ("fig13", "fig13", None),
+    ("fig14", "fig14_15", Some(0)),
+    ("fig15", "fig14_15", Some(1)),
+    ("fig16", "fig16", None),
+    ("fig17", "frugality", Some(0)),
+    ("fig18", "frugality", Some(1)),
+    ("fig19", "frugality", Some(2)),
+    ("fig20", "frugality", Some(3)),
+    ("frugality", "frugality", None),
+    ("ablation", "ablation", None),
+];
 
-fn print_table(table: &DataTable, format: Format) {
-    match format {
-        Format::Markdown => println!("{}", table.to_markdown()),
-        Format::Csv => {
-            println!("# {}", table.title());
-            println!("{}", table.to_csv());
-        }
-    }
-}
-
-fn run_fig11(scale: Scale, format: Format) {
-    let config = match scale {
-        Scale::Paper => fig11::Fig11Config::paper(),
-        Scale::Quick => fig11::Fig11Config::quick(),
-    };
-    match fig11::run(&config) {
-        Ok(tables) => tables.iter().for_each(|t| print_table(t, format)),
-        Err(err) => eprintln!("fig11 failed: {err}"),
-    }
-}
-
-fn run_fig12(scale: Scale, format: Format) {
-    let config = match scale {
-        Scale::Paper => fig12::Fig12Config::paper(),
-        Scale::Quick => fig12::Fig12Config::quick(),
-    };
-    match fig12::run(&config) {
-        Ok(table) => print_table(&table, format),
-        Err(err) => eprintln!("fig12 failed: {err}"),
-    }
-}
-
-fn city_config(scale: Scale) -> city::CityConfig {
-    match scale {
-        Scale::Paper => city::CityConfig::paper(),
-        Scale::Quick => city::CityConfig::quick(),
-    }
-}
-
-fn run_fig13(scale: Scale, format: Format) {
-    match city::fig13(&city_config(scale)) {
-        Ok(table) => print_table(&table, format),
-        Err(err) => eprintln!("fig13 failed: {err}"),
-    }
-}
-
-fn run_fig14_15(scale: Scale, format: Format, want14: bool, want15: bool) {
-    match city::fig14_15(&city_config(scale)) {
-        Ok((fig14, fig15)) => {
-            if want14 {
-                print_table(&fig14, format);
-            }
-            if want15 {
-                print_table(&fig15, format);
-            }
-        }
-        Err(err) => eprintln!("fig14/15 failed: {err}"),
-    }
-}
-
-fn run_fig16(scale: Scale, format: Format) {
-    match city::fig16(&city_config(scale)) {
-        Ok(table) => print_table(&table, format),
-        Err(err) => eprintln!("fig16 failed: {err}"),
-    }
-}
-
-fn run_frugality(scale: Scale, format: Format, figures: &[u8]) {
-    let config = match scale {
-        Scale::Paper => frugality::FrugalityConfig::paper(),
-        Scale::Quick => frugality::FrugalityConfig::quick(),
-    };
-    match frugality::run(&config) {
-        Ok(tables) => {
-            if figures.contains(&17) {
-                print_table(&tables.bandwidth_kb, format);
-            }
-            if figures.contains(&18) {
-                print_table(&tables.events_sent, format);
-            }
-            if figures.contains(&19) {
-                print_table(&tables.duplicates, format);
-            }
-            if figures.contains(&20) {
-                print_table(&tables.parasites, format);
-            }
-        }
-        Err(err) => eprintln!("frugality comparison failed: {err}"),
-    }
-}
-
-fn run_ablation(scale: Scale, format: Format) {
-    let config = match scale {
-        Scale::Paper => ablation::AblationConfig::paper(),
-        Scale::Quick => ablation::AblationConfig::quick(),
-    };
-    match ablation::run(&config) {
-        Ok(table) => print_table(&table, format),
-        Err(err) => eprintln!("ablation failed: {err}"),
-    }
-}
-
-/// Options of the `--scenario` mode, collected from the command line.
+/// The command line: the files to run, each with the table it prints (all
+/// when `None`), and how to run them.
 #[derive(Debug)]
-struct ScenarioArgs {
-    path: String,
+struct Options {
+    files: Vec<(String, Option<usize>)>,
+    csv: bool,
     sweeps: Vec<SweepAxis>,
     seeds: Option<u64>,
     first_seed: Option<u64>,
     workers: usize,
-    shards: ShardCount,
+    /// `--shards`: a count (default 1), or `None` for `auto`, which gives
+    /// each seed worker an equal slice of `available_parallelism()` —
+    /// `workers × shards ≈ cores`, the split the sharded runner documents.
+    shards: Option<usize>,
     verbose: bool,
-}
-
-/// The `--shards` flag: an explicit count (default 1), or `auto`, which
-/// gives each seed worker an equal slice of `available_parallelism()` —
-/// `workers × shards ≈ cores`, the split the sharded runner documents.
-#[derive(Debug, Clone, Copy)]
-enum ShardCount {
-    Auto,
-    Fixed(usize),
-}
-
-impl ShardCount {
-    fn resolve(self, workers: usize) -> usize {
-        match self {
-            ShardCount::Fixed(shards) => shards,
-            ShardCount::Auto => (cores() / workers).max(1),
-        }
-    }
 }
 
 fn cores() -> usize {
@@ -190,14 +87,9 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses the arguments that follow `--scenario`. Exits with a diagnostic on
-/// a malformed flag, mirroring the unknown-experiment path.
-fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
-    fn value_of<'a>(args: &'a [String], index: usize, flag: &str) -> &'a str {
-        args.get(index + 1)
-            .map(String::as_str)
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-    }
+/// Parses the command line. Exits with a diagnostic on a malformed flag,
+/// a second figure name, or a figure name and `--scenario` together.
+fn parse_args(args: &[String]) -> Options {
     fn numeric<T: std::str::FromStr>(text: &str, flag: &str) -> T {
         text.parse()
             .unwrap_or_else(|_| usage_error(&format!("{flag}: `{text}` is not a valid value")))
@@ -209,158 +101,115 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
             count => count,
         }
     }
-    let mut options = ScenarioArgs {
-        path: String::new(),
+    let mut options = Options {
+        files: Vec::new(),
+        csv: false,
         sweeps: Vec::new(),
         seeds: None,
         first_seed: None,
         workers: cores(),
-        shards: ShardCount::Fixed(1),
+        shards: Some(1),
         verbose: false,
     };
-    let mut index = 0;
-    while index < args.len() {
-        match args[index].as_str() {
-            "--scenario" => {
-                options.path = value_of(args, index, "--scenario").to_owned();
-                index += 2;
-            }
-            "--sweep" => {
-                let spec = value_of(args, index, "--sweep");
-                match spec.parse::<SweepAxis>() {
-                    Ok(axis) => options.sweeps.push(axis),
-                    Err(err) => usage_error(&format!("--sweep: {err}")),
-                }
-                index += 2;
-            }
+    let (mut figure, mut scenario, mut paper) = (None, None, false);
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            let missing = || usage_error(&format!("{arg} needs a value"));
+            args.next().unwrap_or_else(missing)
+        };
+        match arg {
+            "--scenario" => scenario = Some(value().to_owned()),
+            "--sweep" => match value().parse() {
+                Ok(axis) => options.sweeps.push(axis),
+                Err(err) => usage_error(&format!("--sweep: {err}")),
+            },
+            // A table of zeros would read as a measurement.
             "--seeds" => {
-                // A table of zeros would read as a measurement.
-                let runs = positive(
-                    value_of(args, index, "--seeds"),
-                    "--seeds",
-                    "a seed plan needs at least 1 run",
-                );
+                let runs = positive(value(), arg, "a seed plan needs at least 1 run");
                 options.seeds = Some(runs as u64);
-                index += 2;
             }
-            "--first-seed" => {
-                options.first_seed = Some(numeric(
-                    value_of(args, index, "--first-seed"),
-                    "--first-seed",
-                ));
-                index += 2;
-            }
+            "--first-seed" => options.first_seed = Some(numeric(value(), arg)),
             "--workers" => {
-                options.workers = positive(
-                    value_of(args, index, "--workers"),
-                    "--workers",
-                    "a run needs at least 1 worker",
-                );
-                index += 2;
+                options.workers = positive(value(), arg, "a run needs at least 1 worker")
             }
             "--shards" => {
-                let value = value_of(args, index, "--shards");
-                options.shards = if value == "auto" {
-                    ShardCount::Auto
-                } else {
-                    ShardCount::Fixed(positive(
-                        value,
-                        "--shards",
-                        "a world needs at least 1 shard",
-                    ))
-                };
-                index += 2;
+                options.shards = match value() {
+                    "auto" => None,
+                    count => Some(positive(count, arg, "a world needs at least 1 shard")),
+                }
             }
-            "--verbose" => {
-                options.verbose = true;
-                index += 1;
-            }
-            "--csv" | "--paper" => index += 1,
-            other => usage_error(&format!("unknown flag {other:?} in --scenario mode")),
+            "--verbose" => options.verbose = true,
+            "--csv" => options.csv = true,
+            "--paper" => paper = true,
+            flag if flag.starts_with("--") => usage_error(&format!(
+                "unknown flag {flag:?}; expected --paper, --csv, --scenario, --sweep, \
+                 --seeds, --first-seed, --workers, --shards or --verbose"
+            )),
+            name if figure.is_none() => figure = Some(name.to_lowercase()),
+            extra => usage_error(&format!(
+                "unexpected argument {extra:?}: one figure per run"
+            )),
         }
     }
+    let scale = if paper { "" } else { ".quick" };
+    let file =
+        |(file, table): (&str, Option<usize>)| (format!("{FIGURES}/{file}{scale}.toml"), table);
+    options.files = match (scenario, figure.as_deref()) {
+        (Some(_), Some(figure)) => usage_error(&format!(
+            "figure {figure:?} and --scenario both name what to run; give one"
+        )),
+        (Some(_), None) if paper => {
+            usage_error("--paper applies to a figure name, not to --scenario")
+        }
+        (Some(path), None) => vec![(path, None)],
+        (None, None | Some("all")) => {
+            let mut files: Vec<&str> = NAMES.iter().map(|(_, file, _)| *file).collect();
+            files.dedup();
+            files.into_iter().map(|name| file((name, None))).collect()
+        }
+        (None, Some(figure)) => match NAMES.iter().find(|(name, ..)| *name == figure) {
+            Some(&(_, name, table)) => vec![file((name, table))],
+            None => usage_error(&format!(
+                "unknown figure {figure:?}; expected one of fig11..fig20, frugality, ablation, all"
+            )),
+        },
+    };
     options
 }
 
-/// Parses figure mode's arguments: at most one experiment name (default
-/// `all`) plus `--paper` and `--csv`.
-fn parse_experiment(args: &[String]) -> String {
-    let mut experiment = None;
-    for arg in args {
-        match arg.as_str() {
-            "--paper" | "--csv" => {}
-            flag if flag.starts_with("--") => usage_error(&format!(
-                "unknown flag {flag:?}; expected --paper, --csv or --scenario"
-            )),
-            name if experiment.is_none() => experiment = Some(name.to_lowercase()),
-            extra => usage_error(&format!(
-                "unexpected argument {extra:?}: one experiment per run"
-            )),
-        }
-    }
-    experiment.unwrap_or_else(|| "all".to_owned())
-}
-
-/// Compiles and runs a scenario file, printing one table with a row per
-/// matrix point.
-fn run_scenario_file(options: &ScenarioArgs, format: Format) {
-    let matrix = match compile_path(&options.path, &options.sweeps) {
-        Ok(matrix) => matrix,
-        Err(err) => {
-            eprintln!("{}: {err}", options.path);
-            std::process::exit(1);
-        }
+/// Compiles and runs one file, printing its tables (or only the `only`-th).
+fn run_file(options: &Options, path: &str, only: Option<usize>) {
+    let failed = |err: &dyn std::fmt::Display| -> ! {
+        eprintln!("{path}: {err}");
+        std::process::exit(1);
     };
-    let mut plan = matrix.seeds;
+    let mut matrix = compile_path(path, &options.sweeps).unwrap_or_else(|err| failed(&err));
     if let Some(first) = options.first_seed {
-        plan.first_seed = first;
+        matrix.seeds.first_seed = first;
     }
     if let Some(runs) = options.seeds {
-        plan.runs = runs;
+        matrix.seeds.runs = runs;
     }
-    let shards = options.shards.resolve(options.workers);
+    let shards = options.shards.unwrap_or((cores() / options.workers).max(1));
     let shards_note = match options.shards {
-        ShardCount::Auto => format!(
+        None => format!(
             " [auto: {} core(s) / {} worker(s)]",
             cores(),
             options.workers
         ),
-        ShardCount::Fixed(_) => String::new(),
+        Some(_) => String::new(),
     };
     eprintln!(
         "# {}: {} matrix point(s), {} seed(s) each, {} worker(s), {} shard(s){}",
         matrix.label,
         matrix.points.len(),
-        plan.runs,
+        matrix.seeds.runs,
         options.workers,
         shards,
         shards_note
     );
-    let mut table = DataTable::new(
-        format!("Scenario `{}` ({})", matrix.label, options.path),
-        "point",
-        vec![
-            "reliability".into(),
-            "ci95".into(),
-            "events sent".into(),
-            "duplicates/process".into(),
-            "parasites/process".into(),
-            "bandwidth [kB/process]".into(),
-        ],
-    );
-    for point in &matrix.points {
-        let (reports, stats) = match run_scenario_reports_sharded_with_stats(
-            &point.scenario,
-            plan,
-            options.workers,
-            shards,
-        ) {
-            Ok(outcome) => outcome,
-            Err(err) => {
-                eprintln!("{}: point `{}` failed: {err}", options.path, point.label);
-                std::process::exit(1);
-            }
-        };
+    let tables = run_matrix(&matrix, options.workers, shards, |point, reports, stats| {
         if options.verbose {
             eprintln!(
                 "# point `{}`: windows_widened={} batches_fused={} repartitions={} \
@@ -373,75 +222,24 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
                 reports.len()
             );
         }
-        let mut aggregate = ExperimentPoint::new();
-        for report in &reports {
-            aggregate.add(report);
+    })
+    .unwrap_or_else(|err| failed(&err));
+    let tables = match only {
+        Some(only) => &tables[only..=only],
+        None => &tables[..],
+    };
+    for table in tables {
+        match options.csv {
+            true => println!("# {}\n{}", table.title(), table.to_csv()),
+            false => println!("{}", table.to_markdown()),
         }
-        table.push_row(
-            point.label.clone(),
-            vec![
-                aggregate.reliability().mean,
-                aggregate.reliability().ci95_half_width(),
-                aggregate.events_sent().mean,
-                aggregate.duplicates().mean,
-                aggregate.parasites().mean,
-                aggregate.bandwidth_kb().mean,
-            ],
-        );
     }
-    print_table(&table, format);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--paper") {
-        Scale::Paper
-    } else {
-        Scale::Quick
-    };
-    let format = if args.iter().any(|a| a == "--csv") {
-        Format::Csv
-    } else {
-        Format::Markdown
-    };
-    if args.iter().any(|a| a == "--scenario") {
-        let options = parse_scenario_args(&args);
-        run_scenario_file(&options, format);
-        return;
-    }
-    let experiment = parse_experiment(&args);
-
-    if scale == Scale::Quick {
-        eprintln!(
-            "# Running at smoke-test scale (reduced population, seeds and durations).\n\
-             # Pass --paper for the full Section 5.1 methodology (much slower).\n"
-        );
-    }
-
-    match experiment.as_str() {
-        "fig11" => run_fig11(scale, format),
-        "fig12" => run_fig12(scale, format),
-        "fig13" => run_fig13(scale, format),
-        "fig14" => run_fig14_15(scale, format, true, false),
-        "fig15" => run_fig14_15(scale, format, false, true),
-        "fig16" => run_fig16(scale, format),
-        "fig17" => run_frugality(scale, format, &[17]),
-        "fig18" => run_frugality(scale, format, &[18]),
-        "fig19" => run_frugality(scale, format, &[19]),
-        "fig20" => run_frugality(scale, format, &[20]),
-        "frugality" => run_frugality(scale, format, &[17, 18, 19, 20]),
-        "ablation" => run_ablation(scale, format),
-        "all" => {
-            run_fig11(scale, format);
-            run_fig12(scale, format);
-            run_fig13(scale, format);
-            run_fig14_15(scale, format, true, true);
-            run_fig16(scale, format);
-            run_frugality(scale, format, &[17, 18, 19, 20]);
-            run_ablation(scale, format);
-        }
-        other => usage_error(&format!(
-            "unknown experiment {other:?}; expected one of fig11..fig20, frugality, ablation, all"
-        )),
+    let options = parse_args(&args);
+    for (path, only) in &options.files {
+        run_file(&options, path, *only);
     }
 }

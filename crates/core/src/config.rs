@@ -79,13 +79,6 @@ impl ProtocolConfig {
         }
     }
 
-    /// Same as [`ProtocolConfig::paper_default`] but with a different heartbeat
-    /// upper bound, the knob varied by the paper's Figure 13.
-    pub fn with_hb_upper_bound(mut self, bound: SimDuration) -> Self {
-        self.hb_upper_bound = bound;
-        self
-    }
-
     /// Same configuration with a different event-table capacity, the knob that
     /// exercises the garbage-collection policy of Eq. 1.
     pub fn with_event_table_capacity(mut self, capacity: usize) -> Self {
@@ -161,10 +154,7 @@ mod tests {
 
     #[test]
     fn builder_style_overrides() {
-        let cfg = ProtocolConfig::paper_default()
-            .with_hb_upper_bound(SimDuration::from_secs(5))
-            .with_event_table_capacity(4);
-        assert_eq!(cfg.hb_upper_bound, SimDuration::from_secs(5));
+        let cfg = ProtocolConfig::paper_default().with_event_table_capacity(4);
         assert_eq!(cfg.event_table_capacity, 4);
         assert!(cfg.validate().is_ok());
     }

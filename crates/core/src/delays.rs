@@ -81,6 +81,19 @@ mod tests {
             SimDuration::from_secs(1)
         );
         assert_eq!(compute_hb_delay(&cfg, Some(0.5)), SimDuration::from_secs(1));
+        // So speed adaptation is inert at the paper's defaults: x / v = 40 / v s
+        // and the 15 s default both clamp to 1 s at every speed up to 40 m/s,
+        // which is why the ablation's "no speed adaptation" row cannot differ.
+        let fixed = ProtocolConfig {
+            adapt_to_speed: false,
+            ..config()
+        };
+        for v in [1.0, 10.0, 40.0] {
+            assert_eq!(
+                compute_hb_delay(&cfg, Some(v)),
+                compute_hb_delay(&fixed, Some(v))
+            );
+        }
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //!   and the shared radio medium, and produces a [`RunReport`];
 //! * [`runner`] — multi-seed parallel execution ([`run_scenario`]) aggregating
 //!   runs into [`ExperimentPoint`]s (the paper averages every point over 30
-//!   runs);
-//! * [`experiments`] — one module per figure of the paper's evaluation
-//!   (Fig. 11–20) plus design-choice ablations;
+//!   runs), and [`run_matrix`], which runs a compiled file and renders its
+//!   tables;
 //! * [`scenario_compile`] — the declarative scenario compiler: a TOML file
-//!   (with optional parameter-sweep axes) compiled into an experiment matrix
-//!   of [`Scenario`]s, driven by `reproduce --scenario`;
+//!   (with optional sweep axes, `[[table]]` layouts and a base it
+//!   `extends`) compiled into an experiment matrix of [`Scenario`]s. The
+//!   paper's figures are such files under `figures/`, which `reproduce`
+//!   runs by name;
 //! * [`output`] — Markdown/CSV tables for the regenerated figures.
 //!
 //! # Examples
@@ -61,7 +62,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod experiments;
 pub mod output;
 pub mod report;
 pub mod runner;
@@ -72,7 +72,7 @@ pub mod world;
 pub use output::DataTable;
 pub use report::{EventOutcome, ExperimentPoint, NodeReport, RunReport};
 pub use runner::{
-    run_scenario, run_scenario_reports, run_scenario_reports_sharded,
+    run_matrix, run_scenario, run_scenario_reports, run_scenario_reports_sharded,
     run_scenario_reports_sharded_with_stats, run_scenario_reports_with_progress,
     run_scenario_reports_with_workers, SeedPlan, SeedProgress,
 };

@@ -5,10 +5,13 @@
 //! parallel on a chunked work-stealing pool, one thread per available core —
 //! and aggregates the reports into an [`ExperimentPoint`]. Long sweeps can
 //! observe per-seed completion through
-//! [`run_scenario_reports_with_progress`].
+//! [`run_scenario_reports_with_progress`]. [`run_matrix`] runs every point
+//! of a compiled scenario file and renders the file's tables.
 
+use crate::output::DataTable;
 use crate::report::{ExperimentPoint, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario_compile::{CompiledMatrix, MatrixPoint};
 use crate::world::{World, WorldArena, WorldDebugStats};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,16 +26,8 @@ pub struct SeedPlan {
 }
 
 impl SeedPlan {
-    /// The paper's methodology: 30 runs.
-    pub fn paper() -> Self {
-        SeedPlan {
-            first_seed: 1,
-            runs: 30,
-        }
-    }
-
-    /// A cheap smoke-test plan (3 runs), used by the quick experiment mode
-    /// (`reproduce`, not `--paper`).
+    /// A cheap smoke-test plan (3 runs), what a scenario file without
+    /// `[seeds]` runs.
     pub fn quick() -> Self {
         SeedPlan {
             first_seed: 1,
@@ -213,6 +208,41 @@ pub fn run_scenario_reports_sharded_with_stats(
     Ok((reports, totals.into_inner()))
 }
 
+/// Runs every point of a compiled matrix over its seed plan, with `workers`
+/// seed workers and `shards` shards per world, and renders the matrix's
+/// tables. Each point's reports join its cell's aggregate in seed order, and
+/// the points of a cell in matrix order (so a pooled axis in value order).
+/// `on_point` sees each point's reports and summed [`WorldDebugStats`] as
+/// the point finishes.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if a point's scenario fails validation.
+pub fn run_matrix<F>(
+    matrix: &CompiledMatrix,
+    workers: usize,
+    shards: usize,
+    mut on_point: F,
+) -> Result<Vec<DataTable>, ScenarioError>
+where
+    F: FnMut(&MatrixPoint, &[RunReport], &WorldDebugStats),
+{
+    let mut cells = vec![ExperimentPoint::new(); matrix.cells];
+    for point in &matrix.points {
+        let (reports, stats) = run_scenario_reports_sharded_with_stats(
+            &point.scenario,
+            matrix.seeds,
+            workers,
+            shards,
+        )?;
+        on_point(point, &reports, &stats);
+        reports
+            .iter()
+            .for_each(|report| cells[point.cell].add(report));
+    }
+    Ok(matrix.render(&cells))
+}
+
 /// The shared seed-sweep pool: `configure` is applied to every checked-out
 /// world before it runs and `observe` right after (before the world is
 /// recycled), so callers can flip doc-hidden toggles or the shard knob and
@@ -329,7 +359,6 @@ mod tests {
 
     #[test]
     fn seed_plans_enumerate_expected_seeds() {
-        assert_eq!(SeedPlan::paper().seeds().count(), 30);
         assert_eq!(SeedPlan::quick().seeds().count(), 3);
         let custom = SeedPlan::new(10, 4);
         assert_eq!(custom.seeds().collect::<Vec<_>>(), vec![10, 11, 12, 13]);

@@ -45,28 +45,31 @@
 //! ```
 //!
 //! [`compile_str`] compiles this into a [`CompiledMatrix`]: one [`Scenario`]
-//! per sweep-axis combination plus the [`SeedPlan`], ready for
-//! [`crate::runner::run_scenario_reports_sharded`]. It parses, decodes the
-//! sections straight into a [`Scenario`], then clones that per matrix point,
-//! assigns the axis values and runs [`Scenario::validate`]. Every error of
-//! the base document carries the `line:col` it was detected at. The
-//! `reproduce --scenario` binary is the CLI entry; `examples/*.toml` are
-//! compiled twins of the repository's hard-coded scenarios, pinned
-//! byte-identical by the round-trip test suite.
+//! per sweep-axis combination, the [`SeedPlan`] and the tables a run
+//! renders, ready for [`crate::runner::run_matrix`]. It parses, decodes the
+//! sections straight into a [`Scenario`], then per matrix point writes the
+//! axis values into the parsed document, decodes that and runs
+//! [`Scenario::validate`]. Every error of the base document carries the
+//! `line:col` it was detected at. `reproduce --scenario` is the CLI entry;
+//! `examples/*.toml` are compiled twins of the builder's scenarios, pinned
+//! equal by the round-trip test suite, and `figures/*.toml` describe the
+//! paper's evaluation, one file per figure.
 //!
 //! Every numeric key is declared once, as a row `(key, unit, setter)` of its
-//! section's schema table; a unit is one range rule. Decoding, the
-//! unknown-key diagnostic, sweep assignment and [`SweepAxis::supported`] all
-//! read those tables, so file values and sweep values pass the same check.
-//! Rules relating several fields live in [`Scenario::validate`] alone.
+//! section's schema table; a unit is one range rule. Decoding and the
+//! unknown-key diagnostic read those tables, and a sweep value is decoded in
+//! place of the file value it replaces, so both pass the same check. Rules
+//! relating several fields live in [`Scenario::validate`] alone.
 //!
 //! The front-end is the hand-rolled [`toml`] subset parser rather than a
 //! serde derive pipeline: the vendored serde shim has no-op derives, and
 //! position-carrying errors need a span-keeping value tree (which the real
 //! `toml` crate only offers via `toml_edit`) — see `vendor/serde`.
 
+mod matrix;
 pub mod toml;
 
+pub use self::matrix::{CompiledMatrix, MatrixPoint, SweepAxis, MAX_MATRIX_POINTS};
 use self::toml::{ParseError, Pos, Spanned, Table, Value};
 use crate::runner::SeedPlan;
 use crate::scenario::{
@@ -78,13 +81,7 @@ use netsim::{BitRate, RadioConfig};
 use pubsub::Topic;
 use simkit::{SimDuration, SimTime};
 use std::fmt;
-use std::path::Path;
-use std::slice::from_mut;
-use std::str::FromStr;
-
-/// Hard cap on the experiment-matrix size, so a typo in a sweep axis cannot
-/// silently schedule months of simulation.
-pub const MAX_MATRIX_POINTS: usize = 4096;
+use std::path::{Path, PathBuf};
 
 /// An error produced while compiling a scenario file: what went wrong, and —
 /// when it maps to a source location — where.
@@ -97,9 +94,11 @@ pub struct CompileError {
 }
 
 impl CompileError {
+    /// An error at `pos`; a value from the command line has no position
+    /// (line 0).
     fn at(pos: Pos, message: impl Into<String>) -> Self {
         CompileError {
-            pos: Some(pos),
+            pos: (pos.line > 0).then_some(pos),
             message: message.into(),
         }
     }
@@ -129,88 +128,6 @@ impl From<ParseError> for CompileError {
     }
 }
 
-/// One compiled point of the experiment matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixPoint {
-    /// Row label: the sweep-axis assignments (`"nodes=20, range_m=100"`), or
-    /// the scenario label when there are no sweep axes.
-    pub label: String,
-    /// The fully validated scenario for this point.
-    pub scenario: Scenario,
-}
-
-/// The output of the compiler: every scenario of the experiment matrix plus
-/// the seed plan they all share.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledMatrix {
-    /// The base scenario label from `[scenario] label`.
-    pub label: String,
-    /// The seed plan from `[seeds]` (3 runs from seed 1 when omitted).
-    pub seeds: SeedPlan,
-    /// One point per sweep-axis combination, in axis-major order; a single
-    /// point when the file declares no sweeps.
-    pub points: Vec<MatrixPoint>,
-}
-
-/// One sweep axis: a parameter name and the values it takes.
-///
-/// Parameter names are dotted paths into the scenario schema; see
-/// [`SweepAxis::supported`] for the full list. Values are numeric;
-/// integer-valued parameters reject fractional values at compile time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepAxis {
-    /// The swept parameter, e.g. `"nodes"` or `"radio.range_m"`.
-    pub param: String,
-    /// The values the parameter takes, one matrix column per value.
-    pub values: Vec<f64>,
-}
-
-impl SweepAxis {
-    /// Every sweepable parameter path: each numeric key of the schema, the
-    /// `[scenario]` keys bare and the others behind their section's name.
-    pub fn supported() -> Vec<String> {
-        fn keys<T>(section: &'static str, rows: &'static [Row<T>]) -> impl Iterator<Item = String> {
-            rows.iter().map(move |row| format!("{section}{}", row.0))
-        }
-        keys("", SCENARIO)
-            .chain(keys("protocol.", PROTOCOL))
-            .chain(keys("mobility.", MOBILITY))
-            .chain(keys("radio.", RADIO))
-            .chain(keys("publication.", PUBLICATION))
-            .collect()
-    }
-}
-
-impl FromStr for SweepAxis {
-    type Err = String;
-
-    /// Parses the CLI form `param=v1,v2,v3`.
-    fn from_str(arg: &str) -> Result<Self, Self::Err> {
-        let (param, values) = arg
-            .split_once('=')
-            .ok_or_else(|| format!("sweep `{arg}` must have the form param=v1,v2,..."))?;
-        let param = param.trim();
-        if param.is_empty() {
-            return Err(format!("sweep `{arg}` has an empty parameter name"));
-        }
-        let values: Vec<f64> = values
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("sweep `{param}`: `{v}` is not a number"))
-            })
-            .collect::<Result<_, _>>()?;
-        if values.is_empty() {
-            return Err(format!("sweep `{param}` has no values"));
-        }
-        Ok(SweepAxis {
-            param: param.to_owned(),
-            values,
-        })
-    }
-}
-
 /// Compiles a scenario file into its experiment matrix.
 ///
 /// # Errors
@@ -222,19 +139,86 @@ pub fn compile_str(source: &str) -> Result<CompiledMatrix, CompileError> {
 }
 
 /// Like [`compile_str`], with extra sweep axes (typically from the command
-/// line) merged in: an extra axis replaces a file axis sweeping the same
+/// line) merged in: an extra axis replaces the file axis sweeping the same
 /// parameter and is appended otherwise.
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] on any syntax, schema or sweep error.
+/// Returns a [`CompileError`] on any syntax, schema or sweep error, and on
+/// `extends`, which names a file and so needs [`compile_path`].
 pub fn compile_str_with_sweeps(
     source: &str,
     extra_axes: &[SweepAxis],
 ) -> Result<CompiledMatrix, CompileError> {
     let root = toml::parse(source)?;
-    let root = Sect::new("", &root);
-    root.check_unknown([
+    if let Some(extends) = root.get("extends") {
+        let message = "document: `extends` names a file, which only `compile_path` resolves";
+        return Err(CompileError::at(extends.pos, message));
+    }
+    compile(root, extra_axes, None)
+}
+
+/// Reads and compiles a scenario file from disk.
+///
+/// A file may begin with `extends = "base.toml"`, a path relative to the
+/// file itself. It is then laid over that base by name: a section's keys
+/// override the base's one by one, and an array of tables
+/// (`[[publication]]`, `[[sweep]]`, `[[table]]`) replaces the base's whole
+/// array. The base must compile on its own.
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] for unreadable files and `extends` cycles as
+/// well as for every compile error of [`compile_str_with_sweeps`]; an error
+/// inside a base file names that file.
+pub fn compile_path(
+    path: impl AsRef<Path>,
+    extra_axes: &[SweepAxis],
+) -> Result<CompiledMatrix, CompileError> {
+    let path = path.as_ref();
+    compile(load(path, &mut Vec::new())?, extra_axes, Some(path))
+}
+
+/// Parses `path` and lays it over the base its `extends` names. `chain`
+/// holds the files being loaded, so that a cycle is refused.
+fn load(path: &Path, chain: &mut Vec<PathBuf>) -> Result<Table, CompileError> {
+    let source = std::fs::read_to_string(path)
+        .map_err(|err| CompileError::nowhere(format!("cannot read {}: {err}", path.display())))?;
+    let root = toml::parse(&source)?;
+    let Some(extends) = root.get("extends") else {
+        return Ok(root);
+    };
+    let Value::Str(name) = &extends.value else {
+        return Err(Sect::new("", &root).type_err("extends", "string", extends));
+    };
+    let base_path = path.with_file_name(name);
+    chain.push(path.canonicalize().unwrap_or_else(|_| path.to_owned()));
+    let cycle = base_path
+        .canonicalize()
+        .is_ok_and(|base| chain.contains(&base));
+    if cycle {
+        let message = format!("document: `extends = \"{name}\"` closes a cycle");
+        return Err(CompileError::at(extends.pos, message));
+    }
+    let base = load(&base_path, chain);
+    let base = base.and_then(|base| compile(base.clone(), &[], Some(&base_path)).map(|_| base));
+    chain.pop();
+    let mut base =
+        base.map_err(|err| CompileError::nowhere(format!("{}: {err}", base_path.display())))?;
+    base.merge(root);
+    Ok(base)
+}
+
+/// Compiles a parsed (and merged) document: the base scenario and seed plan
+/// here, the axes, tables and points in `matrix.rs`.
+fn compile(
+    root: Table,
+    extra_axes: &[SweepAxis],
+    path: Option<&Path>,
+) -> Result<CompiledMatrix, CompileError> {
+    let doc = Sect::new("", &root);
+    doc.check_unknown([
+        "extends",
         "scenario",
         "topics",
         "protocol",
@@ -243,44 +227,11 @@ pub fn compile_str_with_sweeps(
         "publication",
         "seeds",
         "sweep",
+        "table",
     ])?;
-    let base = decode_scenario(&root)?;
-    let seeds = decode_seeds(&root)?;
-    let mut axes = decode_sweeps(&root)?;
-    for extra in extra_axes {
-        if extra.values.is_empty() {
-            return Err(CompileError::nowhere(format!(
-                "sweep `{}` has no values",
-                extra.param
-            )));
-        }
-        check_sweep_param(&extra.param, None)?;
-        match axes.iter_mut().find(|a| a.param == extra.param) {
-            Some(axis) => axis.values = extra.values.clone(),
-            None => axes.push(extra.clone()),
-        }
-    }
-    Ok(CompiledMatrix {
-        label: base.label.clone(),
-        seeds,
-        points: expand_matrix(&root, base, &axes)?,
-    })
-}
-
-/// Reads and compiles a scenario file from disk.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] for unreadable files as well as for every
-/// compile error of [`compile_str_with_sweeps`].
-pub fn compile_path(
-    path: impl AsRef<Path>,
-    extra_axes: &[SweepAxis],
-) -> Result<CompiledMatrix, CompileError> {
-    let path = path.as_ref();
-    let source = std::fs::read_to_string(path)
-        .map_err(|err| CompileError::nowhere(format!("cannot read {}: {err}", path.display())))?;
-    compile_str_with_sweeps(&source, extra_axes)
+    let base = decode_scenario(&doc)?;
+    let seeds = decode_seeds(&doc)?;
+    matrix::expand(&doc, base, seeds, extra_axes, path)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +299,11 @@ const SCENARIO: &[Row<Scenario>] = &[
     ("mobility_tick_ms", Unit::AtLeastOne, |s, v| {
         s.mobility_tick = millis(v)
     }),
+    // Keeps the first N `[[publication]]` tables; `decode_scenario` refuses
+    // an N above their count.
+    ("publications", Unit::Count, |s, v| {
+        s.publications.truncate(v as usize)
+    }),
 ];
 
 const PROTOCOL: &[Row<ProtocolConfig>] = &[
@@ -381,7 +337,7 @@ const PROTOCOL: &[Row<ProtocolConfig>] = &[
 ];
 
 /// A row assigns only on the models that have its field; [`mobility_keys`]
-/// says which those are, and both callers ask it first.
+/// says which those are, and the decoder asks it first.
 const MOBILITY: &[Row<MobilityKind>] = &[
     ("width_m", Unit::Positive, |m, v| {
         if let MobilityKind::RandomWaypoint { area, .. } | MobilityKind::Stationary { area } = m {
@@ -454,36 +410,6 @@ const PUBLICATION: &[Row<Publication>] = &[
         p.payload_bytes = v as usize
     }),
 ];
-
-/// Assigns one sweep value: finds the row `param` names (a bare `[scenario]`
-/// key, or `section.key`), checks the value against the row's unit and
-/// stores it. A `publication.*` parameter assigns to every publication. The
-/// error is worded to follow the parameter's name.
-fn sweep_assign(scenario: &mut Scenario, param: &str, value: f64) -> Result<(), String> {
-    fn set<T>(rows: &[Row<T>], key: &str, value: f64, targets: &mut [T]) -> Result<(), String> {
-        let row = rows.iter().find(|row| row.0 == key);
-        let &(_, unit, set) = row.ok_or("is not a sweep parameter")?;
-        unit.check(value)?;
-        targets.iter_mut().for_each(|target| set(target, value));
-        Ok(())
-    }
-    match param.split_once('.') {
-        None => set(SCENARIO, param, value, from_mut(scenario)),
-        Some(("protocol", key)) => match &mut scenario.protocol {
-            ProtocolKind::Frugal(config) => set(PROTOCOL, key, value, from_mut(config)),
-            ProtocolKind::Flooding(_) => {
-                Err("only applies to the frugal protocol, but the scenario floods".to_owned())
-            }
-        },
-        Some(("mobility", key)) if !mobility_keys(&scenario.mobility).contains(&key) => {
-            Err("does not apply to the scenario's mobility model".to_owned())
-        }
-        Some(("mobility", key)) => set(MOBILITY, key, value, from_mut(&mut scenario.mobility)),
-        Some(("radio", key)) => set(RADIO, key, value, from_mut(&mut scenario.radio)),
-        Some(("publication", key)) => set(PUBLICATION, key, value, &mut scenario.publications),
-        Some(_) => Err("is not a sweep parameter".to_owned()),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Section decoding.
@@ -570,6 +496,15 @@ impl<'a> Sect<'a> {
 
     fn req_str(&self, key: &str) -> Result<(&'a str, Pos), CompileError> {
         self.opt_str(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    fn opt_bool(&self, key: &str) -> Result<Option<bool>, CompileError> {
+        let spanned = self.table.get(key);
+        let flag = spanned.map(|spanned| match spanned.value {
+            Value::Bool(flag) => Ok(flag),
+            _ => Err(self.type_err(key, "boolean", spanned)),
+        });
+        flag.transpose()
     }
 
     /// The value of a numeric key, checked against its unit, when present.
@@ -688,8 +623,15 @@ fn decode_scenario(root: &Sect<'_>) -> Result<Scenario, CompileError> {
         warmup: SimDuration::ZERO,
         mobility_tick: SimDuration::from_millis(500),
     };
+    let available = scenario.publications.len();
     let required = ["nodes", "subscriber_fraction", "warmup_s", "duration_s"];
     section.numbers(SCENARIO.iter(), &["label"], &required, &mut scenario)?;
+    if let Some(wanted) = section.table.get("publications") {
+        if matches!(wanted.value, Value::Int(n) if n as usize > available) {
+            let message = format!("`publications` exceeds the {available} [[publication]] tables");
+            return Err(section.err_at(wanted.pos, message));
+        }
+    }
     Ok(scenario)
 }
 
@@ -720,10 +662,7 @@ fn decode_protocol(root: &Sect<'_>) -> Result<ProtocolKind, CompileError> {
             let mut config = ProtocolConfig::paper_default();
             let other = ["kind", "adapt_to_speed"];
             protocol.numbers(PROTOCOL.iter(), &other, &[], &mut config)?;
-            if let Some(spanned) = protocol.table.get("adapt_to_speed") {
-                let Value::Bool(adapt) = spanned.value else {
-                    return Err(protocol.type_err("adapt_to_speed", "boolean", spanned));
-                };
+            if let Some(adapt) = protocol.opt_bool("adapt_to_speed")? {
                 config.adapt_to_speed = adapt;
             }
             return Ok(ProtocolKind::Frugal(config));
@@ -858,58 +797,6 @@ fn decode_seeds(root: &Sect<'_>) -> Result<SeedPlan, CompileError> {
     Ok(SeedPlan::new(first, runs))
 }
 
-fn decode_sweeps(root: &Sect<'_>) -> Result<Vec<SweepAxis>, CompileError> {
-    let mut axes: Vec<SweepAxis> = Vec::new();
-    for section in root.table_array("sweep")? {
-        section.check_unknown(["param", "values"])?;
-        let (param, param_pos) = section.req_str("param")?;
-        check_sweep_param(param, Some(param_pos))?;
-        if axes.iter().any(|a| a.param == param) {
-            return Err(section.err_at(
-                param_pos,
-                format!("parameter `{param}` is swept by more than one axis"),
-            ));
-        }
-        let values_spanned = section.req("values")?;
-        let Value::Array(raw_values) = &values_spanned.value else {
-            return Err(section.type_err("values", "array of numbers", values_spanned));
-        };
-        if raw_values.is_empty() {
-            return Err(section.err_at(values_spanned.pos, "`values` must not be empty"));
-        }
-        let values = raw_values.iter().map(|raw| match raw.value {
-            Value::Int(i) => Ok(i as f64),
-            Value::Float(f) if f.is_finite() => Ok(f),
-            _ => Err(section.err_at(
-                raw.pos,
-                format!(
-                    "sweep values must be finite numbers, got a {}",
-                    raw.value.type_name()
-                ),
-            )),
-        });
-        axes.push(SweepAxis {
-            param: param.to_owned(),
-            values: values.collect::<Result<_, _>>()?,
-        });
-    }
-    Ok(axes)
-}
-
-fn check_sweep_param(param: &str, pos: Option<Pos>) -> Result<(), CompileError> {
-    let supported = SweepAxis::supported();
-    if supported.iter().any(|name| name == param) {
-        return Ok(());
-    }
-    let supported = supported.join(", ");
-    let message = format!("unknown sweep parameter `{param}` (supported: {supported})");
-    Err(CompileError { pos, message })
-}
-
-// ---------------------------------------------------------------------------
-// Matrix expansion.
-// ---------------------------------------------------------------------------
-
 /// The section a failed [`Scenario::validate`] rule concerns, as its header
 /// is written: it opens the message and, for the base document, its position
 /// in the file is the error's.
@@ -924,68 +811,6 @@ fn section_of(err: &ScenarioError) -> &'static str {
         }
         _ => "[scenario]",
     }
-}
-
-/// Renders an axis value the way it was written (`20`, not `20.0`).
-fn fmt_axis_value(value: f64) -> String {
-    if value.fract() == 0.0 && value.abs() < 1e15 {
-        format!("{}", value as i64)
-    } else {
-        format!("{value}")
-    }
-}
-
-fn expand_matrix(
-    root: &Sect<'_>,
-    base: Scenario,
-    axes: &[SweepAxis],
-) -> Result<Vec<MatrixPoint>, CompileError> {
-    if axes.is_empty() {
-        base.validate().map_err(|err| {
-            let section = section_of(&err);
-            let header = root.table.get(section.trim_matches(['[', ']']));
-            CompileError::at(
-                header.map_or(root.table.pos, |spanned| spanned.pos),
-                format!("{section} {err}"),
-            )
-        })?;
-        return Ok(vec![MatrixPoint {
-            label: base.label.clone(),
-            scenario: base,
-        }]);
-    }
-    let total: usize = axes
-        .iter()
-        .map(|a| a.values.len())
-        .try_fold(1usize, |acc, n| acc.checked_mul(n))
-        .unwrap_or(usize::MAX);
-    if total > MAX_MATRIX_POINTS {
-        return Err(CompileError::nowhere(format!(
-            "sweep axes expand to {total} matrix points, more than the {MAX_MATRIX_POINTS} cap"
-        )));
-    }
-    let mut points = Vec::with_capacity(total);
-    for point in 0..total {
-        let mut scenario = base.clone();
-        let mut assignments = Vec::with_capacity(axes.len());
-        // The axes are the digits of `point`, the last axis changing fastest.
-        let mut stride = total;
-        for axis in axes {
-            stride /= axis.values.len();
-            let value = axis.values[point / stride % axis.values.len()];
-            let assignment = format!("{}={}", axis.param, fmt_axis_value(value));
-            sweep_assign(&mut scenario, &axis.param, value).map_err(|rule| {
-                CompileError::nowhere(format!("sweep {assignment}: {} {rule}", axis.param))
-            })?;
-            assignments.push(assignment);
-        }
-        let label = assignments.join(", ");
-        scenario
-            .validate()
-            .map_err(|err| CompileError::nowhere(format!("{label}: {} {err}", section_of(&err))))?;
-        points.push(MatrixPoint { label, scenario });
-    }
-    Ok(points)
 }
 
 #[cfg(test)]
@@ -1212,8 +1037,10 @@ validity_s = 19.0
     fn sweep_errors_are_reported() {
         let source = format!("{MINIMAL}\n[[sweep]]\nparam = \"warp\"\nvalues = [1]\n");
         let err = compile_str(&source).unwrap_err();
+        // A point is decoded like the file, so the decoder names the key.
         assert!(
-            err.message.contains("unknown sweep parameter `warp`"),
+            err.message
+                .contains("sweep warp=1: [scenario] unknown key `warp`"),
             "{err}"
         );
         assert!(err.pos.is_some());
@@ -1225,7 +1052,8 @@ validity_s = 19.0
         let source = format!("{MINIMAL}\n[[sweep]]\nparam = \"nodes\"\nvalues = [2.5]\n");
         let err = compile_str(&source).unwrap_err();
         assert!(
-            err.message.contains("sweep nodes=2.5") && err.message.contains("non-negative integer"),
+            err.message.contains("sweep nodes=2.5")
+                && err.message.contains("`nodes` must be a integer"),
             "{err}"
         );
 
@@ -1236,13 +1064,13 @@ validity_s = 19.0
         let err = compile_str(&source).unwrap_err();
         assert!(err.message.contains("more than one axis"), "{err}");
 
-        // A sweep value that produces an invalid scenario names the point.
+        // A sweep value out of its key's range names the point.
         let source =
             format!("{MINIMAL}\n[[sweep]]\nparam = \"subscriber_fraction\"\nvalues = [0.5, 2.0]\n");
         let err = compile_str(&source).unwrap_err();
         assert!(
             err.message
-                .contains("subscriber_fraction must be within [0, 1], got 2"),
+                .contains("`subscriber_fraction` must be within [0, 1], got 2"),
             "{err}"
         );
     }
@@ -1295,7 +1123,7 @@ validity_s = 19.0
         );
         let err = compile_str(&source).unwrap_err();
         assert!(
-            err.message.contains("only applies to the frugal protocol"),
+            err.message.contains("only applies to kind = \"frugal\""),
             "{err}"
         );
     }
@@ -1384,17 +1212,12 @@ validity_s = 19.0
             SimDuration::from_millis(7)
         );
 
-        // The supported list is the tables: every entry assigns on a scenario
-        // that has its section, or says why it does not apply.
-        let supported = SweepAxis::supported();
-        assert_eq!(supported.len(), 30);
-        for param in &supported {
-            let mut scenario = compile_str(MINIMAL).unwrap().points.remove(0).scenario;
-            match sweep_assign(&mut scenario, param, 1.0) {
-                Ok(()) => {}
-                Err(reason) => assert_eq!(param, "mobility.length_m", "{reason}"),
-            }
-        }
+        // A sweep value is decoded where the file's value would be, so every
+        // row of every schema table sweeps, and a key a model does not have
+        // is refused as in a file.
+        let axis: SweepAxis = "mobility.length_m=1".parse().unwrap();
+        let err = compile_str_with_sweeps(MINIMAL, &[axis]).unwrap_err();
+        assert!(err.message.contains("unknown key `length_m`"), "{err}");
     }
 
     #[test]
@@ -1402,15 +1225,16 @@ validity_s = 19.0
         let (source, _) = MINIMAL.split_once("[[publication]]").unwrap();
         let axis: SweepAxis = "publication.bogus=1".parse().unwrap();
         let err = compile_str_with_sweeps(source, &[axis]).unwrap_err();
-        assert!(
-            err.message
-                .contains("unknown sweep parameter `publication.bogus`"),
-            "{err}"
-        );
-        // A known one compiles and has nothing to assign to.
+        let fragment = "`publication.bogus` names no scenario section of the file";
+        assert!(err.message.contains(fragment), "{err}");
+        // A known one has nothing to set either: its points would not differ.
         let axis: SweepAxis = "publication.payload_bytes=1".parse().unwrap();
-        let compiled = compile_str_with_sweeps(source, &[axis]).unwrap();
-        assert!(compiled.points[0].scenario.publications.is_empty());
+        let err = compile_str_with_sweeps(source, &[axis]).unwrap_err();
+        assert!(err.message.contains("names no scenario section"), "{err}");
+        // With publications, an unknown key is the decoder's unknown key.
+        let axis: SweepAxis = "publication.bogus=1".parse().unwrap();
+        let err = compile_str_with_sweeps(MINIMAL, &[axis]).unwrap_err();
+        assert!(err.message.contains("unknown key `bogus`"), "{err}");
     }
 
     #[test]

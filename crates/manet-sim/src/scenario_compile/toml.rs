@@ -96,6 +96,39 @@ impl Table {
             .map(|(_, v)| v)
     }
 
+    /// The value stored under `key`, mutably, if any.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Spanned<Value>> {
+        let entry = self.entries.iter_mut().find(|(k, _)| k.value == key);
+        entry.map(|(_, v)| v)
+    }
+
+    /// Stores `value` under `key`, replacing the entry already there.
+    pub fn insert(&mut self, key: Spanned<String>, value: Spanned<Value>) {
+        match self.entries.iter_mut().find(|(k, _)| k.value == key.value) {
+            Some(entry) => *entry = (key, value),
+            None => self.entries.push((key, value)),
+        }
+    }
+
+    /// Lays `over` onto this table key by key: where both hold a table under
+    /// the same key the two merge the same way; any other entry of `over`
+    /// (a value, an array, an array of tables) replaces this table's entry
+    /// or is appended.
+    pub fn merge(&mut self, over: Table) {
+        for (key, Spanned { pos, value }) in over.entries {
+            match (self.get_mut(&key.value), value) {
+                (
+                    Some(Spanned {
+                        value: Value::Table(base),
+                        ..
+                    }),
+                    Value::Table(over),
+                ) => base.merge(over),
+                (_, value) => self.insert(key, Spanned { pos, value }),
+            }
+        }
+    }
+
     /// The entries in insertion order.
     pub fn entries(&self) -> impl Iterator<Item = (&Spanned<String>, &Spanned<Value>)> {
         self.entries.iter().map(|(k, v)| (k, v))

@@ -1,35 +1,37 @@
 //! Frugality face-off: the frugal protocol against the three flooding variants.
 //!
-//! Runs the comparison behind the paper's Figures 17–20 at smoke-test scale and
-//! prints the four tables (bandwidth, events sent, duplicates, parasites) plus
-//! the headline ratios. Pass `--paper` for the full 150-node, 30-seed sweep.
+//! Runs the comparison behind the paper's Figures 17–20 — the figure file
+//! `figures/frugality.quick.toml` — and prints the four tables (bandwidth,
+//! events sent, duplicates, parasites) plus the headline ratios. Pass
+//! `--paper` for `figures/frugality.toml`, the full 150-node, 30-seed sweep.
 //!
 //! Run with: `cargo run --release --example frugality_faceoff [-- --paper]`
 
-use manet_sim::experiments::frugality::{run, FrugalityConfig};
+use manet_sim::{compile_path, run_matrix};
 
 fn main() {
     let paper_scale = std::env::args().any(|a| a == "--paper");
-    let config = if paper_scale {
+    let file = if paper_scale {
         println!("Running the full paper sweep (150 nodes, 30 seeds) — this takes a while.\n");
-        FrugalityConfig::paper()
+        "frugality.toml"
     } else {
         println!("Running the reduced smoke-test sweep (pass --paper for the full one).\n");
-        FrugalityConfig::quick()
+        "frugality.quick.toml"
     };
-
-    let tables = match run(&config) {
-        Ok(tables) => tables,
-        Err(err) => {
-            eprintln!("frugality comparison failed: {err}");
-            return;
-        }
+    let path = format!("{}/figures/{file}", env!("CARGO_MANIFEST_DIR"));
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let tables = compile_path(&path, &[])
+        .map_err(|err| err.to_string())
+        .and_then(|matrix| {
+            run_matrix(&matrix, workers, 1, |_, _, _| {}).map_err(|err| err.to_string())
+        });
+    let Ok([bandwidth_kb, events_sent, duplicates, parasites]) = tables.as_deref() else {
+        eprintln!("{path}: no four tables of Figs. 17-20: {:?}", tables.err());
+        return;
     };
-
-    println!("{}", tables.bandwidth_kb.to_markdown());
-    println!("{}", tables.events_sent.to_markdown());
-    println!("{}", tables.duplicates.to_markdown());
-    println!("{}", tables.parasites.to_markdown());
+    for table in [bandwidth_kb, events_sent, duplicates, parasites] {
+        println!("{}", table.to_markdown());
+    }
     println!(
         "(Fig. 20 note: at 100% interest every process subscribes to the measured\n\
          topic, so parasite events are structurally impossible and those rows are\n\
@@ -41,29 +43,19 @@ fn main() {
     // wastes the most — so quote them on the lowest-interest, most-events row.
     // The bandwidth claim (3x-4.5x) covers the whole sweep; quote it on the
     // densest row, where it is at its most conservative.
-    let sparse = headline_row(&tables.events_sent, RowChoice::SparsestInterest);
-    let dense = headline_row(&tables.events_sent, RowChoice::DensestInterest);
+    let sparse = headline_row(events_sent, RowChoice::SparsestInterest);
+    let dense = headline_row(events_sent, RowChoice::DensestInterest);
     if let (Some(sparse), Some(dense)) = (sparse, dense) {
-        let frugal_sent = tables.events_sent.value(&sparse, "frugal").unwrap_or(0.0);
-        let flood_sent = tables
-            .events_sent
-            .value(&sparse, "simple-flooding")
-            .unwrap_or(0.0);
-        let frugal_dup = tables.duplicates.value(&sparse, "frugal").unwrap_or(0.0);
-        let flood_dup = tables
-            .duplicates
+        let frugal_sent = events_sent.value(&sparse, "frugal").unwrap_or(0.0);
+        let flood_sent = events_sent.value(&sparse, "simple-flooding").unwrap_or(0.0);
+        let frugal_dup = duplicates.value(&sparse, "frugal").unwrap_or(0.0);
+        let flood_dup = duplicates
             .value(&sparse, "interests-aware-flooding")
             .unwrap_or(0.0);
-        let frugal_par = tables.parasites.value(&sparse, "frugal").unwrap_or(0.0);
-        let flood_par = tables
-            .parasites
-            .value(&sparse, "simple-flooding")
-            .unwrap_or(0.0);
-        let frugal_bw = tables.bandwidth_kb.value(&dense, "frugal").unwrap_or(0.0);
-        let flood_bw = tables
-            .bandwidth_kb
-            .value(&dense, "simple-flooding")
-            .unwrap_or(0.0);
+        let frugal_par = parasites.value(&sparse, "frugal").unwrap_or(0.0);
+        let flood_par = parasites.value(&sparse, "simple-flooding").unwrap_or(0.0);
+        let frugal_bw = bandwidth_kb.value(&dense, "frugal").unwrap_or(0.0);
+        let flood_bw = bandwidth_kb.value(&dense, "simple-flooding").unwrap_or(0.0);
         println!("Headline ratios (\"{sparse}\" for frugality, \"{dense}\" for bandwidth):");
         println!(
             "  events sent:  flooding / frugal = {:.0}x   (paper: 50-100x)",

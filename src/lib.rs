@@ -10,7 +10,8 @@
 //! * [`frugal`] — the paper's dissemination protocol and the flooding baselines;
 //! * [`mobility`] — random-waypoint and city-section mobility models;
 //! * [`netsim`] — broadcast radio medium and propagation;
-//! * [`manet_sim`] — scenario runner and per-figure experiments.
+//! * [`manet_sim`] — scenario runner and the scenario compiler that runs the
+//!   paper's figures from the files under `figures/`.
 //!
 //! The figure-reproduction binaries (`reproduce`, `validate`) live in the
 //! bins-only `bench` crate.
@@ -24,3 +25,6 @@ pub use mobility;
 pub use netsim;
 pub use pubsub;
 pub use simkit;
+
+#[cfg(test)]
+mod experiments;

@@ -209,6 +209,53 @@ fn zero_seed_runs_are_rejected() {
     assert!(err.pos.is_some(), "the key's position is reported");
 }
 
+/// A malformed axis, table or `extends` is a positioned error, not a panic.
+#[test]
+fn malformed_figure_files_are_positioned_errors() {
+    let axes = "[[sweep]]\nparam = \"nodes\"\nvalues = [4, 6]\n\
+                [[sweep]]\nparam = \"subscriber_fraction\"\nvalues = [0.5, 1.0]\n\
+                [[sweep]]\nparam = \"mobility.pause_s\"\nvalues = [1]\npool = true\n\
+                [[table]]\ntitle = \"t\"\nrow_header = \"r\"\n";
+    let zipped = "[[sweep]]\nparam = [\"radio.range_m\", \"x\"]\nvalues = [[9, 1], [8]]";
+    for (tail, fragment) in [
+        ("rows = [\"nodez\"]", "unknown axis `nodez`"),
+        (
+            "rows = [\"nodes\"]\ncolumns = \"subscriber_fraction\"\ncell = \"speed\"",
+            "unknown metric `speed`",
+        ),
+        (
+            "rows = [\"nodes\"]\ncolumns = []",
+            "`columns` must not be empty",
+        ),
+        (
+            "rows = [\"nodes\"]\ncolumns = [\"ci95\"]",
+            "`subscriber_fraction` must be one row, the column",
+        ),
+        (
+            "split = \"mobility.pause_s\"",
+            "axis `mobility.pause_s` is pooled into each cell",
+        ),
+        (
+            "[[sweep]]\nparam = \"x\"\nvalues = [1, 2]\nlabels = [\"a\"]",
+            "`labels` names 1 cases, but",
+        ),
+        (zipped, "each value must be a list of 2, one per `param`"),
+    ] {
+        let err = compile_str(&format!("{MINIMAL_OK}{axes}{tail}\n")).unwrap_err();
+        assert!(
+            err.message.contains(fragment) && err.pos.is_some(),
+            "{fragment}: {err}"
+        );
+    }
+    let err = compile_str(&format!("extends = \"base.toml\"\n{MINIMAL_OK}")).unwrap_err();
+    assert!(err.message.contains("only `compile_path` resolves") && err.pos.is_some());
+    // A cycle through two files names the file that closes it.
+    let cycle = format!("{}/tests/figures/cycle_a.toml", env!("CARGO_MANIFEST_DIR"));
+    let err = compile_path(cycle, &[]).unwrap_err();
+    assert!(err.message.contains("closes a cycle"), "{err}");
+    assert!(err.to_string().contains("cycle_b.toml: 2:11: "), "{err}");
+}
+
 /// The schema walk-through of `examples/README.md` is the documentation a
 /// config author copies from: it must keep compiling as the schema moves.
 #[test]
