@@ -7,7 +7,7 @@
 //! cargo run --release -p bench --bin reproduce -- --scenario FILE.toml [OPTIONS]
 //!
 //! OPTIONS: [--sweep param=v1,v2]... [--seeds N] [--first-seed N]
-//!          [--workers N] [--shards N|auto] [--verbose] [--csv]
+//!          [--workers N] [--shards N|auto] [--csv]
 //! ```
 //!
 //! `FIGURE` is one of `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`,
@@ -33,9 +33,7 @@
 //! `--shards` defaults to 1, the serial loop: on a 2-core host the
 //! repository benchmark measured two shards slower than one on every
 //! workload. `--shards auto` splits `available_parallelism()` across the
-//! seed workers (the header echoes the resolved count and the split);
-//! `--verbose` prints the sharded engine's debug counters — widened windows,
-//! fused batches, repartition passes — after each matrix point.
+//! seed workers (the header echoes the resolved count and the split).
 
 use manet_sim::{compile_path, run_matrix, SweepAxis};
 
@@ -74,7 +72,6 @@ struct Options {
     /// each seed worker an equal slice of `available_parallelism()` —
     /// `workers × shards ≈ cores`, the split the sharded runner documents.
     shards: Option<usize>,
-    verbose: bool,
 }
 
 fn cores() -> usize {
@@ -109,7 +106,6 @@ fn parse_args(args: &[String]) -> Options {
         first_seed: None,
         workers: cores(),
         shards: Some(1),
-        verbose: false,
     };
     let (mut figure, mut scenario, mut paper) = (None, None, false);
     let mut args = args.iter().map(String::as_str);
@@ -139,12 +135,11 @@ fn parse_args(args: &[String]) -> Options {
                     count => Some(positive(count, arg, "a world needs at least 1 shard")),
                 }
             }
-            "--verbose" => options.verbose = true,
             "--csv" => options.csv = true,
             "--paper" => paper = true,
             flag if flag.starts_with("--") => usage_error(&format!(
                 "unknown flag {flag:?}; expected --paper, --csv, --scenario, --sweep, \
-                 --seeds, --first-seed, --workers, --shards or --verbose"
+                 --seeds, --first-seed, --workers or --shards"
             )),
             name if figure.is_none() => figure = Some(name.to_lowercase()),
             extra => usage_error(&format!(
@@ -209,21 +204,7 @@ fn run_file(options: &Options, path: &str, only: Option<usize>) {
         shards,
         shards_note
     );
-    let tables = run_matrix(&matrix, options.workers, shards, |point, reports, stats| {
-        if options.verbose {
-            eprintln!(
-                "# point `{}`: windows_widened={} batches_fused={} repartitions={} \
-                 classify_fanouts={} (summed over {} seed(s))",
-                point.label,
-                stats.windows_widened,
-                stats.batches_fused,
-                stats.repartitions,
-                stats.classify_fanouts,
-                reports.len()
-            );
-        }
-    })
-    .unwrap_or_else(|err| failed(&err));
+    let tables = run_matrix(&matrix, options.workers, shards).unwrap_or_else(|err| failed(&err));
     let tables = match only {
         Some(only) => &tables[only..=only],
         None => &tables[..],

@@ -39,7 +39,8 @@ fn zero_seeds_is_a_usage_error() {
 
 /// Figure mode used to ignore a misspelt flag or a second experiment and run
 /// the smoke-scale figure anyway, and `--scenario` ignored `--paper`, which
-/// only picks a figure's file; `validate` takes no arguments at all.
+/// only picks a figure's file; `--verbose` went with the engine counters it
+/// printed; `validate` takes no arguments at all.
 #[test]
 fn unknown_arguments_are_usage_errors() {
     let reproduce = env!("CARGO_BIN_EXE_reproduce");
@@ -50,6 +51,7 @@ fn unknown_arguments_are_usage_errors() {
     for (binary, args) in [
         (reproduce, &["fig11", "--papr"][..]),
         (reproduce, &["fig11", "fig12"]),
+        (reproduce, &["fig11", "--verbose"]),
         (reproduce, &["--scenario", quickstart, "--paper"]),
         (env!("CARGO_BIN_EXE_validate"), &["--paper"]),
     ] {

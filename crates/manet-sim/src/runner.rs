@@ -11,8 +11,8 @@
 use crate::output::DataTable;
 use crate::report::{ExperimentPoint, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
-use crate::scenario_compile::{CompiledMatrix, MatrixPoint};
-use crate::world::{World, WorldArena, WorldDebugStats};
+use crate::scenario_compile::CompiledMatrix;
+use crate::world::{World, WorldArena};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -141,7 +141,7 @@ pub fn run_scenario_reports_with_workers<F>(
 where
     F: Fn(SeedProgress<'_>) + Sync,
 {
-    run_scenario_reports_configured(scenario, plan, workers, on_seed, |_| {}, |_| {})
+    run_scenario_reports_configured(scenario, plan, workers, on_seed, |_| {})
 }
 
 /// Like [`run_scenario_reports`], but every world steps its event loop across
@@ -168,74 +168,25 @@ pub fn run_scenario_reports_sharded(
         move |world| {
             world.set_shards(shards);
         },
-        |_| {},
     )
-}
-
-/// Like [`run_scenario_reports_sharded`], but also returns the sum of every
-/// run's [`World::debug_stats`] counters — how often the sharded engine's
-/// adaptive lookahead and cost repartitioning actually engaged across the
-/// sweep. The counters are observability only; the reports are identical to
-/// [`run_scenario_reports_sharded`]'s.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_sharded_with_stats(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    workers: usize,
-    shards: usize,
-) -> Result<(Vec<RunReport>, WorldDebugStats), ScenarioError> {
-    let totals = Mutex::new(WorldDebugStats::default());
-    let reports = run_scenario_reports_configured(
-        scenario,
-        plan,
-        workers,
-        |_| {},
-        move |world| {
-            world.set_shards(shards);
-        },
-        |world| {
-            let stats = world.debug_stats();
-            let mut totals = totals.lock();
-            totals.windows_widened += stats.windows_widened;
-            totals.batches_fused += stats.batches_fused;
-            totals.repartitions += stats.repartitions;
-            totals.classify_fanouts += stats.classify_fanouts;
-        },
-    )?;
-    Ok((reports, totals.into_inner()))
 }
 
 /// Runs every point of a compiled matrix over its seed plan, with `workers`
 /// seed workers and `shards` shards per world, and renders the matrix's
 /// tables. Each point's reports join its cell's aggregate in seed order, and
 /// the points of a cell in matrix order (so a pooled axis in value order).
-/// `on_point` sees each point's reports and summed [`WorldDebugStats`] as
-/// the point finishes.
 ///
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if a point's scenario fails validation.
-pub fn run_matrix<F>(
+pub fn run_matrix(
     matrix: &CompiledMatrix,
     workers: usize,
     shards: usize,
-    mut on_point: F,
-) -> Result<Vec<DataTable>, ScenarioError>
-where
-    F: FnMut(&MatrixPoint, &[RunReport], &WorldDebugStats),
-{
+) -> Result<Vec<DataTable>, ScenarioError> {
     let mut cells = vec![ExperimentPoint::new(); matrix.cells];
     for point in &matrix.points {
-        let (reports, stats) = run_scenario_reports_sharded_with_stats(
-            &point.scenario,
-            matrix.seeds,
-            workers,
-            shards,
-        )?;
-        on_point(point, &reports, &stats);
+        let reports = run_scenario_reports_sharded(&point.scenario, matrix.seeds, workers, shards)?;
         reports
             .iter()
             .for_each(|report| cells[point.cell].add(report));
@@ -244,22 +195,18 @@ where
 }
 
 /// The shared seed-sweep pool: `configure` is applied to every checked-out
-/// world before it runs and `observe` right after (before the world is
-/// recycled), so callers can flip doc-hidden toggles or the shard knob and
-/// read back per-run engine counters without duplicating the work-stealing
-/// loop.
-fn run_scenario_reports_configured<F, C, O>(
+/// world before it runs, so callers can set the shard knob without
+/// duplicating the work-stealing loop.
+fn run_scenario_reports_configured<F, C>(
     scenario: &Scenario,
     plan: SeedPlan,
     workers: usize,
     on_seed: F,
     configure: C,
-    observe: O,
 ) -> Result<Vec<RunReport>, ScenarioError>
 where
     F: Fn(SeedProgress<'_>) + Sync,
     C: Fn(&mut World) + Sync,
-    O: Fn(&World) + Sync,
 {
     scenario.validate()?;
     let seeds: Vec<u64> = plan.seeds().collect();
@@ -298,7 +245,6 @@ where
                             .expect("scenario validated before spawning workers");
                         configure(world);
                         let report = world.run_mut();
-                        observe(world);
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         on_seed(SeedProgress {
                             seed,

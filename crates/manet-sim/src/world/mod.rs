@@ -133,18 +133,21 @@ struct NodeMove {
     wake: SimTime,
 }
 
-/// Observability counters for the sharded engine's adaptive optimizations
-/// (see [`World::debug_stats`]). They measure engagement, not results: runs
-/// are bit-identical whether or not the counters advance.
+/// Observability counters of the sharded engine (see
+/// [`World::debug_stats`]). They measure engagement, not results: runs are
+/// bit-identical whether or not the counters advance.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorldDebugStats {
-    /// Conservative windows widened past one timestamp (≥ 2 batches fused
-    /// into a single worker round-trip).
+    /// Always 0: the widened windows, fused batches and repartition passes
+    /// these three fields counted were retired from the engine. They stay
+    /// only because the repository benchmark (`benchmark/src/workload.rs`)
+    /// reads them, and `benchmark/` changes only in a benchmark change,
+    /// which drops its three `manet_sim.shard.*` metrics and then these
+    /// fields.
     pub windows_widened: u64,
-    /// Total timestamp batches executed inside widened windows.
+    /// Always 0; see `windows_widened`.
     pub batches_fused: u64,
-    /// Cost-informed repartition passes evaluated between stepping epochs
-    /// (boundaries move only when the measured cost is skewed).
+    /// Always 0; see `windows_widened`.
     pub repartitions: u64,
     /// Completed frames whose reception classification was heavy enough to
     /// fan out to the shard workers.
@@ -165,12 +168,6 @@ struct NodeArrays {
     /// While a node is not moving, ticks strictly before its wake time are
     /// skipped entirely — no advance, no grid update, no RNG draw.
     wake_times: Vec<SimTime>,
-    /// Per-node work accumulators (EWMA at repartition granularity): shard
-    /// workers add one unit per mobility advance, fired protocol callback and
-    /// delivered message; the engine's periodic repartition feeds them to
-    /// [`simkit::BoundaryPartition::rebalance`] and then halves them. Only
-    /// wall-clock balance depends on these — never results.
-    cost: Vec<f32>,
 }
 
 /// Advances one node across the tick ending at `now`, catching up any skipped
@@ -271,15 +268,7 @@ struct Coordinator {
     woken: Vec<u32>,
     /// Scratch: the buffer `begin_tick` hands out as the due list.
     due: Vec<u32>,
-    /// True while **no transmission can exist**: no publication has been
-    /// dispatched and no broadcast has ever been committed this run. While it
-    /// holds, the sharded engine may widen its conservative window past the
-    /// radio lookahead (see `world::shard`): every frame slot is provably
-    /// free and the statically-quiet timer kinds cannot start traffic.
-    /// Cleared permanently (until the next populate) by the first publish
-    /// dispatch or broadcast commit — monotone, so checking it is race-free.
-    traffic_free: bool,
-    /// Engagement counters for the adaptive paths; zeroed by every populate.
+    /// Engagement counters of the sharded engine; zeroed by every populate.
     stats: WorldDebugStats,
     /// Scratch: every serial protocol callback appends into this one buffer;
     /// its action vector and the pooled message vectors inside it cycle in
@@ -301,9 +290,6 @@ impl Coordinator {
         for action in out.drain() {
             match action {
                 Action::Broadcast(message) => {
-                    // From here on transmissions may exist, so the adaptive
-                    // window must stop widening.
-                    self.traffic_free = false;
                     let jitter = self
                         .mac_rng
                         .jitter(self.scenario.radio.max_contention_jitter);
@@ -393,13 +379,9 @@ impl Coordinator {
         Some(pending)
     }
 
-    /// Publish prologue: closes the traffic-free window (a published event
-    /// can ride any later quiet timer — an empty-store `FloodTick` starts
-    /// broadcasting once the store fills — so it closes at the publish
-    /// dispatch, not at the first broadcast) and resolves the publisher,
-    /// drawing MAC randomness for the random choices.
+    /// Publish prologue: resolves the publisher, drawing MAC randomness for
+    /// the random choices.
     fn begin_publish(&mut self, index: u32) -> (Publication, usize) {
-        self.traffic_free = false;
         let publication = self.scenario.publications[index as usize].clone();
         let node_count = self.scenario.node_count;
         let publisher = match publication.publisher {
@@ -557,7 +539,6 @@ impl World {
             next_active: Vec::new(),
             woken: Vec::new(),
             due: Vec::new(),
-            traffic_free: true,
             stats: WorldDebugStats::default(),
             action_buf: ActionBuf::new(),
             outcome_scratch: Vec::new(),
@@ -724,14 +705,10 @@ impl World {
         core.wake_queue.clear();
         core.active.clear();
         core.active.extend(0..n as u32);
-        // No timer is armed before the run starts; no publication has run
-        // and no broadcast exists yet; the per-node cost accumulators and
-        // engagement counters restart with the run.
+        // No timer is armed before the run starts; the engagement counters
+        // restart with the run.
         core.timer_slots.clear();
         core.timer_slots.resize(n, [None; TimerKind::COUNT]);
-        core.traffic_free = true;
-        pop.cost.clear();
-        pop.cost.resize(n, 0.0);
         core.stats = WorldDebugStats::default();
 
         // Stagger the initial subscriptions over one heartbeat period so the
@@ -797,8 +774,8 @@ impl World {
     /// because every random draw and every scheduler mutation stays in the
     /// sequential dispatch order; only the pure per-node work (mobility
     /// integration, protocol callbacks, reception classification) runs
-    /// concurrently inside each conservative time window (see
-    /// [`World::lookahead`] and the `world::shard` module). The choice
+    /// concurrently within each same-timestamp batch, the conservative time
+    /// window of this model (see the `world::shard` module). The choice
     /// survives [`World::reset`].
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
@@ -809,50 +786,10 @@ impl World {
         self.shards
     }
 
-    /// Engagement counters of the sharded engine's adaptive paths (widened
-    /// windows, fused batches, repartition passes) for the run so far. Zeroed
-    /// by [`World::reset`]; purely observational.
+    /// Engagement counters of the sharded engine (classification fan-outs)
+    /// for the run so far. Zeroed by [`World::reset`]; purely observational.
     pub fn debug_stats(&self) -> WorldDebugStats {
         self.core.stats
-    }
-
-    /// The per-timer-kind quiet bound used by the adaptive window: entry
-    /// `kind.index()` is `Some(d)` iff firing that kind while `traffic_free`
-    /// holds is **provably quiet** — it emits no broadcast, touches no other
-    /// node and mutates the schedule only by re-arming itself at least `d`
-    /// after its own timestamp. `None` marks kinds that may broadcast or arm
-    /// other timers; a batch containing one ends the widened window.
-    ///
-    /// The table is derived statically from the protocol kind:
-    ///
-    /// * **Flooding** (all policies): `FloodTick` with an empty event store —
-    ///   guaranteed while no publish/broadcast ever happened — only prunes
-    ///   and re-arms at the fixed flood interval. Every other kind is
-    ///   conservative `None` (`Heartbeat` broadcasts under NeighborInterest;
-    ///   the rest are never armed by the baselines).
-    /// * **Frugal**: all `None`. Subscribing already broadcasts, so a frugal
-    ///   run leaves `traffic_free` within the first stagger window and the
-    ///   entries would be dead code; keeping them `None` means the window
-    ///   logic never needs the frugal timer semantics to be re-proven.
-    fn quiet_timer_bounds(&self) -> [Option<SimDuration>; TimerKind::COUNT] {
-        let mut bounds = [None; TimerKind::COUNT];
-        if matches!(self.core.scenario.protocol, ProtocolKind::Flooding(_)) {
-            bounds[TimerKind::FloodTick.index()] = Some(FloodingProtocol::PAPER_FLOOD_INTERVAL);
-        }
-        bounds
-    }
-
-    /// The conservative lookahead of parallel simulation for this scenario:
-    /// the minimum virtual time between a node's send decision and any other
-    /// node's reception ([`netsim::RadioConfig::min_latency`] — propagation is
-    /// instantaneous, so this is the air time of the smallest frame, one
-    /// clock millisecond). A frame begun inside one time window of this width
-    /// cannot be heard inside it, so windows of this width can be advanced
-    /// without cross-shard causality violations; with a 1 ms clock the window
-    /// degenerates to exactly one same-timestamp event batch, which is the
-    /// unit the sharded engine forks and joins on.
-    pub fn lookahead(&self) -> SimDuration {
-        self.core.scenario.radio.min_latency()
     }
 
     /// Runs the simulation to the end of the scenario and returns the report.

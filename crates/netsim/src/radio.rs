@@ -164,15 +164,6 @@ impl RadioConfig {
     pub fn wire_bytes(&self, payload_bytes: usize) -> u64 {
         (payload_bytes + self.overhead_bytes) as u64
     }
-
-    /// The minimum latency from one node's send decision to any other node's
-    /// reception: signal propagation is modeled as instantaneous, so the floor
-    /// is the air time of the smallest possible frame — one clock millisecond.
-    /// This is the conservative lookahead of parallel (sharded) simulation: a
-    /// frame begun in one time window cannot be heard before the next.
-    pub fn min_latency(&self) -> SimDuration {
-        self.air_time(0)
-    }
 }
 
 #[cfg(test)]

@@ -57,36 +57,26 @@ impl From<NodeId> for usize {
 }
 
 /// A partition of the dense node-index space `0..total` into contiguous
-/// shard ranges with **explicit, movable boundaries**, for splitting a
-/// world's per-node arrays across worker threads.
+/// shard ranges of equal counts, for splitting a world's per-node arrays
+/// across worker threads.
 ///
 /// Because ranges are contiguous and ascending, any ascending list of node
 /// indices decomposes into at most one contiguous run per shard — which is
 /// what lets a sharded simulator both split its structure-of-arrays state
 /// with `split_at_mut` and merge per-shard results back in ascending node
-/// order by walking shards in order.
-///
-/// [`BoundaryPartition::balanced`] starts from equal *counts* (shard sizes
-/// differ by at most one); a scheduler that measures per-node work can then
-/// call [`BoundaryPartition::rebalance`] between stepping epochs and move the
-/// boundaries toward equal *cost* — while keeping every structural invariant
-/// above: ranges cover `0..total` exactly once and (population permitting) no
-/// shard is empty.
+/// order by walking shards in order. Ranges cover `0..total` exactly once
+/// and (population permitting) no shard is empty.
 ///
 /// # Examples
 ///
 /// ```
 /// use simkit::BoundaryPartition;
 ///
-/// let mut part = BoundaryPartition::balanced(6, 2);
-/// assert_eq!(part.range(0), 0..3);
-/// // Most of the measured work lives in the first two nodes: the boundary
-/// // moves so each shard carries roughly half the total cost.
-/// assert!(part.rebalance(&[8.0, 8.0, 1.0, 1.0, 1.0, 1.0]));
-/// assert_eq!(part.range(0), 0..2);
-/// assert_eq!(part.range(1), 2..6);
-/// assert_eq!(part.owner(1), 0);
-/// assert_eq!(part.owner(2), 1);
+/// let part = BoundaryPartition::balanced(7, 2);
+/// assert_eq!(part.range(0), 0..4);
+/// assert_eq!(part.range(1), 4..7);
+/// assert_eq!(part.owner(3), 0);
+/// assert_eq!(part.owner(4), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryPartition {
@@ -144,60 +134,6 @@ impl BoundaryPartition {
     pub fn owner(&self, index: usize) -> usize {
         assert!(index < self.total(), "node index {index} out of range");
         self.bounds.partition_point(|&post| post <= index) - 1
-    }
-
-    /// Moves the shard boundaries toward equal per-shard **cost**: shard `s`
-    /// gets the maximal prefix of the remaining nodes whose cumulative cost
-    /// stays below `s + 1` equal shares of the total (always at least one
-    /// node, and never so many that a later shard would go empty). Returns
-    /// `true` if any boundary moved.
-    ///
-    /// The split is a deterministic function of `cost` alone, and — because
-    /// boundaries only redistribute *which shard advances which nodes*, never
-    /// the order the coordinator commits their results in — rebalancing can
-    /// never change simulation results, only wall-clock balance.
-    ///
-    /// Zero or negative totals (no work measured yet) leave the partition
-    /// untouched and return `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cost.len() != total()`.
-    pub fn rebalance(&mut self, cost: &[f32]) -> bool {
-        let total = self.total();
-        assert_eq!(cost.len(), total, "one cost entry per node");
-        let shards = self.len();
-        if shards <= 1 || total == 0 {
-            return false;
-        }
-        let total_cost: f64 = cost.iter().map(|&c| f64::from(c)).sum();
-        if total_cost <= 0.0 {
-            return false;
-        }
-        let share = total_cost / shards as f64;
-        let mut changed = false;
-        let mut acc = 0.0f64;
-        let mut cursor = 0usize;
-        for shard in 0..shards - 1 {
-            // This shard keeps at least one node, and leaves at least one for
-            // every shard after it.
-            let min_end = cursor + 1;
-            let max_end = total - (shards - shard - 1);
-            while cursor < min_end {
-                acc += f64::from(cost[cursor]);
-                cursor += 1;
-            }
-            let target = share * (shard + 1) as f64;
-            while cursor < max_end && acc < target {
-                acc += f64::from(cost[cursor]);
-                cursor += 1;
-            }
-            if self.bounds[shard + 1] != cursor {
-                self.bounds[shard + 1] = cursor;
-                changed = true;
-            }
-        }
-        changed
     }
 }
 
@@ -375,69 +311,6 @@ mod tests {
         assert_eq!(empty.len(), 1);
         assert_eq!(empty.range(0), 0..0);
         assert!(!empty.is_empty());
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_equalizes_cost() {
-        let mut part = BoundaryPartition::balanced(8, 2);
-        assert_eq!(part.range(0), 0..4);
-        // All the work sits in the first two nodes: shard 0 shrinks to them.
-        let cost = [10.0f32, 10.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5];
-        assert!(part.rebalance(&cost));
-        assert_eq!(part.range(0), 0..2);
-        assert_eq!(part.range(1), 2..8);
-        assert_partition_invariants(&part);
-        // A second pass with the same costs is a fixed point.
-        assert!(!part.rebalance(&cost));
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_keeps_every_shard_nonempty() {
-        // One node carries all the cost: every other shard still gets a node.
-        let mut part = BoundaryPartition::balanced(6, 4);
-        let mut cost = [0.0f32; 6];
-        cost[0] = 100.0;
-        part.rebalance(&cost);
-        assert_partition_invariants(&part);
-        for shard in 0..part.len() {
-            assert!(!part.range(shard).is_empty());
-        }
-        // Same with the cost at the far end.
-        let mut part = BoundaryPartition::balanced(6, 4);
-        let mut cost = [0.0f32; 6];
-        cost[5] = 100.0;
-        part.rebalance(&cost);
-        assert_partition_invariants(&part);
-        for shard in 0..part.len() {
-            assert!(!part.range(shard).is_empty());
-        }
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_ignores_empty_cost() {
-        let mut part = BoundaryPartition::balanced(10, 4);
-        let before = part.clone();
-        assert!(
-            !part.rebalance(&[0.0; 10]),
-            "zero total cost must be a no-op"
-        );
-        assert_eq!(part, before);
-        let mut single = BoundaryPartition::balanced(10, 1);
-        assert!(
-            !single.rebalance(&[1.0; 10]),
-            "one shard has nothing to move"
-        );
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_uniform_cost_stays_balanced() {
-        let mut part = BoundaryPartition::balanced(1003, 8);
-        part.rebalance(&vec![1.0f32; 1003]);
-        assert_partition_invariants(&part);
-        let sizes: Vec<usize> = (0..part.len()).map(|s| part.range(s).len()).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(max - min <= 1, "uniform cost must stay balanced: {sizes:?}");
     }
 
     #[test]

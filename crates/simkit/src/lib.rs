@@ -15,8 +15,8 @@
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
 //! * [`ids`] — dense 32-bit node ids ([`NodeId`]), bit-packed membership
-//!   sets ([`BitSet`]) and contiguous index partitions with movable
-//!   boundaries ([`BoundaryPartition`]) shared by the simulation layers;
+//!   sets ([`BitSet`]) and contiguous equal-count index partitions
+//!   ([`BoundaryPartition`]) shared by the simulation layers;
 //! * [`stats`] — streaming statistics ([`OnlineStats`]) for averaging the 30
 //!   runs per data point used throughout the paper's evaluation.
 //!

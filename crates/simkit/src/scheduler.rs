@@ -545,74 +545,6 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Like [`TimerWheel::peek_time`], but **never advances the floor past
-    /// `cap`**: if the earliest pending event is after `cap`, returns `None`
-    /// with the floor left at or below `cap` (whereas `peek_time` would have
-    /// cascaded the floor all the way to that event's timestamp).
-    ///
-    /// This is what lets a consumer probe the due horizon *speculatively* —
-    /// e.g. a conservative-window simulator draining a run of quiet batches —
-    /// and still schedule events between `cap` and the (unreached) next
-    /// event afterwards without them being clamped to a prematurely raised
-    /// floor. The floor invariant is unchanged: every pending event stays at
-    /// or after it.
-    pub fn peek_time_capped(&mut self, cap: SimTime) -> Option<SimTime> {
-        let cap_ms = cap.as_millis();
-        loop {
-            if self.live == 0 {
-                return None;
-            }
-            if let Some(time_ms) = self.staged {
-                if self.slot_has_live((time_ms & SLOT_MASK) as usize) {
-                    // A batch staged by an earlier (uncapped) peek may lie
-                    // beyond the cap; leave it staged for that peek to find.
-                    return (time_ms <= cap_ms).then(|| SimTime::from_millis(time_ms));
-                }
-                self.staged = None;
-            }
-            if self.base > cap_ms {
-                return None;
-            }
-            if self.wheel_live == 0 {
-                // Everything pending is far; jump only if the far horizon is
-                // within the cap (the uncapped peek would jump regardless).
-                self.prune_far_front();
-                debug_assert!(!self.far.is_empty(), "far_live > 0 but far list empty");
-                let front = self.slab[self.far[0] as usize].time_ms;
-                if front > cap_ms {
-                    return None;
-                }
-                self.base = self.base.max(front);
-                self.migrate_far();
-                continue;
-            }
-            self.migrate_far();
-            let cursor = (self.base & SLOT_MASK) as usize;
-            if let Some(index) = self.next_occupied(0, cursor) {
-                let slot_time = (self.base & !SLOT_MASK) | index as u64;
-                debug_assert!(slot_time >= self.base);
-                if slot_time > cap_ms {
-                    // The next occupied level-0 slot is beyond the cap. Any
-                    // live entry there is too; stop without raising the floor.
-                    return None;
-                }
-                if self.prune_slot(index) {
-                    self.base = slot_time;
-                    self.staged = Some(slot_time);
-                }
-                continue;
-            }
-            // This 256 ms rotation is empty. Every remaining event sits at or
-            // beyond the next boundary (entries within the current rotation
-            // always land in level 0), so crossing it is safe only while the
-            // boundary itself is within the cap.
-            if (self.base | SLOT_MASK) + 1 > cap_ms {
-                return None;
-            }
-            self.advance_boundary();
-        }
-    }
-
     /// Drains the whole batch of events sharing the earliest pending
     /// timestamp, provided that timestamp is `<= deadline`.
     ///
@@ -630,20 +562,6 @@ impl<E> TimerWheel<E> {
         if time > deadline {
             return None;
         }
-        self.drain_staged(time, out);
-        Some(time)
-    }
-
-    /// Like [`TimerWheel::pop_due_batch`], but probes with
-    /// [`TimerWheel::peek_time_capped`]: when nothing is due at or before
-    /// `cap`, the floor is left at or below `cap` instead of being cascaded
-    /// to the next pending event.
-    pub fn pop_due_batch_capped(
-        &mut self,
-        cap: SimTime,
-        out: &mut Vec<(EventHandle, E)>,
-    ) -> Option<SimTime> {
-        let time = self.peek_time_capped(cap)?;
         self.drain_staged(time, out);
         Some(time)
     }
@@ -1587,80 +1505,6 @@ mod wheel_tests {
             batch.clear();
         }
         assert_eq!(count, 10_000);
-    }
-
-    #[test]
-    fn capped_peek_does_not_raise_the_floor() {
-        let ms = SimTime::from_millis;
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(ms(10_000), "late");
-        // Nothing due within the cap; crucially, the floor must stay at or
-        // below the cap (an uncapped peek would cascade it to 10 000).
-        assert_eq!(wheel.peek_time_capped(ms(2_000)), None);
-        // A schedule between the cap and the late event must therefore fire
-        // at its own time, not clamped to a prematurely raised floor.
-        wheel.schedule(ms(3_000), "mid");
-        assert_eq!(wheel.pop(), Some((ms(3_000), "mid")));
-        assert_eq!(wheel.pop(), Some((ms(10_000), "late")));
-    }
-
-    #[test]
-    fn capped_pop_drains_only_within_cap() {
-        let ms = SimTime::from_millis;
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(ms(100), 100);
-        wheel.schedule(ms(150), 150);
-        wheel.schedule(ms(800), 800);
-        let mut batch = Vec::new();
-        assert_eq!(
-            wheel.pop_due_batch_capped(ms(500), &mut batch),
-            Some(ms(100))
-        );
-        batch.clear();
-        assert_eq!(
-            wheel.pop_due_batch_capped(ms(500), &mut batch),
-            Some(ms(150))
-        );
-        batch.clear();
-        assert_eq!(wheel.pop_due_batch_capped(ms(500), &mut batch), None);
-        assert!(batch.is_empty());
-        // The floor stayed at or below 500: a late-arriving 400 ms event
-        // still fires at 400 ms, before the 800 ms one.
-        wheel.schedule(ms(400), 400);
-        assert_eq!(wheel.pop(), Some((ms(400), 400)));
-        assert_eq!(wheel.pop(), Some((ms(800), 800)));
-    }
-
-    #[test]
-    fn capped_peek_crosses_rotations_only_within_cap() {
-        let ms = SimTime::from_millis;
-        // 10 ms and 300 ms sit in different 256 ms level-0 rotations.
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(ms(10), 10);
-        wheel.schedule(ms(300), 300);
-        let mut batch = Vec::new();
-        assert_eq!(
-            wheel.pop_due_batch_capped(ms(280), &mut batch),
-            Some(ms(10))
-        );
-        batch.clear();
-        // The 256 boundary is within the cap, so it may be crossed, but the
-        // 300 ms slot is beyond the cap and must not raise the floor.
-        assert_eq!(wheel.pop_due_batch_capped(ms(280), &mut batch), None);
-        wheel.schedule(ms(290), 290);
-        assert_eq!(wheel.pop(), Some((ms(290), 290)));
-        assert_eq!(wheel.pop(), Some((ms(300), 300)));
-    }
-
-    #[test]
-    fn capped_peek_leaves_far_events_untouched() {
-        let ms = SimTime::from_millis;
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(ms(3 * WHEEL_SPAN_MS), 1);
-        assert_eq!(wheel.peek_time_capped(ms(5_000)), None);
-        wheel.schedule(ms(4_000), 2);
-        assert_eq!(wheel.pop(), Some((ms(4_000), 2)));
-        assert_eq!(wheel.pop(), Some((ms(3 * WHEEL_SPAN_MS), 1)));
     }
 }
 

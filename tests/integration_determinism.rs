@@ -543,6 +543,11 @@ fn sharded_worlds_reproduce_single_threaded_reports_at_every_shard_count() {
     let scenarios = [
         scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default()), rw()),
         scenario(
+            ProtocolKind::Frugal(ProtocolConfig::paper_default()),
+            MobilityKind::CityCampus,
+        ),
+        scenario(ProtocolKind::Flooding(FloodingPolicy::Simple), rw()),
+        scenario(
             ProtocolKind::Flooding(FloodingPolicy::InterestAware),
             MobilityKind::CityCampus,
         ),
@@ -550,6 +555,7 @@ fn sharded_worlds_reproduce_single_threaded_reports_at_every_shard_count() {
         wake_heavy(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
         wake_heavy(ProtocolKind::Flooding(FloodingPolicy::Simple)),
         timer_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
+        timer_dense(ProtocolKind::Flooding(FloodingPolicy::Simple)),
         timer_dense(ProtocolKind::Flooding(FloodingPolicy::NeighborInterest)),
         traffic_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
         traffic_dense_moving(ProtocolKind::Frugal(ProtocolConfig::paper_default())),

@@ -4,8 +4,8 @@
 //! default) and the sharded engine, which splits the node population into
 //! contiguous [`simkit::BoundaryPartition`] ranges and steps each
 //! same-timestamp batch (the degenerate conservative time window of this
-//! model, see [`World::lookahead`]; widened adaptively while the air is
-//! provably silent) with the pure per-node work fanned out to worker threads,
+//! model: the shortest frame is on the air for one clock millisecond) with
+//! the pure per-node work fanned out to worker threads,
 //! while every random draw and every scheduler mutation stays in the
 //! sequential dispatch order. None of that may change a single bit of any
 //! run: these properties pin whole `RunReport`s bit-identical between the
@@ -88,14 +88,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The oracle test: the default engine at 1, 2 and 4 shards — the serial
-    /// loop and the sharded engine, adaptive windows and cost-balanced
-    /// boundaries included — reproduces the naive oracle's whole `RunReport`
-    /// on random scenarios across all four protocol variants and the
-    /// random-waypoint, city-section and stationary models, on a fresh world
-    /// and again on the same world recycled for the next seed. The
-    /// publication keeps the flooding runs traffic-free only up to 4 s, so
-    /// the fused, the terminated and the per-timestamp paths are all
-    /// exercised.
+    /// loop and the sharded engine — reproduces the naive oracle's whole
+    /// `RunReport` on random scenarios across all four protocol variants and
+    /// the random-waypoint, city-section and stationary models, on a fresh
+    /// world and again on the same world recycled for the next seed.
     #[test]
     fn default_engine_matches_naive_oracle(
         seed in 0u64..1_000_000,
