@@ -73,7 +73,7 @@ pub use output::DataTable;
 pub use report::{EventOutcome, ExperimentPoint, NodeReport, RunReport};
 pub use runner::{
     run_matrix, run_scenario, run_scenario_reports, run_scenario_reports_sharded,
-    run_scenario_reports_with_progress, run_scenario_reports_with_workers, SeedPlan, SeedProgress,
+    run_scenario_reports_with_workers, SeedPlan, SeedProgress,
 };
 pub use scenario::{
     MobilityKind, ProtocolKind, Publication, PublisherChoice, Scenario, ScenarioBuilder,

@@ -5,14 +5,15 @@
 //! parallel on a chunked work-stealing pool, one thread per available core —
 //! and aggregates the reports into an [`ExperimentPoint`]. Long sweeps can
 //! observe per-seed completion through
-//! [`run_scenario_reports_with_progress`]. [`run_matrix`] runs every point
-//! of a compiled scenario file and renders the file's tables.
+//! [`run_scenario_reports_with_workers`]. [`run_matrix`] runs every point
+//! of a compiled scenario file and renders the file's tables. Every entry
+//! point runs the one seed pool, whose only world setting is the shard count.
 
 use crate::output::DataTable;
 use crate::report::{ExperimentPoint, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
 use crate::scenario_compile::CompiledMatrix;
-use crate::world::{World, WorldArena};
+use crate::world::WorldArena;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -60,7 +61,6 @@ impl SeedPlan {
 ///
 /// Returns a [`ScenarioError`] if the scenario fails validation.
 pub fn run_scenario(scenario: &Scenario, plan: SeedPlan) -> Result<ExperimentPoint, ScenarioError> {
-    scenario.validate()?;
     let reports = run_scenario_reports(scenario, plan)?;
     let mut point = ExperimentPoint::new();
     for report in &reports {
@@ -70,7 +70,7 @@ pub fn run_scenario(scenario: &Scenario, plan: SeedPlan) -> Result<ExperimentPoi
 }
 
 /// Progress notification for one completed seed, handed to the callback of
-/// [`run_scenario_reports_with_progress`].
+/// [`run_scenario_reports_with_workers`].
 #[derive(Debug, Clone, Copy)]
 pub struct SeedProgress<'a> {
     /// The seed whose run just finished.
@@ -93,41 +93,25 @@ pub fn run_scenario_reports(
     scenario: &Scenario,
     plan: SeedPlan,
 ) -> Result<Vec<RunReport>, ScenarioError> {
-    run_scenario_reports_with_progress(scenario, plan, |_| {})
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    run_scenario_reports_with_workers(scenario, plan, workers, |_| {})
 }
 
-/// Like [`run_scenario_reports`], but invokes `on_seed` after every completed
-/// run (from the worker thread that ran it), so long sweeps can stream
-/// progress to a UI or log.
+/// Like [`run_scenario_reports`], but with an explicit number of worker
+/// threads (clamped to at least 1 and at most one per seed), and invoking
+/// `on_seed` after every completed run (from the worker thread that ran it),
+/// so long sweeps can stream progress to a UI or log. Reports are identical
+/// for every worker count — seeds fully determine runs and each worker
+/// recycles its own world arena — which the integration determinism suite
+/// pins across 1, 2 and `available_parallelism()` workers.
 ///
 /// Seeds are distributed over a chunked work-stealing pool: each worker
 /// repeatedly claims a contiguous chunk of the seed list through one atomic
 /// counter, so threads that draw slow seeds (denser layouts, more collisions)
 /// steal less work while fast threads keep the pool busy, and contention on
 /// the counter stays low even for plans with thousands of seeds.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_with_progress<F>(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    on_seed: F,
-) -> Result<Vec<RunReport>, ScenarioError>
-where
-    F: Fn(SeedProgress<'_>) + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    run_scenario_reports_with_workers(scenario, plan, workers, on_seed)
-}
-
-/// Like [`run_scenario_reports_with_progress`], but with an explicit number of
-/// worker threads (clamped to at least 1 and at most one per seed). Reports
-/// are identical for every worker count — seeds fully determine runs and each
-/// worker recycles its own world arena — which the integration determinism
-/// suite pins across 1, 2 and `available_parallelism()` workers.
 ///
 /// # Errors
 ///
@@ -141,14 +125,14 @@ pub fn run_scenario_reports_with_workers<F>(
 where
     F: Fn(SeedProgress<'_>) + Sync,
 {
-    run_scenario_reports_configured(scenario, plan, workers, on_seed, |_| {})
+    run_scenario_reports_configured(scenario, plan, workers, 1, on_seed)
 }
 
 /// Like [`run_scenario_reports`], but every world steps its event loop across
-/// `shards` shard threads (see [`World::set_shards`]). Reports are
-/// bit-identical to the single-shard runner for every shard count — sharding
-/// changes wall-clock time, never results. Seed-level parallelism and
-/// shard-level parallelism multiply, so sweeps should split the machine:
+/// `shards` shard threads (see [`World::set_shards`](crate::World::set_shards)).
+/// Reports are bit-identical to the single-shard runner for every shard count
+/// — sharding changes wall-clock time, never results. Seed-level parallelism
+/// and shard-level parallelism multiply, so sweeps should split the machine:
 /// `workers × shards ≈ available_parallelism()`.
 ///
 /// # Errors
@@ -160,15 +144,7 @@ pub fn run_scenario_reports_sharded(
     workers: usize,
     shards: usize,
 ) -> Result<Vec<RunReport>, ScenarioError> {
-    run_scenario_reports_configured(
-        scenario,
-        plan,
-        workers,
-        |_| {},
-        move |world| {
-            world.set_shards(shards);
-        },
-    )
+    run_scenario_reports_configured(scenario, plan, workers, shards, |_| {})
 }
 
 /// Runs every point of a compiled matrix over its seed plan, with `workers`
@@ -194,19 +170,17 @@ pub fn run_matrix(
     Ok(matrix.render(&cells))
 }
 
-/// The shared seed-sweep pool: `configure` is applied to every checked-out
-/// world before it runs, so callers can set the shard knob without
-/// duplicating the work-stealing loop.
-fn run_scenario_reports_configured<F, C>(
+/// The shared seed-sweep pool: every checked-out world runs at `shards`
+/// shards.
+fn run_scenario_reports_configured<F>(
     scenario: &Scenario,
     plan: SeedPlan,
     workers: usize,
+    shards: usize,
     on_seed: F,
-    configure: C,
 ) -> Result<Vec<RunReport>, ScenarioError>
 where
     F: Fn(SeedProgress<'_>) + Sync,
-    C: Fn(&mut World) + Sync,
 {
     scenario.validate()?;
     let seeds: Vec<u64> = plan.seeds().collect();
@@ -243,7 +217,7 @@ where
                         let world = arena
                             .checkout(scenario, seed)
                             .expect("scenario validated before spawning workers");
-                        configure(world);
+                        world.set_shards(shards);
                         let report = world.run_mut();
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         on_seed(SeedProgress {
@@ -352,7 +326,7 @@ mod tests {
         let scenario = tiny_scenario();
         let seen = Mutex::new(Vec::new());
         let reports =
-            run_scenario_reports_with_progress(&scenario, SeedPlan::new(3, 5), |progress| {
+            run_scenario_reports_with_workers(&scenario, SeedPlan::new(3, 5), 2, |progress| {
                 assert_eq!(progress.total, 5);
                 assert!(progress.completed >= 1 && progress.completed <= 5);
                 assert_eq!(progress.report.seed, progress.seed);

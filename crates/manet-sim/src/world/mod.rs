@@ -133,25 +133,21 @@ struct NodeMove {
     wake: SimTime,
 }
 
-/// Observability counters of the sharded engine (see
-/// [`World::debug_stats`]). They measure engagement, not results: runs are
-/// bit-identical whether or not the counters advance.
+/// Former engagement counters of the sharded engine (see
+/// [`World::debug_stats`]), all always 0: the widened windows, fused batches,
+/// repartition passes and classification fan-outs they counted were retired
+/// from the engine.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorldDebugStats {
-    /// Always 0: the widened windows, fused batches and repartition passes
-    /// these three fields counted were retired from the engine. They stay
-    /// only because the repository benchmark (`benchmark/src/workload.rs`)
-    /// reads them, and `benchmark/` changes only in a benchmark change,
-    /// which drops its three `manet_sim.shard.*` metrics and then these
-    /// fields.
+    /// Always 0. The three fields stay only because the repository
+    /// benchmark (`benchmark/src/workload.rs`) reads them, and `benchmark/`
+    /// changes only in a benchmark change, which drops its three
+    /// `manet_sim.shard.*` metrics and then this struct.
     pub windows_widened: u64,
     /// Always 0; see `windows_widened`.
     pub batches_fused: u64,
     /// Always 0; see `windows_widened`.
     pub repartitions: u64,
-    /// Completed frames whose reception classification was heavy enough to
-    /// fan out to the shard workers.
-    pub classify_fanouts: u64,
 }
 
 /// The per-node state, structure-of-arrays (indexed by `NodeId::index`):
@@ -268,8 +264,6 @@ struct Coordinator {
     woken: Vec<u32>,
     /// Scratch: the buffer `begin_tick` hands out as the due list.
     due: Vec<u32>,
-    /// Engagement counters of the sharded engine; zeroed by every populate.
-    stats: WorldDebugStats,
     /// Scratch: every serial protocol callback appends into this one buffer;
     /// its action vector and the pooled message vectors inside it cycle in
     /// place, so the steady-state event path performs no allocation.
@@ -539,7 +533,6 @@ impl World {
             next_active: Vec::new(),
             woken: Vec::new(),
             due: Vec::new(),
-            stats: WorldDebugStats::default(),
             action_buf: ActionBuf::new(),
             outcome_scratch: Vec::new(),
             batch_scratch: Vec::new(),
@@ -705,11 +698,9 @@ impl World {
         core.wake_queue.clear();
         core.active.clear();
         core.active.extend(0..n as u32);
-        // No timer is armed before the run starts; the engagement counters
-        // restart with the run.
+        // No timer is armed before the run starts.
         core.timer_slots.clear();
         core.timer_slots.resize(n, [None; TimerKind::COUNT]);
-        core.stats = WorldDebugStats::default();
 
         // Stagger the initial subscriptions over one heartbeat period so the
         // network does not start with every node beaconing in the same slot.
@@ -771,25 +762,20 @@ impl World {
     /// Splits the event loop's per-node work across `shards` worker threads
     /// (clamped to at least 1; 1 keeps the serial loop). Sharded runs are
     /// **bit-identical** to serial ones — same reports, same RNG streams —
-    /// because every random draw and every scheduler mutation stays in the
-    /// sequential dispatch order; only the pure per-node work (mobility
-    /// integration, protocol callbacks, reception classification) runs
-    /// concurrently within each same-timestamp batch, the conservative time
-    /// window of this model (see the `world::shard` module). The choice
-    /// survives [`World::reset`].
+    /// because every random draw and every scheduler mutation, reception
+    /// included, stays in the sequential dispatch order; only the per-node
+    /// work (mobility integration, protocol callbacks) runs concurrently
+    /// within each same-timestamp batch, the conservative time window of
+    /// this model (see the `world::shard` module). The choice survives
+    /// [`World::reset`].
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
 
-    /// The configured shard count (see [`World::set_shards`]).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Engagement counters of the sharded engine (classification fan-outs)
-    /// for the run so far. Zeroed by [`World::reset`]; purely observational.
+    /// The retired engagement counters of the sharded engine: always
+    /// [`WorldDebugStats::default`], kept for the repository benchmark.
     pub fn debug_stats(&self) -> WorldDebugStats {
-        self.core.stats
+        WorldDebugStats::default()
     }
 
     /// Runs the simulation to the end of the scenario and returns the report.

@@ -16,15 +16,15 @@
 //! partition inside a time window bounded by the **lookahead** — the minimum
 //! virtual latency between partitions. Here propagation is instantaneous and
 //! the shortest frame occupies the air for one clock millisecond (the air
-//! time of an empty frame, [`RadioConfig::air_time`]), while every pair of
+//! time of an empty frame, [`netsim::RadioConfig::air_time`]), while every pair of
 //! nodes can become neighbors within a tick — so the conservative window is
 //! exactly one millisecond: one same-timestamp event batch, precisely what
 //! the scheduler already drains in one call. The engine therefore forks and
 //! joins **per batch**: it is the degenerate-but-honest instantiation of
 //! windowed conservative stepping for this model, not an approximation of
-//! it. (Windows widened over traffic-free stretches, and boundaries moved
-//! toward measured per-node cost, were tried and retired: no timed workload
-//! engaged them — see ARCHITECTURE.md.)
+//! it. (Windows widened over traffic-free stretches, boundaries moved toward
+//! measured per-node cost and classification fanned out on heavy frames were
+//! tried and retired: none paid on a timed workload — see ARCHITECTURE.md.)
 //!
 //! # What may run in parallel (and what must not)
 //!
@@ -33,14 +33,15 @@
 //! sequential resources pin the commit order: the MAC RNG (contention jitter,
 //! fringe draws, publisher choice — one draw order) and the scheduler's
 //! sequence numbers (same-timestamp FIFO). Everything touching either is
-//! executed by the coordinator in exact dispatch order. What parallelizes is
-//! the *pure* per-node work, which dominates the per-event cost:
+//! executed by the coordinator in exact dispatch order, reception included:
+//! a frame completes through the serial loop's own medium call. What
+//! parallelizes is the per-node work, on the shard that owns the node:
 //!
 //! * mobility integration (each node's position/RNG/pause state is private);
 //! * protocol callbacks (`subscribe`/`handle_timer`/`handle_message` read only
 //!   the acting node's state plus an immutable message — they *emit* actions
-//!   into a buffer instead of touching the world);
-//! * reception classification (pure function of snapshot + positions).
+//!   into a buffer instead of touching the world), `publish` included;
+//! * the warm-up boundary's metrics snapshot.
 //!
 //! The proof obligations are local: a protocol callback cannot observe
 //! another node's state; [`Coordinator::commit`] mutates only coordinator
@@ -79,7 +80,6 @@
 //! (time, seq, NodeId) order, since batches are already (time, seq)-ordered.
 
 use super::*;
-use netsim::{CompletionSnapshot, RadioConfig, ReceptionClass};
 use simkit::BoundaryPartition;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -109,15 +109,6 @@ fn spin_budget(shards: usize) -> u32 {
         0
     }
 }
-
-/// Distance checks one completed frame needs — its in-range receivers times
-/// (one fringe check + one check per interferer the medium kept, i.e. per
-/// overlapping frame sent from within two ranges of it) — above which
-/// reception classification fans out to the workers. Only a neighborhood of
-/// hundreds under a storm gets there. Classification is pure, so this affects
-/// speed only — results are identical at every shard count and every
-/// threshold.
-const PARALLEL_CLASSIFY_MIN_WORK: usize = 1_024;
 
 /// A single-consumer mailbox tuned for microsecond fork/join round trips:
 /// senders push under a (shim) mutex and bump an atomic length; the receiver
@@ -263,12 +254,6 @@ enum Work {
         items: Vec<ProtocolItem>,
         bufs: Vec<ActionBuf>,
     },
-    /// Classify one chunk of candidate receivers against a completed frame.
-    Classify {
-        snapshot: Arc<CompletionSnapshot>,
-        config: RadioConfig,
-        receivers: Vec<(u32, Point)>,
-    },
     /// Deliver a received frame to these owned receivers (ascending).
     Deliver {
         now: SimTime,
@@ -300,9 +285,6 @@ enum Reply {
     Protocol {
         fired: Vec<bool>,
         bufs: Vec<ActionBuf>,
-    },
-    Classify {
-        classes: Vec<ReceptionClass>,
     },
     Deliver {
         bufs: Vec<ActionBuf>,
@@ -419,19 +401,6 @@ fn do_deliver(
     }
 }
 
-/// Classifies one run of a completed frame's receivers, each with its
-/// position, in the order given.
-fn classify_run(
-    snapshot: &CompletionSnapshot,
-    config: &RadioConfig,
-    receivers: &[(u32, Point)],
-) -> Vec<ReceptionClass> {
-    receivers
-        .iter()
-        .map(|&(receiver, position)| snapshot.classify(config, receiver as usize, position))
-        .collect()
-}
-
 /// The worker thread: serve phase requests for one shard until `Exit`, with
 /// a [`DeathFlag`] up for the whole loop.
 fn worker_loop(
@@ -458,16 +427,6 @@ fn worker_loop(
                 let fired = do_protocol(&mut chunk, &mut overlay, now, &items, &mut bufs);
                 Reply::Protocol { fired, bufs }
             }
-            // `snapshot` / `message` are this worker's `Arc` clones: the arm
-            // drops them before the reply is sent, so the coordinator can
-            // reclaim the buffers with `Arc::try_unwrap`.
-            Work::Classify {
-                snapshot,
-                config,
-                receivers,
-            } => Reply::Classify {
-                classes: classify_run(&snapshot, &config, &receivers),
-            },
             Work::Deliver {
                 now,
                 message,
@@ -577,8 +536,6 @@ impl World {
                 buf_pool: Vec::new(),
                 bufvec_pool: Vec::new(),
                 item_lists: (0..part.len()).map(|_| Vec::new()).collect(),
-                snapshot: CompletionSnapshot::default(),
-                classes: Vec::new(),
                 received: Vec::new(),
             };
             engine.run(deadline);
@@ -611,8 +568,6 @@ struct Engine<'w, 'mb> {
     bufvec_pool: Vec<Vec<ActionBuf>>,
     /// Per-shard item lists of the protocol segment being built.
     item_lists: Vec<Vec<ProtocolItem>>,
-    snapshot: CompletionSnapshot,
-    classes: Vec<ReceptionClass>,
     received: Vec<u32>,
 }
 
@@ -663,10 +618,6 @@ impl Engine<'_, '_> {
             debug_assert!(self.reply_slots[shard].is_none(), "double reply");
             self.reply_slots[shard] = Some(reply);
         }
-    }
-
-    fn take_buf(&mut self) -> ActionBuf {
-        self.buf_pool.pop().unwrap_or_default()
     }
 
     fn take_bufs(&mut self, count: usize) -> Vec<ActionBuf> {
@@ -775,86 +726,31 @@ impl Engine<'_, '_> {
         }
     }
 
-    /// Frame completion: snapshot (with its receivers) at the coordinator,
-    /// classification fanned out when heavy, fringe draws and counter updates
-    /// sequential ascending (RNG order), delivery callbacks fanned out to the
-    /// receivers' owners, commits sequential ascending.
+    /// Frame completion: reception resolves at the coordinator exactly as in
+    /// the serial loop (one MAC RNG draw order), then the delivery callbacks
+    /// fan out to the receivers' owners and commit sequential ascending.
     fn on_tx_end(&mut self, frame: u32, tx: TxId) {
         let Some(pending) = self.core.take_frame(frame) else {
             return;
         };
-        let mut snapshot = std::mem::take(&mut self.snapshot);
-        self.core.medium.begin_completion(tx, &mut snapshot);
-        let mut classes = std::mem::take(&mut self.classes);
-        classes.clear();
-        let medium = &self.core.medium;
-        let classify_own =
-            |snapshot: &CompletionSnapshot, own: &[usize], classes: &mut Vec<ReceptionClass>| {
-                classes.extend(own.iter().map(|&receiver| {
-                    snapshot.classify(medium.config(), receiver, medium.position(receiver))
-                }));
-            };
-        let work = snapshot.receivers().len() * (snapshot.interferer_count() + 1);
-        let parallel = !self.inboxes.is_empty() && work >= PARALLEL_CLASSIFY_MIN_WORK;
-        if parallel {
-            let shard_count = self.part.len();
-            let shared = Arc::new(snapshot);
-            let mut chunks = shared
-                .receivers()
-                .chunks(shared.receivers().len().div_ceil(shard_count));
-            let own = chunks.next().unwrap_or_default();
-            let mut outstanding = 0;
-            for (inbox, run) in self.inboxes.iter().zip(chunks) {
-                // Receivers travel with their current positions.
-                let receivers = run
-                    .iter()
-                    .map(|&receiver| (receiver as u32, medium.position(receiver)))
-                    .collect();
-                inbox.send(Work::Classify {
-                    snapshot: Arc::clone(&shared),
-                    config: medium.config().clone(),
-                    receivers,
-                });
-                outstanding += 1;
-            }
-            classify_own(&shared, own, &mut classes);
-            self.collect_replies(outstanding);
-            for slot in &mut self.reply_slots[1..=outstanding] {
-                match slot.take() {
-                    Some(Reply::Classify { classes: chunk }) => classes.extend(chunk),
-                    _ => unreachable!("mismatched reply kind"),
-                }
-            }
-            let Ok(reclaimed) = Arc::try_unwrap(shared) else {
-                unreachable!("workers drop their snapshot clones before replying")
-            };
-            snapshot = reclaimed;
-        } else {
-            classify_own(&snapshot, snapshot.receivers(), &mut classes);
-        }
-        self.core.stats.classify_fanouts += u64::from(parallel);
-        // Sequential half: fringe draws + counters, ascending receiver order.
+        let core = &mut *self.core;
+        core.outcome_scratch.clear();
+        core.medium
+            .complete_transmission_into(tx, &mut core.mac_rng, &mut core.outcome_scratch);
         let mut received = std::mem::take(&mut self.received);
         received.clear();
-        for (&receiver, &class) in snapshot.receivers().iter().zip(classes.iter()) {
-            let outcome = self.core.medium.resolve_classified(
-                &snapshot,
-                receiver,
-                class,
-                &mut self.core.mac_rng,
-            );
-            if outcome == ReceptionOutcome::Received {
-                received.push(receiver as u32);
-            }
-        }
+        received.extend(
+            core.outcome_scratch
+                .iter()
+                .filter(|&&(_, outcome)| outcome == ReceptionOutcome::Received)
+                .map(|&(receiver, _)| receiver as u32),
+        );
         if received.is_empty() {
-            self.core.action_buf.recycle_message(pending.message);
+            core.action_buf.recycle_message(pending.message);
         } else {
             self.deliver(&received, pending.message);
         }
         self.received = received;
-        self.classes = classes;
-        self.snapshot = snapshot;
     }
 
     /// Routes a received frame to the owning shards of its receivers
@@ -898,8 +794,8 @@ impl Engine<'_, '_> {
             }
             self.return_bufs(bufs);
         }
-        // All worker clones were dropped before their replies; reclaim the
-        // message's vectors for the next broadcast.
+        // Each worker's clone dropped with its `Work::Deliver` before the
+        // reply; reclaim the message's vectors for the next broadcast.
         if let Ok(message) = Arc::try_unwrap(message) {
             self.core.action_buf.recycle_message(message);
         }
@@ -950,7 +846,7 @@ impl Engine<'_, '_> {
     fn on_publish(&mut self, index: u32) {
         let (publication, publisher) = self.core.begin_publish(index);
         let now = self.core.now;
-        let mut buf = self.take_buf();
+        let mut buf = self.buf_pool.pop().unwrap_or_default();
         let id = match self.part.owner(publisher) {
             0 => self.chunk0.nodes[publisher].protocol.publish(
                 publication.topic.clone(),

@@ -39,7 +39,7 @@ pub struct Road {
 pub struct StreetMap {
     intersections: Vec<Point>,
     roads: Vec<Road>,
-    /// adjacency[i] lists (neighbor intersection, road index) pairs.
+    /// `adjacency[i]` lists (neighbor intersection, road index) pairs.
     adjacency: Vec<Vec<(usize, usize)>>,
     area: Area,
 }

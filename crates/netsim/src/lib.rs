@@ -45,7 +45,5 @@ pub mod propagation;
 pub mod radio;
 
 pub use grid::SpatialGrid;
-pub use medium::{
-    CompletionSnapshot, RadioMedium, ReceptionClass, ReceptionOutcome, TrafficCounters, TxId,
-};
+pub use medium::{RadioMedium, ReceptionOutcome, TrafficCounters, TxId};
 pub use radio::{BitRate, RadioConfig};

@@ -26,6 +26,10 @@
 //! * half duplex is decided by sender id against the receiver list, never by
 //!   position, because a node may have moved since it started transmitting.
 //!
+//! Completion has one public entry, [`RadioMedium::complete_transmission_into`]
+//! (and its allocating twin): a private snapshot of the frame's receivers and
+//! interferers, then a classify-and-resolve pass per receiver.
+//!
 //! Receivers are visited in ascending node index, which keeps the RNG stream
 //! — and therefore every simulation report — bit-identical to the brute-force
 //! full scan against every overlapping frame world-wide (kept as
@@ -111,7 +115,7 @@ pub enum ReceptionOutcome {
 /// [`CompletionSnapshot::classify`], turned into a [`ReceptionOutcome`] (and
 /// counter updates) by [`RadioMedium::resolve_classified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReceptionClass {
+enum ReceptionClass {
     /// The receiver was itself on the air during the frame (half duplex).
     SelfBusy,
     /// Another transmission audible at the receiver overlapped the frame.
@@ -125,13 +129,11 @@ pub enum ReceptionClass {
 
 /// A completed transmission detached from the medium: the nodes in range of
 /// it, and what was on the air with it that can matter to them. The
-/// receiver-independent half of reception resolution:
-/// [`CompletionSnapshot::classify`] is pure (`&self`, no RNG), so a caller
-/// may classify the receivers concurrently and then feed the classes back
-/// through [`RadioMedium::resolve_classified`] in ascending node order for
-/// bit-identical outcomes, counters and RNG use.
+/// receiver-independent half of reception resolution: each receiver is
+/// classified against it ([`CompletionSnapshot::classify`], no RNG), then
+/// resolved ([`RadioMedium::resolve_classified`]) in ascending node order.
 #[derive(Debug, Clone, Default)]
-pub struct CompletionSnapshot {
+struct CompletionSnapshot {
     /// Where the frame was transmitted from.
     position: Point,
     /// Payload size of the frame in bytes (excluding per-frame overhead).
@@ -155,21 +157,9 @@ impl CompletionSnapshot {
         self.interferers.clear();
     }
 
-    /// The nodes within radio range of the frame when it completed, in
-    /// ascending node index; the sender is not among them.
-    pub fn receivers(&self) -> &[usize] {
-        &self.receivers
-    }
-
-    /// Number of overlapping transmissions [`CompletionSnapshot::classify`]
-    /// checks each receiver against.
-    pub fn interferer_count(&self) -> usize {
-        self.interferers.len()
-    }
-
-    /// Classifies reception of this frame at `receiver`, one of
-    /// [`CompletionSnapshot::receivers`], located at `rx_pos`.
-    pub fn classify(&self, config: &RadioConfig, receiver: usize, rx_pos: Point) -> ReceptionClass {
+    /// Classifies reception of this frame at `receiver`, one of the
+    /// snapshot's receivers, located at `rx_pos`.
+    fn classify(&self, config: &RadioConfig, receiver: usize, rx_pos: Point) -> ReceptionClass {
         if self.busy.contains(&receiver) {
             return ReceptionClass::SelfBusy;
         }
@@ -205,7 +195,7 @@ pub struct RadioMedium {
     /// used by pruning: a completed frame older than this cannot overlap
     /// anything still pending.
     max_air: SimDuration,
-    /// Scratch snapshot reused by the all-in-one completion path.
+    /// Scratch snapshot reused by `complete_transmission_into`.
     snapshot: CompletionSnapshot,
 }
 
@@ -424,15 +414,12 @@ impl RadioMedium {
     /// transmissions that can matter to them: as half-duplex senders, the
     /// ones whose sender is a receiver; as interferers, the ones sent from
     /// within `2·range` of the frame (see the module docs). The snapshot half
-    /// of completion: pair it with [`CompletionSnapshot::classify`] per
-    /// receiver (any order, any thread) and
-    /// [`RadioMedium::resolve_classified`] in ascending node order to get
-    /// exactly what [`RadioMedium::complete_transmission_into`] does.
+    /// of [`RadioMedium::complete_transmission_into`].
     ///
     /// # Panics
     ///
     /// Panics if `tx` is unknown or already completed.
-    pub fn begin_completion(&mut self, tx: TxId, out: &mut CompletionSnapshot) {
+    fn begin_completion(&mut self, tx: TxId, out: &mut CompletionSnapshot) {
         let (index, frame) = self.mark_completed(tx);
         out.capture(&frame);
         let range = self.config.range_m;
@@ -504,10 +491,10 @@ impl RadioMedium {
 
     /// Turns a [`ReceptionClass`] into the final [`ReceptionOutcome`] for
     /// `receiver`: draws the fringe loss chance where needed and updates the
-    /// receiver's traffic counters. Callers resolving one frame at several
-    /// receivers must do so in ascending node index to keep the RNG stream —
-    /// and therefore whole-simulation reports — deterministic.
-    pub fn resolve_classified(
+    /// receiver's traffic counters. One frame's receivers must be resolved in
+    /// ascending node index to keep the RNG stream — and therefore
+    /// whole-simulation reports — deterministic.
+    fn resolve_classified(
         &mut self,
         snapshot: &CompletionSnapshot,
         receiver: usize,
