@@ -12,7 +12,7 @@
 //!    long validity that have already been forwarded many times go first, while
 //!    short-lived events that were never propagated are protected.
 
-use pubsub::{Event, EventId, SubscriptionSet, Topic};
+use pubsub::{Event, EventId, SubscriptionSet};
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::BTreeMap;
@@ -114,22 +114,9 @@ impl EventTable {
         self.entries.values()
     }
 
-    /// Identifiers of every stored event.
-    pub fn ids(&self) -> Vec<EventId> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Identifiers of the still-valid stored events whose topic is of interest
-    /// to a process with the given `subscriptions` (the paper's
-    /// `GETEVENTSIDS`).
-    pub fn ids_of_interest(&self, subscriptions: &SubscriptionSet, now: SimTime) -> Vec<EventId> {
-        let mut ids = Vec::new();
-        self.ids_of_interest_into(subscriptions, now, &mut ids);
-        ids
-    }
-
-    /// Appends the identifiers [`EventTable::ids_of_interest`] would return to
-    /// `out` without allocating a fresh vector.
+    /// Appends to `out`, in id order, the identifiers of the still-valid
+    /// stored events whose topic is of interest to a process with the given
+    /// `subscriptions` (the paper's `GETEVENTSIDS`).
     pub fn ids_of_interest_into(
         &self,
         subscriptions: &SubscriptionSet,
@@ -145,22 +132,12 @@ impl EventTable {
     }
 
     /// `true` if at least one still-valid stored event matches
-    /// `subscriptions` — the allocation-free form of asking whether
-    /// [`EventTable::ids_of_interest`] would be non-empty.
+    /// `subscriptions`, i.e. if [`EventTable::ids_of_interest_into`] would
+    /// append anything.
     pub fn any_of_interest(&self, subscriptions: &SubscriptionSet, now: SimTime) -> bool {
         self.entries
             .values()
             .any(|s| s.event.is_valid_at(now) && subscriptions.matches(&s.event.topic))
-    }
-
-    /// The still-valid stored events published on `topic` or one of its
-    /// subtopics.
-    pub fn events_under_topic(&self, topic: &Topic, now: SimTime) -> Vec<&Event> {
-        self.entries
-            .values()
-            .filter(|s| s.event.is_valid_at(now) && topic.covers(&s.event.topic))
-            .map(|s| &s.event)
-            .collect()
     }
 
     /// Stores `event`, evicting one victim according to the garbage-collection
@@ -231,24 +208,8 @@ impl EventTable {
         }
     }
 
-    /// Removes every event whose validity period has expired at `now`; returns
-    /// the removed identifiers.
-    pub fn remove_expired(&mut self, now: SimTime) -> Vec<EventId> {
-        let expired: Vec<EventId> = self
-            .entries
-            .values()
-            .filter(|s| !s.event.is_valid_at(now))
-            .map(|s| s.event.id)
-            .collect();
-        for id in &expired {
-            self.entries.remove(id);
-        }
-        expired
-    }
-
-    /// Removes every expired event without collecting the removed ids —
-    /// the allocation-free form of [`EventTable::remove_expired`] used on the
-    /// protocol's periodic garbage-collection path. Returns how many events
+    /// Removes every event whose validity period has expired at `now` (the
+    /// protocol's periodic garbage-collection path). Returns how many events
     /// were dropped.
     pub fn prune_expired(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
@@ -260,7 +221,7 @@ impl EventTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub::ProcessId;
+    use pubsub::{ProcessId, Topic};
     use simkit::SimDuration;
 
     fn topic(s: &str) -> Topic {
@@ -286,7 +247,8 @@ mod tests {
         assert!(table.contains(&e.id));
         assert_eq!(table.len(), 1);
         assert_eq!(table.get(&e.id).unwrap().forward_count, 0);
-        assert_eq!(table.ids(), vec![e.id]);
+        let ids: Vec<EventId> = table.iter().map(|s| s.event.id).collect();
+        assert_eq!(ids, vec![e.id]);
     }
 
     #[test]
@@ -396,41 +358,28 @@ mod tests {
 
         let subs = SubscriptionSet::single(topic(".T0.T1"));
         // At t=10 event 3 has expired; events 0 and 1 match, 2 does not.
-        let mut ids = table.ids_of_interest(&subs, SimTime::from_secs(10));
-        ids.sort();
+        let mut ids = Vec::new();
+        table.ids_of_interest_into(&subs, SimTime::from_secs(10), &mut ids);
         assert_eq!(
             ids,
             vec![EventId::new(ProcessId(1), 0), EventId::new(ProcessId(1), 1)]
         );
         // A subscriber of the subtopic only cares about the subtopic.
         let narrow = SubscriptionSet::single(topic(".T0.T1.T2"));
-        assert_eq!(
-            table.ids_of_interest(&narrow, SimTime::from_secs(10)).len(),
-            1
-        );
+        ids.clear();
+        table.ids_of_interest_into(&narrow, SimTime::from_secs(10), &mut ids);
+        assert_eq!(ids.len(), 1);
     }
 
     #[test]
-    fn events_under_topic_returns_subtree() {
-        let mut table = EventTable::new(10);
-        table.insert(event(0, ".T0.T1", 60), SimTime::ZERO).unwrap();
-        table
-            .insert(event(1, ".T0.T1.T2", 60), SimTime::ZERO)
-            .unwrap();
-        table.insert(event(2, ".other", 60), SimTime::ZERO).unwrap();
-        let under = table.events_under_topic(&topic(".T0"), SimTime::from_secs(1));
-        assert_eq!(under.len(), 2);
-    }
-
-    #[test]
-    fn remove_expired_clears_stale_events() {
+    fn prune_expired_clears_stale_events() {
         let mut table = EventTable::new(10);
         table.insert(event(0, ".a", 10), SimTime::ZERO).unwrap();
         table.insert(event(1, ".a", 100), SimTime::ZERO).unwrap();
-        let removed = table.remove_expired(SimTime::from_secs(50));
-        assert_eq!(removed, vec![EventId::new(ProcessId(1), 0)]);
+        assert_eq!(table.prune_expired(SimTime::from_secs(50)), 1);
         assert_eq!(table.len(), 1);
-        assert!(table.remove_expired(SimTime::from_secs(50)).is_empty());
+        assert!(!table.contains(&EventId::new(ProcessId(1), 0)));
+        assert_eq!(table.prune_expired(SimTime::from_secs(50)), 0);
     }
 
     #[test]
@@ -463,7 +412,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use pubsub::ProcessId;
+    use pubsub::{ProcessId, Topic};
     use simkit::SimDuration;
 
     proptest! {
@@ -483,7 +432,7 @@ mod proptests {
                 );
                 let _ = table.insert(e, SimTime::from_secs(at));
                 prop_assert!(table.len() <= capacity);
-                let ids = table.ids();
+                let ids: Vec<EventId> = table.iter().map(|s| s.event.id).collect();
                 let unique: std::collections::HashSet<_> = ids.iter().collect();
                 prop_assert_eq!(unique.len(), ids.len());
             }

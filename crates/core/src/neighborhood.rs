@@ -100,13 +100,8 @@ impl NeighborhoodTable {
         self.entries.iter()
     }
 
-    /// The identifiers of all tracked neighbors.
-    pub fn ids(&self) -> Vec<ProcessId> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Appends the identifiers of all tracked neighbors (in id order) to
-    /// `out` without allocating a fresh vector.
+    /// Appends the identifiers of all tracked neighbors to `out`, in id
+    /// order.
     pub fn ids_into(&self, out: &mut Vec<ProcessId>) {
         out.extend(self.entries.keys().copied());
     }
@@ -200,23 +195,9 @@ impl NeighborhoodTable {
     }
 
     /// Evicts entries whose store time is older than `now - ngc_delay` (the
-    /// paper's `neighborhoodGC` task). Returns the evicted identifiers.
-    pub fn collect_stale(&mut self, now: SimTime, ngc_delay: SimDuration) -> Vec<ProcessId> {
-        let cutoff = now - ngc_delay;
-        let stale: Vec<ProcessId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.stored_at < cutoff)
-            .map(|(id, _)| *id)
-            .collect();
-        self.evict(&stale, now);
-        stale
-    }
-
-    /// Evicts stale entries like [`NeighborhoodTable::collect_stale`] but
-    /// reuses an internal scratch vector instead of collecting the evicted
-    /// identifiers — the allocation-free form used on the protocol's periodic
-    /// garbage-collection path. Returns how many neighbors were evicted.
+    /// paper's `neighborhoodGC` task), remembering what departed neighbors
+    /// held when the departed memory is enabled. Returns how many neighbors
+    /// were evicted.
     pub fn prune_stale(&mut self, now: SimTime, ngc_delay: SimDuration) -> usize {
         let cutoff = now - ngc_delay;
         let mut stale = std::mem::take(&mut self.stale_scratch);
@@ -244,7 +225,11 @@ impl NeighborhoodTable {
                 }
             }
         }
-        // Keep the departed memory bounded: drop the oldest entries first.
+        self.trim_departed();
+    }
+
+    /// Keeps the departed memory bounded: drops the oldest entries first.
+    fn trim_departed(&mut self) {
         while self.departed.len() > self.departed_capacity {
             if let Some(oldest) = self
                 .departed
@@ -286,18 +271,7 @@ impl NeighborhoodTable {
             .or_insert_with(|| (HashSet::new(), now));
         slot.0.extend(events);
         slot.1 = now;
-        while self.departed.len() > self.departed_capacity {
-            if let Some(oldest) = self
-                .departed
-                .iter()
-                .min_by_key(|(_, (_, at))| *at)
-                .map(|(id, _)| *id)
-            {
-                self.departed.remove(&oldest);
-            } else {
-                break;
-            }
-        }
+        self.trim_departed();
     }
 
     /// Removes every entry (used when the process unsubscribes from everything).
@@ -378,14 +352,15 @@ mod tests {
         let mut table = NeighborhoodTable::new();
         table.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(0));
         table.upsert(ProcessId(2), subs(".a"), None, SimTime::from_secs(8));
-        let evicted = table.collect_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
-        assert_eq!(evicted, vec![ProcessId(1)]);
+        let evicted = table.prune_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
+        assert_eq!(evicted, 1);
+        assert!(!table.contains(ProcessId(1)));
         assert_eq!(table.len(), 1);
         assert!(table.contains(ProcessId(2)));
         // Refreshing an entry protects it from collection.
         table.upsert(ProcessId(2), subs(".a"), None, SimTime::from_secs(14));
-        let evicted = table.collect_stale(SimTime::from_secs(18), SimDuration::from_secs(5));
-        assert!(evicted.is_empty());
+        let evicted = table.prune_stale(SimTime::from_secs(18), SimDuration::from_secs(5));
+        assert_eq!(evicted, 0);
     }
 
     #[test]
@@ -393,8 +368,8 @@ mod tests {
         let mut table = NeighborhoodTable::new();
         table.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(0));
         table.record_known_event(ProcessId(1), eid(0), SimTime::from_secs(9));
-        let evicted = table.collect_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
-        assert!(evicted.is_empty(), "hearing from a neighbor keeps it alive");
+        let evicted = table.prune_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
+        assert_eq!(evicted, 0, "hearing from a neighbor keeps it alive");
     }
 
     #[test]
@@ -403,8 +378,9 @@ mod tests {
         table.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(0));
         table.record_known_event(ProcessId(1), eid(7), SimTime::from_secs(0));
         // The neighbor goes silent and is evicted...
-        let evicted = table.collect_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
-        assert_eq!(evicted, vec![ProcessId(1)]);
+        let evicted = table.prune_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
+        assert_eq!(evicted, 1);
+        assert!(!table.contains(ProcessId(1)));
         assert_eq!(table.departed_len(), 1);
         // ...and later comes back: what it already held is not forgotten.
         let is_new = table.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(20));
@@ -423,7 +399,7 @@ mod tests {
         let mut plain = NeighborhoodTable::new();
         plain.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(0));
         plain.record_known_event(ProcessId(1), eid(1), SimTime::from_secs(0));
-        plain.collect_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
+        plain.prune_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
         plain.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(20));
         assert!(!plain.neighbor_knows(ProcessId(1), &eid(1)));
         assert_eq!(plain.departed_len(), 0);
@@ -435,27 +411,9 @@ mod tests {
             bounded.record_known_event(ProcessId(i), eid(i), SimTime::from_secs(i));
             // Evict this neighbor immediately by collecting far in the future of
             // its store time but before the next one is added.
-            bounded.collect_stale(SimTime::from_secs(i + 100), SimDuration::from_secs(5));
+            bounded.prune_stale(SimTime::from_secs(i + 100), SimDuration::from_secs(5));
         }
         assert!(bounded.departed_len() <= 2);
-    }
-
-    #[test]
-    fn prune_stale_matches_collect_stale() {
-        let mut collected = NeighborhoodTable::with_departed_memory(2);
-        let mut pruned = NeighborhoodTable::with_departed_memory(2);
-        for table in [&mut collected, &mut pruned] {
-            table.upsert(ProcessId(1), subs(".a"), None, SimTime::from_secs(0));
-            table.upsert(ProcessId(2), subs(".a"), None, SimTime::from_secs(8));
-            table.record_known_event(ProcessId(1), eid(3), SimTime::from_secs(0));
-        }
-        let evicted = collected.collect_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
-        let count = pruned.prune_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
-        assert_eq!(evicted.len(), count);
-        assert_eq!(collected, pruned);
-        assert!(!pruned.contains(ProcessId(1)));
-        assert!(pruned.contains(ProcessId(2)));
-        assert_eq!(pruned.departed_len(), 1);
     }
 
     #[test]
@@ -465,8 +423,8 @@ mod tests {
         assert!(!table.contains(sparse));
         table.upsert(sparse, subs(".a"), None, SimTime::ZERO);
         assert!(table.contains(sparse));
-        let evicted = table.collect_stale(SimTime::from_secs(100), SimDuration::from_secs(5));
-        assert_eq!(evicted, vec![sparse]);
+        let evicted = table.prune_stale(SimTime::from_secs(100), SimDuration::from_secs(5));
+        assert_eq!(evicted, 1);
         assert!(!table.contains(sparse));
     }
 
@@ -476,7 +434,7 @@ mod tests {
         table.upsert(ProcessId(1), subs(".a"), None, SimTime::ZERO);
         table.clear();
         assert!(table.is_empty());
-        assert_eq!(table.ids(), Vec::<ProcessId>::new());
+        assert_eq!(table.iter().count(), 0);
     }
 
     #[test]
@@ -484,7 +442,9 @@ mod tests {
         let mut table = NeighborhoodTable::new();
         table.upsert(ProcessId(5), subs(".a"), None, SimTime::ZERO);
         table.upsert(ProcessId(2), subs(".a"), None, SimTime::ZERO);
-        assert_eq!(table.ids(), vec![ProcessId(2), ProcessId(5)]);
+        let mut ids = Vec::new();
+        table.ids_into(&mut ids);
+        assert_eq!(ids, vec![ProcessId(2), ProcessId(5)]);
         assert_eq!(table.iter().count(), 2);
     }
 }
@@ -512,14 +472,14 @@ mod proptests {
             let before = table.len();
             let now = SimTime::from_secs(now);
             let delay = SimDuration::from_secs(delay);
-            let evicted = table.collect_stale(now, delay);
-            prop_assert_eq!(evicted.len() + table.len(), before);
+            let evicted = table.prune_stale(now, delay);
+            prop_assert_eq!(evicted + table.len(), before);
             let cutoff = now - delay;
             for (_, entry) in table.iter() {
                 prop_assert!(entry.stored_at >= cutoff);
             }
             // Idempotent: a second pass evicts nothing.
-            prop_assert!(table.collect_stale(now, delay).is_empty());
+            prop_assert_eq!(table.prune_stale(now, delay), 0);
         }
     }
 }

@@ -9,9 +9,7 @@
 //! * [`time`] — a millisecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]);
 //! * [`scheduler`] — a cancellable discrete-event scheduler: a hierarchical
-//!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]) and
-//!   the binary-heap reference implementation of the same contract
-//!   ([`EventQueue`]);
+//!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]);
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
 //! * [`ids`] — dense 32-bit node ids ([`NodeId`]), bit-packed membership
@@ -22,23 +20,25 @@
 //!
 //! # Examples
 //!
-//! A tiny simulation loop: schedule a few timers and process them in order.
+//! A tiny simulation loop: schedule a few timers and process them in order,
+//! one same-timestamp batch at a time.
 //!
 //! ```
-//! use simkit::{EventQueue, SimDuration, SimTime};
+//! use simkit::{SimDuration, SimTime, TimerWheel};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Timer { Heartbeat, BackOff }
 //!
-//! let mut queue = EventQueue::new();
+//! let mut wheel = TimerWheel::new();
 //! let mut now = SimTime::ZERO;
-//! queue.schedule(now + SimDuration::from_secs(15), Timer::Heartbeat);
-//! queue.schedule(now + SimDuration::from_millis(500), Timer::BackOff);
+//! wheel.schedule(now + SimDuration::from_secs(15), Timer::Heartbeat);
+//! wheel.schedule(now + SimDuration::from_millis(500), Timer::BackOff);
 //!
 //! let mut fired = Vec::new();
-//! while let Some((at, timer)) = queue.pop() {
+//! let mut batch = Vec::new();
+//! while let Some(at) = wheel.pop_due_batch(SimTime::MAX, &mut batch) {
 //!     now = at;
-//!     fired.push(timer);
+//!     fired.extend(batch.drain(..).map(|(_, timer)| timer));
 //! }
 //! assert_eq!(fired, vec![Timer::BackOff, Timer::Heartbeat]);
 //! assert_eq!(now, SimTime::from_secs(15));
@@ -56,6 +56,6 @@ pub mod time;
 
 pub use ids::{BitSet, BoundaryPartition, NodeId};
 pub use rng::SimRng;
-pub use scheduler::{EventHandle, EventQueue, IndexedMinQueue, TimerWheel};
+pub use scheduler::{EventHandle, IndexedMinQueue, TimerWheel};
 pub use stats::{OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};

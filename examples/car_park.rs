@@ -18,7 +18,7 @@ use frugal::{
 };
 use mobility::{CitySection, CitySectionConfig, MobilityModel, Point};
 use pubsub::{ProcessId, Topic};
-use simkit::{EventQueue, SimDuration, SimRng, SimTime};
+use simkit::{EventHandle, SimDuration, SimRng, SimTime, TimerWheel};
 use std::collections::HashMap;
 
 /// One car: a protocol instance plus its position on the street network.
@@ -73,8 +73,8 @@ fn main() {
         })
         .collect();
 
-    let mut queue: EventQueue<Happening> = EventQueue::new();
-    let mut timers: HashMap<(usize, TimerKind), simkit::EventHandle> = HashMap::new();
+    let mut queue: TimerWheel<Happening> = TimerWheel::new();
+    let mut timers: HashMap<(usize, TimerKind), EventHandle> = HashMap::new();
     let mut now = SimTime::ZERO;
 
     // Subscriptions at start-up (staggered a little, like real ignitions).
@@ -123,8 +123,8 @@ fn main() {
         sender: usize,
         actions: Vec<Action>,
         cars: &mut Vec<Car>,
-        queue: &mut EventQueue<Happening>,
-        timers: &mut HashMap<(usize, TimerKind), simkit::EventHandle>,
+        queue: &mut TimerWheel<Happening>,
+        timers: &mut HashMap<(usize, TimerKind), EventHandle>,
         now: SimTime,
     ) {
         for action in actions {
@@ -169,47 +169,53 @@ fn main() {
         apply(car, actions, &mut cars, &mut queue, &mut timers, now);
     }
 
-    while let Some((at, happening)) = queue.pop() {
-        if at > end {
-            break;
-        }
+    // Drain one timestamp batch at a time, as the simulator's world does. A
+    // callback earlier in a batch can cancel or re-arm a timer drained with
+    // it (an overheard announcement cancelling a back-off, say), so a drained
+    // timer fires only while its handle is still the armed one.
+    let mut batch = Vec::new();
+    while let Some(at) = queue.pop_due_batch(end, &mut batch) {
         now = at;
-        match happening {
-            Happening::MobilityTick => {
-                for car in cars.iter_mut() {
-                    let Car {
-                        mobility,
-                        rng,
-                        protocol,
-                        ..
-                    } = car;
-                    mobility.advance(MOBILITY_TICK, rng);
-                    protocol.update_speed(Some(mobility.speed()));
+        for (handle, happening) in batch.drain(..) {
+            match happening {
+                Happening::MobilityTick => {
+                    for car in cars.iter_mut() {
+                        let Car {
+                            mobility,
+                            rng,
+                            protocol,
+                            ..
+                        } = car;
+                        mobility.advance(MOBILITY_TICK, rng);
+                        protocol.update_speed(Some(mobility.speed()));
+                    }
+                    if now + MOBILITY_TICK <= end {
+                        queue.schedule(now + MOBILITY_TICK, Happening::MobilityTick);
+                    }
                 }
-                if now + MOBILITY_TICK <= end {
-                    queue.schedule(now + MOBILITY_TICK, Happening::MobilityTick);
+                Happening::Timer { car, kind } => {
+                    if timers.get(&(car, kind)) == Some(&handle) {
+                        timers.remove(&(car, kind));
+                        let actions = cars[car].protocol.handle_timer_vec(kind, now);
+                        apply(car, actions, &mut cars, &mut queue, &mut timers, now);
+                    }
                 }
-            }
-            Happening::Timer { car, kind } => {
-                timers.remove(&(car, kind));
-                let actions = cars[car].protocol.handle_timer_vec(kind, now);
-                apply(car, actions, &mut cars, &mut queue, &mut timers, now);
-            }
-            Happening::LeaveParking {
-                car,
-                district,
-                free_for,
-            } => {
-                let topic: Topic = format!(".parking.{district}").parse().expect("valid topic");
-                println!(
-                    "[{:>5.1}s] {} leaves a parking spot in the {} district (free for ~{}s)",
-                    now.as_secs_f64(),
-                    cars[car].name,
+                Happening::LeaveParking {
+                    car,
                     district,
-                    free_for.as_millis() / 1000
-                );
-                let (_, actions) = cars[car].protocol.publish_vec(topic, free_for, 400, now);
-                apply(car, actions, &mut cars, &mut queue, &mut timers, now);
+                    free_for,
+                } => {
+                    let topic: Topic = format!(".parking.{district}").parse().expect("valid topic");
+                    println!(
+                        "[{:>5.1}s] {} leaves a parking spot in the {} district (free for ~{}s)",
+                        now.as_secs_f64(),
+                        cars[car].name,
+                        district,
+                        free_for.as_millis() / 1000
+                    );
+                    let (_, actions) = cars[car].protocol.publish_vec(topic, free_for, 400, now);
+                    apply(car, actions, &mut cars, &mut queue, &mut timers, now);
+                }
             }
         }
     }
