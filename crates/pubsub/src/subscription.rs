@@ -8,20 +8,23 @@
 
 use crate::topic::Topic;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// The set of topics a process has subscribed to.
 ///
-/// The topic set is shared behind an [`Arc`] with copy-on-write mutation:
-/// cloning a set — which every heartbeat and every neighborhood-table upsert
-/// does — is a reference-count bump, while `subscribe`/`unsubscribe`/`clear`
-/// copy the underlying tree only if it is currently shared. Equality and
+/// The topics live in one sorted, duplicate-free `Arc<[Topic]>`: a single
+/// allocation that holds them inline, so `matches` and
+/// `shares_interest_with` — run on every received event and heartbeat — are
+/// slice scans behind one dependent load. Cloning a set, which every
+/// heartbeat and every neighborhood-table upsert does, is a reference-count
+/// bump. `subscribe`, `unsubscribe` and `clear` never write through the
+/// `Arc`: they build a fresh slice (they run only at subscribe time and on
+/// reset), so a clone taken earlier keeps its contents. Equality and
 /// iteration order see through the `Arc`, so the sharing is unobservable.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubscriptionSet {
-    topics: Arc<BTreeSet<Topic>>,
+    topics: Arc<[Topic]>,
 }
 
 impl SubscriptionSet {
@@ -39,19 +42,39 @@ impl SubscriptionSet {
 
     /// Adds a subscription. Returns `true` if it was not already present.
     pub fn subscribe(&mut self, topic: Topic) -> bool {
-        Arc::make_mut(&mut self.topics).insert(topic)
+        let Err(slot) = self.topics.binary_search(&topic) else {
+            return false;
+        };
+        let (before, after) = self.topics.split_at(slot);
+        // The chain has an exact length, so `collect` builds the slice in
+        // one allocation.
+        self.topics = before
+            .iter()
+            .cloned()
+            .chain(std::iter::once(topic))
+            .chain(after.iter().cloned())
+            .collect();
+        true
     }
 
     /// Removes a subscription. Returns `true` if it was present.
     pub fn unsubscribe(&mut self, topic: &Topic) -> bool {
-        Arc::make_mut(&mut self.topics).remove(topic)
+        let Ok(slot) = self.topics.binary_search(topic) else {
+            return false;
+        };
+        self.topics = self.topics[..slot]
+            .iter()
+            .chain(&self.topics[slot + 1..])
+            .cloned()
+            .collect();
+        true
     }
 
     /// Removes every subscription, leaving the set as freshly constructed.
     /// Used by the protocols' in-place `reset` when a simulation world is
     /// recycled across seeds.
     pub fn clear(&mut self) {
-        Arc::make_mut(&mut self.topics).clear();
+        self.topics = Arc::default();
     }
 
     /// `true` when the process has no subscriptions left (at which point the
@@ -93,25 +116,6 @@ impl SubscriptionSet {
             .iter()
             .any(|a| other.topics.iter().any(|b| a.related(b)))
     }
-
-    /// The topics of `self` that are of interest to a process with
-    /// subscriptions `other`: an event on such a topic could be useful to it.
-    /// A topic `t` qualifies if it is related to one of `other`'s topics.
-    pub fn topics_of_interest_to<'a>(
-        &'a self,
-        other: &'a SubscriptionSet,
-    ) -> impl Iterator<Item = &'a Topic> + 'a {
-        self.topics
-            .iter()
-            .filter(move |t| other.topics.iter().any(|o| t.related(o)))
-    }
-
-    /// Estimated wire size of the subscription list inside a heartbeat, in
-    /// bytes: the textual length of every topic. Used only for bandwidth
-    /// accounting.
-    pub fn wire_size_bytes(&self) -> usize {
-        self.topics.iter().map(|t| t.to_string().len()).sum()
-    }
 }
 
 impl fmt::Display for SubscriptionSet {
@@ -129,15 +133,17 @@ impl fmt::Display for SubscriptionSet {
 
 impl FromIterator<Topic> for SubscriptionSet {
     fn from_iter<I: IntoIterator<Item = Topic>>(iter: I) -> Self {
-        SubscriptionSet {
-            topics: Arc::new(iter.into_iter().collect()),
-        }
+        let mut set = SubscriptionSet::new();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<Topic> for SubscriptionSet {
     fn extend<I: IntoIterator<Item = Topic>>(&mut self, iter: I) {
-        Arc::make_mut(&mut self.topics).extend(iter);
+        for topic in iter {
+            self.subscribe(topic);
+        }
     }
 }
 
@@ -209,20 +215,26 @@ mod tests {
     }
 
     #[test]
-    fn topics_of_interest_filters_unrelated() {
-        let mine: SubscriptionSet = [t(".T0.T1"), t(".music")].into_iter().collect();
-        let theirs = SubscriptionSet::single(t(".T0"));
-        let interesting: Vec<_> = mine.topics_of_interest_to(&theirs).cloned().collect();
-        assert_eq!(interesting, vec![t(".T0.T1")]);
-    }
-
-    #[test]
-    fn display_and_wire_size() {
+    fn display_lists_every_topic() {
         let subs: SubscriptionSet = [t(".a"), t(".b.c")].into_iter().collect();
         let shown = subs.to_string();
         assert!(shown.contains(".a") && shown.contains(".b.c"));
-        assert_eq!(subs.wire_size_bytes(), 2 + 4);
-        assert_eq!(SubscriptionSet::new().wire_size_bytes(), 0);
+    }
+
+    #[test]
+    fn clone_is_unaffected_by_later_mutation() {
+        let mut subs: SubscriptionSet = [t(".a"), t(".b")].into_iter().collect();
+        let before = subs.clone();
+        subs.subscribe(t(".c"));
+        let after_subscribe = subs.clone();
+        subs.unsubscribe(&t(".a"));
+        let after_unsubscribe = subs.clone();
+        subs.clear();
+        let topics = |s: &SubscriptionSet| s.iter().cloned().collect::<Vec<_>>();
+        assert_eq!(topics(&before), [t(".a"), t(".b")]);
+        assert_eq!(topics(&after_subscribe), [t(".a"), t(".b"), t(".c")]);
+        assert_eq!(topics(&after_unsubscribe), [t(".b"), t(".c")]);
+        assert!(subs.is_empty());
     }
 
     #[test]
@@ -239,6 +251,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn topic_strategy() -> impl Strategy<Value = Topic> {
         proptest::collection::vec("[a-z]{1,3}", 0..4).prop_map_invertible(
@@ -253,7 +266,85 @@ mod proptests {
         )
     }
 
+    /// One mutation of a set, applied to it and to its `BTreeSet` model.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Op {
+        Subscribe(Topic),
+        Unsubscribe(Topic),
+        /// Unsubscribes the `n % len`-th held topic, so removals of present
+        /// topics are common (random topics seldom collide).
+        UnsubscribeHeld(usize),
+        Clear,
+        Extend(Vec<Topic>),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            topic_strategy().prop_map_invertible(Op::Subscribe, |op| match op {
+                Op::Subscribe(t) => t.clone(),
+                _ => unreachable!("inverse called on a foreign variant"),
+            }),
+            topic_strategy().prop_map_invertible(Op::Unsubscribe, |op| match op {
+                Op::Unsubscribe(t) => t.clone(),
+                _ => unreachable!("inverse called on a foreign variant"),
+            }),
+            (0usize..8).prop_map_invertible(Op::UnsubscribeHeld, |op| match op {
+                Op::UnsubscribeHeld(n) => *n,
+                _ => unreachable!("inverse called on a foreign variant"),
+            }),
+            proptest::strategy::Just(Op::Clear),
+            proptest::collection::vec(topic_strategy(), 0..4).prop_map_invertible(
+                Op::Extend,
+                |op| match op {
+                    Op::Extend(ts) => ts.clone(),
+                    _ => unreachable!("inverse called on a foreign variant"),
+                }
+            ),
+        ]
+    }
+
     proptest! {
+        /// The hand-kept sorted, duplicate-free slice behaves exactly like a
+        /// `BTreeSet` under any sequence of mutations: same return values,
+        /// length, iteration order, matching and shared interest.
+        #[test]
+        fn subscription_set_matches_btreeset_model(
+            ops in proptest::collection::vec(
+                (op_strategy(), topic_strategy(), proptest::collection::vec(topic_strategy(), 0..3)),
+                0..24,
+            ),
+        ) {
+            let mut set = SubscriptionSet::new();
+            let mut model = BTreeSet::new();
+            for (op, probe, other) in ops {
+                match op {
+                    Op::Subscribe(t) => prop_assert_eq!(set.subscribe(t.clone()), model.insert(t)),
+                    Op::Unsubscribe(t) => prop_assert_eq!(set.unsubscribe(&t), model.remove(&t)),
+                    Op::UnsubscribeHeld(n) => {
+                        if let Some(t) = model.iter().nth(n % model.len().max(1)).cloned() {
+                            prop_assert!(set.unsubscribe(&t));
+                            model.remove(&t);
+                        }
+                    }
+                    Op::Clear => {
+                        set.clear();
+                        model.clear();
+                    }
+                    Op::Extend(ts) => {
+                        set.extend(ts.iter().cloned());
+                        model.extend(ts);
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+                prop_assert!(set.iter().eq(model.iter()));
+                prop_assert_eq!(set.matches(&probe), model.iter().any(|s| s.covers(&probe)));
+                let shared = model.iter().any(|a| other.iter().any(|b| a.related(b)));
+                let other: SubscriptionSet = other.into_iter().collect();
+                prop_assert_eq!(set.shares_interest_with(&other), shared);
+            }
+        }
+
         /// An event matches iff at least one subscription covers its topic —
         /// and subscribing to the event's own topic always matches.
         #[test]
