@@ -7,7 +7,7 @@
 //! cargo run --release -p bench --bin reproduce -- --scenario FILE.toml [OPTIONS]
 //!
 //! OPTIONS: [--sweep param=v1,v2]... [--seeds N] [--first-seed N]
-//!          [--workers N] [--shards N|auto] [--csv]
+//!          [--workers N] [--csv]
 //! ```
 //!
 //! `FIGURE` is one of `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`,
@@ -30,10 +30,8 @@
 //! command line exits 2 with a one-line diagnostic; a file that does not
 //! compile exits 1 with `file: line:col: message`.
 //!
-//! `--shards` defaults to 1, the serial loop: on a 2-core host the
-//! repository benchmark measured two shards slower than one on every
-//! workload. `--shards auto` splits `available_parallelism()` across the
-//! seed workers (the header echoes the resolved count and the split).
+//! Every world runs the serial event loop; `--workers` seed workers (one per
+//! core by default) share the machine.
 
 use manet_sim::{compile_path, run_matrix, SweepAxis};
 
@@ -68,34 +66,21 @@ struct Options {
     seeds: Option<u64>,
     first_seed: Option<u64>,
     workers: usize,
-    /// `--shards`: a count (default 1), or `None` for `auto`, which gives
-    /// each seed worker an equal slice of `available_parallelism()` —
-    /// `workers × shards ≈ cores`, the split the sharded runner documents.
-    shards: Option<usize>,
 }
 
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Reports a malformed command line and exits with status 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("{message}");
-    std::process::exit(2);
-}
-
-/// Parses the command line. Exits with a diagnostic on a malformed flag,
-/// a second figure name, or a figure name and `--scenario` together.
-fn parse_args(args: &[String]) -> Options {
-    fn numeric<T: std::str::FromStr>(text: &str, flag: &str) -> T {
+/// Parses the command line. A malformed flag, a second figure name, or a
+/// figure name and `--scenario` together is an error with a one-line
+/// diagnostic.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    fn numeric<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
         text.parse()
-            .unwrap_or_else(|_| usage_error(&format!("{flag}: `{text}` is not a valid value")))
+            .map_err(|_| format!("{flag}: `{text}` is not a valid value"))
     }
     /// A count that must be at least 1; `zero` says why.
-    fn positive(text: &str, flag: &str, zero: &str) -> usize {
-        match numeric(text, flag) {
-            0 => usage_error(&format!("{flag}: {zero}")),
-            count => count,
+    fn positive(text: &str, flag: &str, zero: &str) -> Result<usize, String> {
+        match numeric(text, flag)? {
+            0 => Err(format!("{flag}: {zero}")),
+            count => Ok(count),
         }
     }
     let mut options = Options {
@@ -104,58 +89,50 @@ fn parse_args(args: &[String]) -> Options {
         sweeps: Vec::new(),
         seeds: None,
         first_seed: None,
-        workers: cores(),
-        shards: Some(1),
+        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
     let (mut figure, mut scenario, mut paper) = (None, None, false);
     let mut args = args.iter().map(String::as_str);
     while let Some(arg) = args.next() {
-        let mut value = || {
-            let missing = || usage_error(&format!("{arg} needs a value"));
-            args.next().unwrap_or_else(missing)
-        };
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg {
-            "--scenario" => scenario = Some(value().to_owned()),
-            "--sweep" => match value().parse() {
-                Ok(axis) => options.sweeps.push(axis),
-                Err(err) => usage_error(&format!("--sweep: {err}")),
-            },
+            "--scenario" => scenario = Some(value()?.to_owned()),
+            "--sweep" => {
+                let axis = value()?.parse().map_err(|err| format!("--sweep: {err}"))?;
+                options.sweeps.push(axis);
+            }
             // A table of zeros would read as a measurement.
             "--seeds" => {
-                let runs = positive(value(), arg, "a seed plan needs at least 1 run");
+                let runs = positive(value()?, arg, "a seed plan needs at least 1 run")?;
                 options.seeds = Some(runs as u64);
             }
-            "--first-seed" => options.first_seed = Some(numeric(value(), arg)),
+            "--first-seed" => options.first_seed = Some(numeric(value()?, arg)?),
             "--workers" => {
-                options.workers = positive(value(), arg, "a run needs at least 1 worker")
-            }
-            "--shards" => {
-                options.shards = match value() {
-                    "auto" => None,
-                    count => Some(positive(count, arg, "a world needs at least 1 shard")),
-                }
+                options.workers = positive(value()?, arg, "a run needs at least 1 worker")?
             }
             "--csv" => options.csv = true,
             "--paper" => paper = true,
-            flag if flag.starts_with("--") => usage_error(&format!(
-                "unknown flag {flag:?}; expected --paper, --csv, --scenario, --sweep, \
-                 --seeds, --first-seed, --workers or --shards"
-            )),
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "unknown flag {flag:?}; expected --paper, --csv, --scenario, --sweep, \
+                     --seeds, --first-seed or --workers"
+                ))
+            }
             name if figure.is_none() => figure = Some(name.to_lowercase()),
-            extra => usage_error(&format!(
-                "unexpected argument {extra:?}: one figure per run"
-            )),
+            extra => return Err(format!("unexpected argument {extra:?}: one figure per run")),
         }
     }
     let scale = if paper { "" } else { ".quick" };
     let file =
         |(file, table): (&str, Option<usize>)| (format!("{FIGURES}/{file}{scale}.toml"), table);
     options.files = match (scenario, figure.as_deref()) {
-        (Some(_), Some(figure)) => usage_error(&format!(
-            "figure {figure:?} and --scenario both name what to run; give one"
-        )),
+        (Some(_), Some(figure)) => {
+            return Err(format!(
+                "figure {figure:?} and --scenario both name what to run; give one"
+            ))
+        }
         (Some(_), None) if paper => {
-            usage_error("--paper applies to a figure name, not to --scenario")
+            return Err("--paper applies to a figure name, not to --scenario".to_owned())
         }
         (Some(path), None) => vec![(path, None)],
         (None, None | Some("all")) => {
@@ -165,12 +142,14 @@ fn parse_args(args: &[String]) -> Options {
         }
         (None, Some(figure)) => match NAMES.iter().find(|(name, ..)| *name == figure) {
             Some(&(_, name, table)) => vec![file((name, table))],
-            None => usage_error(&format!(
+            None => {
+                return Err(format!(
                 "unknown figure {figure:?}; expected one of fig11..fig20, frugality, ablation, all"
-            )),
+            ))
+            }
         },
     };
-    options
+    Ok(options)
 }
 
 /// Compiles and runs one file, printing its tables (or only the `only`-th).
@@ -186,25 +165,14 @@ fn run_file(options: &Options, path: &str, only: Option<usize>) {
     if let Some(runs) = options.seeds {
         matrix.seeds.runs = runs;
     }
-    let shards = options.shards.unwrap_or((cores() / options.workers).max(1));
-    let shards_note = match options.shards {
-        None => format!(
-            " [auto: {} core(s) / {} worker(s)]",
-            cores(),
-            options.workers
-        ),
-        Some(_) => String::new(),
-    };
     eprintln!(
-        "# {}: {} matrix point(s), {} seed(s) each, {} worker(s), {} shard(s){}",
+        "# {}: {} matrix point(s), {} seed(s) each, {} worker(s)",
         matrix.label,
         matrix.points.len(),
         matrix.seeds.runs,
         options.workers,
-        shards,
-        shards_note
     );
-    let tables = run_matrix(&matrix, options.workers, shards).unwrap_or_else(|err| failed(&err));
+    let tables = run_matrix(&matrix, options.workers).unwrap_or_else(|err| failed(&err));
     let tables = match only {
         Some(only) => &tables[only..=only],
         None => &tables[..],
@@ -219,7 +187,11 @@ fn run_file(options: &Options, path: &str, only: Option<usize>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = parse_args(&args);
+    // A malformed command line exits 2 with a one-line diagnostic.
+    let options = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
     for (path, only) in &options.files {
         run_file(&options, path, *only);
     }

@@ -57,7 +57,7 @@ fn main() {
         let path = format!("{FIGURES}/{file}");
         let tables = compile_path(&path, &[])
             .map_err(|err| err.to_string())
-            .and_then(|matrix| run_matrix(&matrix, workers, 1).map_err(|err| err.to_string()));
+            .and_then(|matrix| run_matrix(&matrix, workers).map_err(|err| err.to_string()));
         match tables {
             Ok(tables) => {
                 println!("{heading}\n");

@@ -22,13 +22,12 @@ fn reproduce(args: &[&str]) -> Output {
 }
 
 /// A count of 0 used to print a row of zeros that read as a measurement
-/// (`--seeds`), or was silently clamped to 1 (`--workers`, `--shards`).
+/// (`--seeds`), or was silently clamped to 1 (`--workers`).
 #[test]
 fn zero_seeds_is_a_usage_error() {
     for (flag, diagnostic) in [
         ("--seeds", "--seeds: a seed plan needs at least 1 run\n"),
         ("--workers", "--workers: a run needs at least 1 worker\n"),
-        ("--shards", "--shards: a world needs at least 1 shard\n"),
     ] {
         let output = reproduce(&[flag, "0"]);
         assert_eq!(output.status.code(), Some(2), "{flag} 0");
@@ -40,7 +39,8 @@ fn zero_seeds_is_a_usage_error() {
 /// Figure mode used to ignore a misspelt flag or a second experiment and run
 /// the smoke-scale figure anyway, and `--scenario` ignored `--paper`, which
 /// only picks a figure's file; `--verbose` went with the engine counters it
-/// printed; `validate` takes no arguments at all.
+/// printed, and the shard flag with the runner's shard count (a world is
+/// sharded only through `World::set_shards`); `validate` takes no arguments.
 #[test]
 fn unknown_arguments_are_usage_errors() {
     let reproduce = env!("CARGO_BIN_EXE_reproduce");
@@ -52,6 +52,7 @@ fn unknown_arguments_are_usage_errors() {
         (reproduce, &["fig11", "--papr"][..]),
         (reproduce, &["fig11", "fig12"]),
         (reproduce, &["fig11", "--verbose"]),
+        (reproduce, &["--scenario", quickstart, "--shards", "2"]),
         (reproduce, &["--scenario", quickstart, "--paper"]),
         (env!("CARGO_BIN_EXE_validate"), &["--paper"]),
     ] {
@@ -64,19 +65,6 @@ fn unknown_arguments_are_usage_errors() {
         let stderr = String::from_utf8(output.stderr).unwrap();
         assert_eq!(stderr.lines().count(), 1, "one-line diagnostic: {stderr}");
     }
-}
-
-/// One seed worker gets the serial loop: `auto` would pick two shards on a
-/// 2-core host, which the repository benchmark measured slower everywhere.
-#[test]
-fn shards_default_to_one() {
-    let output = reproduce(&["--seeds", "1", "--workers", "1"]);
-    assert!(output.status.success());
-    let stderr = String::from_utf8(output.stderr).unwrap();
-    assert!(
-        stderr.contains(", 1 worker(s), 1 shard(s)\n"),
-        "header: {stderr}"
-    );
 }
 
 /// Every figure at smoke scale and every example file prints what it printed

@@ -7,7 +7,9 @@
 //! observe per-seed completion through
 //! [`run_scenario_reports_with_workers`]. [`run_matrix`] runs every point
 //! of a compiled scenario file and renders the file's tables. Every entry
-//! point runs the one seed pool, whose only world setting is the shard count.
+//! point runs the one seed pool of serial-loop worlds; a single world's event
+//! loop is split across cores only through
+//! [`World::set_shards`](crate::World::set_shards).
 
 use crate::output::DataTable;
 use crate::report::{ExperimentPoint, RunReport};
@@ -125,63 +127,6 @@ pub fn run_scenario_reports_with_workers<F>(
 where
     F: Fn(SeedProgress<'_>) + Sync,
 {
-    run_scenario_reports_configured(scenario, plan, workers, 1, on_seed)
-}
-
-/// Like [`run_scenario_reports`], but every world steps its event loop across
-/// `shards` shard threads (see [`World::set_shards`](crate::World::set_shards)).
-/// Reports are bit-identical to the single-shard runner for every shard count
-/// — sharding changes wall-clock time, never results. Seed-level parallelism
-/// and shard-level parallelism multiply, so sweeps should split the machine:
-/// `workers × shards ≈ available_parallelism()`.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_sharded(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    workers: usize,
-    shards: usize,
-) -> Result<Vec<RunReport>, ScenarioError> {
-    run_scenario_reports_configured(scenario, plan, workers, shards, |_| {})
-}
-
-/// Runs every point of a compiled matrix over its seed plan, with `workers`
-/// seed workers and `shards` shards per world, and renders the matrix's
-/// tables. Each point's reports join its cell's aggregate in seed order, and
-/// the points of a cell in matrix order (so a pooled axis in value order).
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if a point's scenario fails validation.
-pub fn run_matrix(
-    matrix: &CompiledMatrix,
-    workers: usize,
-    shards: usize,
-) -> Result<Vec<DataTable>, ScenarioError> {
-    let mut cells = vec![ExperimentPoint::new(); matrix.cells];
-    for point in &matrix.points {
-        let reports = run_scenario_reports_sharded(&point.scenario, matrix.seeds, workers, shards)?;
-        reports
-            .iter()
-            .for_each(|report| cells[point.cell].add(report));
-    }
-    Ok(matrix.render(&cells))
-}
-
-/// The shared seed-sweep pool: every checked-out world runs at `shards`
-/// shards.
-fn run_scenario_reports_configured<F>(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    workers: usize,
-    shards: usize,
-    on_seed: F,
-) -> Result<Vec<RunReport>, ScenarioError>
-where
-    F: Fn(SeedProgress<'_>) + Sync,
-{
     scenario.validate()?;
     let seeds: Vec<u64> = plan.seeds().collect();
     if seeds.is_empty() {
@@ -217,7 +162,6 @@ where
                         let world = arena
                             .checkout(scenario, seed)
                             .expect("scenario validated before spawning workers");
-                        world.set_shards(shards);
                         let report = world.run_mut();
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         on_seed(SeedProgress {
@@ -238,6 +182,29 @@ where
         .into_iter()
         .map(|r| r.expect("every seed produces a report"))
         .collect())
+}
+
+/// Runs every point of a compiled matrix over its seed plan with `workers`
+/// seed workers, and renders the matrix's tables. Each point's reports join
+/// its cell's aggregate in seed order, and the points of a cell in matrix
+/// order (so a pooled axis in value order).
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if a point's scenario fails validation.
+pub fn run_matrix(
+    matrix: &CompiledMatrix,
+    workers: usize,
+) -> Result<Vec<DataTable>, ScenarioError> {
+    let mut cells = vec![ExperimentPoint::new(); matrix.cells];
+    for point in &matrix.points {
+        let reports =
+            run_scenario_reports_with_workers(&point.scenario, matrix.seeds, workers, |_| {})?;
+        reports
+            .iter()
+            .for_each(|report| cells[point.cell].add(report));
+    }
+    Ok(matrix.render(&cells))
 }
 
 #[cfg(test)]

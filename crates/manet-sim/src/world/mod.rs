@@ -44,8 +44,10 @@
 //! Two event loops drive those methods, chosen by [`World::set_shards`]: the
 //! serial loop in this file runs each protocol callback inline and commits
 //! what it emitted straight away; the sharded engine (`world::shard`)
-//! segments each batch, forks the callbacks to worker threads and commits
-//! the joined results in the same order. The serial loop is a measured fast
+//! segments each batch, decides timer fire/skip with the same
+//! `Coordinator::take_armed` call, forks the callbacks that run to worker
+//! threads over std channels and commits the joined results in the same
+//! order. The serial loop is a measured fast
 //! path, not a leftover: sending one-shard runs through the engine costs
 //! 10–58 % wall-clock on the benchmark workloads (see ARCHITECTURE.md).
 //!
@@ -767,7 +769,9 @@ impl World {
     /// work (mobility integration, protocol callbacks) runs concurrently
     /// within each same-timestamp batch, the conservative time window of
     /// this model (see the `world::shard` module). The choice survives
-    /// [`World::reset`].
+    /// [`World::reset`]. This is the only way to shard a world: the
+    /// multi-seed runner and the binaries run every world on the serial
+    /// loop, and parallelize across seeds instead.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }

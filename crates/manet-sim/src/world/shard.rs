@@ -5,10 +5,11 @@
 //! same batches, same dispatch order, same [`Coordinator`] methods as the
 //! serial loop — but where the serial loop runs a protocol callback inline
 //! and commits straight away, the [`Engine`] here **segments** a batch,
-//! **forks** the callbacks to the owning shards, replays timer fire/skip
-//! decisions on a per-node slot **overlay**, and **joins** the emitted actions
-//! back into the sequential commit order. Nothing the coordinator owns is
-//! re-declared or re-implemented in this file.
+//! decides each timer's fire/skip at the coordinator exactly as the serial
+//! loop does, **forks** the callbacks that run to the owning shards, and
+//! **joins** the emitted actions back into the sequential commit order.
+//! Nothing the coordinator owns is re-declared or re-implemented in this
+//! file.
 //!
 //! # The conservative window is one timestamp batch
 //!
@@ -49,8 +50,10 @@
 //! read; same-timestamp `TxStart`s never overlap the `TxEnd`s of the same
 //! batch (overlap requires `start < end` strictly). Timer fire/skip decisions
 //! — the one place a callback's *validity* depends on earlier commits of the
-//! same batch — are replayed on a per-node slot overlay (see [`SlotSim`]),
-//! which is exact because only a node's own actions can touch its slots.
+//! same batch — are made by the coordinator with the serial loop's own
+//! [`Coordinator::take_armed`] while it builds a segment, which is exact
+//! because only a node's own commits touch its timer slots and a segment
+//! never holds a node twice (see [`Engine::protocol_segment`]).
 //!
 //! # Partitioning
 //!
@@ -68,39 +71,37 @@
 //!
 //! # Exchange
 //!
-//! Workers are long-lived within one `run_until` call (`std::thread::scope`)
-//! and exchange work through single-consumer spin-then-park mailboxes
-//! ([`Mailbox`]): a send is a lock push plus an atomic; an idle receiver
-//! spins briefly (`try_lock`, no syscalls) before parking. Round trips are
-//! ~a microsecond, which per-batch parallel work amortizes. The coordinator
-//! doubles as shard 0's worker and files its own result beside the workers'
-//! replies, so every join is one walk over the shards in order: receivers are
-//! routed to their owning shard, callbacks run in parallel, and the emitted
-//! actions are committed in ascending receiver order — i.e. drained in
-//! (time, seq, NodeId) order, since batches are already (time, seq)-ordered.
+//! Workers are long-lived within one `run_until` call (`std::thread::scope`).
+//! Each has two `std::sync::mpsc::sync_channel(1)`s, work in and reply out;
+//! a fork sends at most one message each way per worker, so no send ever
+//! blocks. A receiver probes `try_recv` for a while before it blocks
+//! ([`spin_budget`], [`recv`]): round trips are ~a microsecond, which
+//! per-batch parallel work amortizes. Teardown is the other side hanging
+//! up. The engine owns the work senders, so dropping it — at the end of the
+//! run, or while a coordinator panic unwinds — ends every worker loop and
+//! lets the scope join. A worker's panic drops its reply sender, and the
+//! coordinator's next receive from it fails the run with a message naming
+//! the shard and the batch time. The coordinator doubles as shard 0's
+//! worker; each join then walks the shards in ascending order, receiving
+//! and committing as it goes: receivers are routed to their owning shard,
+//! callbacks run in parallel, and the emitted actions are committed in
+//! ascending receiver order — i.e. drained in (time, seq, NodeId) order,
+//! since batches are already (time, seq)-ordered.
 
 use super::*;
 use simkit::BoundaryPartition;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
-use std::thread::Thread;
-use std::time::Duration;
 
-/// Spin iterations an idle mailbox receiver burns before yielding. At ~1-5 ns
-/// per probe this is tens of microseconds of spinning — longer than any
-/// in-flight batch round trip, so on a machine with a core per shard the hot
-/// path never pays a context switch.
+/// Probes an idle receiver makes before blocking. At ~1-5 ns per probe this
+/// is tens of microseconds of spinning — longer than any in-flight batch
+/// round trip, so on a machine with a core per shard the hot path never pays
+/// a context switch.
 const SPIN_LIMIT: u32 = 16_384;
-
-/// Yield iterations after the spin phase, before parking. Each yield hands
-/// the timeslice to a runnable peer — on an oversubscribed machine (fewer
-/// cores than shards) this is what lets the sender actually run.
-const YIELD_LIMIT: u32 = 64;
 
 /// The spin budget for this machine: spinning only helps when every shard
 /// can own a core; otherwise the receiver is burning the exact timeslice the
-/// sender needs, so go straight to yielding.
+/// sender needs, so block at once.
 fn spin_budget(shards: usize) -> u32 {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores >= shards {
@@ -110,135 +111,30 @@ fn spin_budget(shards: usize) -> u32 {
     }
 }
 
-/// A single-consumer mailbox tuned for microsecond fork/join round trips:
-/// senders push under a (shim) mutex and bump an atomic length; the receiver
-/// spins on the length with `try_lock` probes, then parks. The `parked` flag
-/// makes the sender-side unpark conditional, so steady-state sends are one
-/// short critical section plus two atomics.
-struct Mailbox<T> {
-    queue: parking_lot::Mutex<VecDeque<T>>,
-    /// Queued message count, maintained outside the lock so the receiver's
-    /// spin loop does not touch the mutex until there is work.
-    len: AtomicUsize,
-    /// Set while the receiver is parked (or committing to park); senders only
-    /// issue an unpark when they observe it.
-    parked: AtomicBool,
-    /// The receiver thread, registered before its first receive.
-    owner: parking_lot::Mutex<Option<Thread>>,
+/// Receives the next message, probing `try_recv` up to `spin` times before
+/// blocking in `recv`; `None` once the sender hung up.
+fn recv<T>(rx: &Receiver<T>, spin: u32) -> Option<T> {
+    for _ in 0..spin {
+        match rx.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            Err(TryRecvError::Disconnected) => return None,
+        }
+    }
+    rx.recv().ok()
 }
 
-impl<T> Mailbox<T> {
-    fn new() -> Self {
-        Mailbox {
-            queue: parking_lot::Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-            parked: AtomicBool::new(false),
-            owner: parking_lot::Mutex::new(None),
-        }
-    }
-
-    /// Registers the calling thread as the one `recv` will run on. Must be
-    /// called by the receiver before its first `recv`.
-    fn register_owner(&self) {
-        *self.owner.lock() = Some(std::thread::current());
-    }
-
-    fn send(&self, value: T) {
-        self.queue.lock().push_back(value);
-        self.len.fetch_add(1, Ordering::Release);
-        if self.parked.swap(false, Ordering::AcqRel) {
-            if let Some(owner) = self.owner.lock().as_ref() {
-                owner.unpark();
-            }
-        }
-    }
-
-    /// Receives the next message, escalating from spinning through yielding
-    /// to parking (see [`spin_budget`]); panics if `dead` becomes set while
-    /// waiting (a peer thread terminated — without this the join would
-    /// deadlock instead of propagating the peer's panic).
-    fn recv(&self, dead: &AtomicBool, spin: u32) -> T {
-        let mut tries = 0u32;
-        loop {
-            if self.len.load(Ordering::Acquire) > 0 {
-                if let Some(mut queue) = self.queue.try_lock() {
-                    if let Some(value) = queue.pop_front() {
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                        return value;
-                    }
-                }
-            }
-            tries += 1;
-            if tries <= spin {
-                std::hint::spin_loop();
-            } else if tries <= spin + YIELD_LIMIT {
-                std::thread::yield_now();
-            } else {
-                tries = 0;
-                if dead.load(Ordering::Acquire) {
-                    panic!("a shard peer thread terminated while work was outstanding");
-                }
-                self.parked.store(true, Ordering::Release);
-                if self.len.load(Ordering::Acquire) == 0 {
-                    // A timeout (rather than an unbounded park) keeps the
-                    // `dead` check live even if an unpark is missed.
-                    std::thread::park_timeout(Duration::from_micros(100));
-                }
-                self.parked.store(false, Ordering::Release);
-            }
-        }
-    }
-}
-
-/// Raises the shared death flag when the thread holding it unwinds, turning
-/// a mid-phase worker panic into a signal every [`Mailbox::recv`] waiting on
-/// that flag sees instead of a join deadlock. Only a panic raises it: a
-/// worker leaving on `Exit` must not, or a peer still waiting for its own
-/// `Exit` could mistake the orderly teardown for a death.
-struct DeathFlag<'a>(&'a AtomicBool);
-
-impl Drop for DeathFlag<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// One entry of a protocol segment: a `Subscribe` or validated-on-the-worker
-/// `Timer` callback for `node`, with the node's real timer-slot state as of
-/// segment build (identical to its state when the node's first item runs
-/// sequentially, because only a node's own actions mutate its slots).
+/// One callback of a protocol segment that runs: a `Subscribe`, or a `Timer`
+/// the coordinator found armed.
 struct ProtocolItem {
     node: u32,
-    slots: [Option<EventHandle>; TimerKind::COUNT],
     op: ProtocolOp,
 }
 
 enum ProtocolOp {
     Subscribe(Topic),
-    Timer {
-        kind: TimerKind,
-        handle: EventHandle,
-    },
+    Timer(TimerKind),
 }
-
-/// Worker-side simulation of one timer slot across a protocol segment,
-/// mirroring exactly the states the sequential slot table would pass through:
-/// still holding the pre-segment handle, re-armed by an earlier item of this
-/// segment (the new handle is not yet assigned — the commit creates it — but
-/// no event in this batch can carry it either, so `Local` only needs to be
-/// distinguishable), or empty.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SlotSim {
-    Real(EventHandle),
-    Local,
-    Empty,
-}
-
-/// A worker's reusable timer-slot overlay of the protocol segment currently
-/// executing, keyed by node.
-type Overlay = HashMap<u32, [SlotSim; TimerKind::COUNT]>;
 
 /// Work the coordinator hands a shard for one phase of the current batch.
 enum Work {
@@ -272,30 +168,19 @@ enum Work {
     },
     /// Snapshot the owned nodes' protocol metrics (warm-up boundary).
     Snapshot,
-    /// Tear down: the run is over.
-    Exit,
 }
 
-/// A shard's answer, filed under its shard id (see [`Engine::reply_slots`]).
+/// A shard's answer to one [`Work`].
 enum Reply {
     /// A mobility tick's moves, ascending.
-    Mobility {
-        moves: Vec<NodeMove>,
-    },
-    Protocol {
-        fired: Vec<bool>,
-        bufs: Vec<ActionBuf>,
-    },
-    Deliver {
-        bufs: Vec<ActionBuf>,
-    },
+    Mobility(Vec<NodeMove>),
+    /// The filled buffers of a `Protocol` or `Deliver` work, one per item.
+    Actions(Vec<ActionBuf>),
     Publish {
         id: EventId,
         buf: ActionBuf,
     },
-    Snapshot {
-        metrics: Vec<ProtocolMetrics>,
-    },
+    Snapshot(Vec<ProtocolMetrics>),
 }
 
 /// One shard's exclusive slice of [`NodeArrays`]: `nodes[i]` is global node
@@ -342,50 +227,20 @@ fn do_mobility(
         .collect()
 }
 
-/// Protocol phase, worker side: runs each item's callback into its buffer,
-/// deciding timer fire/skip on the slot overlay. Returns one fired flag per
-/// item (`Subscribe` items always "fire").
+/// Protocol phase, worker side: runs each item's callback into its buffer.
 fn do_protocol(
     chunk: &mut ShardChunk<'_>,
-    overlay: &mut Overlay,
     now: SimTime,
     items: &[ProtocolItem],
     bufs: &mut [ActionBuf],
-) -> Vec<bool> {
-    overlay.clear();
-    items
-        .iter()
-        .zip(bufs.iter_mut())
-        .map(|(item, buf)| {
-            let slots = overlay.entry(item.node).or_insert_with(|| {
-                item.slots
-                    .map(|slot| slot.map_or(SlotSim::Empty, SlotSim::Real))
-            });
-            match &item.op {
-                ProtocolOp::Subscribe(topic) => {
-                    chunk.protocol(item.node).subscribe(topic.clone(), now, buf);
-                }
-                ProtocolOp::Timer { kind, handle } => {
-                    if slots[kind.index()] != SlotSim::Real(*handle) {
-                        return false;
-                    }
-                    slots[kind.index()] = SlotSim::Empty;
-                    chunk.protocol(item.node).handle_timer(*kind, now, buf);
-                }
-            }
-            // Track what the commit will do to this node's real slots, so
-            // later items of the segment validate against the state they
-            // would have seen sequentially.
-            for action in buf.actions() {
-                match action {
-                    Action::SetTimer { kind, .. } => slots[kind.index()] = SlotSim::Local,
-                    Action::CancelTimer(kind) => slots[kind.index()] = SlotSim::Empty,
-                    _ => {}
-                }
-            }
-            true
-        })
-        .collect()
+) {
+    for (item, buf) in items.iter().zip(bufs.iter_mut()) {
+        let protocol = chunk.protocol(item.node);
+        match &item.op {
+            ProtocolOp::Subscribe(topic) => protocol.subscribe(topic.clone(), now, buf),
+            ProtocolOp::Timer(kind) => protocol.handle_timer(*kind, now, buf),
+        }
+    }
 }
 
 /// Delivery phase, worker side: `handle_message` for each owned receiver.
@@ -401,31 +256,25 @@ fn do_deliver(
     }
 }
 
-/// The worker thread: serve phase requests for one shard until `Exit`, with
-/// a [`DeathFlag`] up for the whole loop.
+/// The worker thread: serve one shard's work until the coordinator hangs up.
 fn worker_loop(
-    shard: usize,
     mut chunk: ShardChunk<'_>,
-    inbox: &Mailbox<Work>,
-    replies: &Mailbox<(usize, Reply)>,
-    dead: &AtomicBool,
+    inbox: Receiver<Work>,
+    replies: SyncSender<Reply>,
     spin: u32,
 ) {
-    let _flag = DeathFlag(dead);
-    inbox.register_owner();
-    let mut overlay = Overlay::default();
-    loop {
-        let reply = match inbox.recv(dead, spin) {
-            Work::Mobility { now, tick, nodes } => Reply::Mobility {
-                moves: do_mobility(&mut chunk, now, tick, &nodes),
-            },
+    while let Some(work) = recv(&inbox, spin) {
+        let reply = match work {
+            Work::Mobility { now, tick, nodes } => {
+                Reply::Mobility(do_mobility(&mut chunk, now, tick, &nodes))
+            }
             Work::Protocol {
                 now,
                 items,
                 mut bufs,
             } => {
-                let fired = do_protocol(&mut chunk, &mut overlay, now, &items, &mut bufs);
-                Reply::Protocol { fired, bufs }
+                do_protocol(&mut chunk, now, &items, &mut bufs);
+                Reply::Actions(bufs)
             }
             Work::Deliver {
                 now,
@@ -434,7 +283,7 @@ fn worker_loop(
                 mut bufs,
             } => {
                 do_deliver(&mut chunk, now, &message, &receivers, &mut bufs);
-                Reply::Deliver { bufs }
+                Reply::Actions(bufs)
             }
             Work::Publish {
                 now,
@@ -450,12 +299,11 @@ fn worker_loop(
                         .publish(topic, validity, payload_bytes, now, &mut buf);
                 Reply::Publish { id, buf }
             }
-            Work::Snapshot => Reply::Snapshot {
-                metrics: metrics_of(chunk.nodes),
-            },
-            Work::Exit => break,
+            Work::Snapshot => Reply::Snapshot(metrics_of(chunk.nodes)),
         };
-        replies.send((shard, reply));
+        if replies.send(reply).is_err() {
+            break;
+        }
     }
 }
 
@@ -489,76 +337,63 @@ impl World {
     /// dispatch order, same results, with the pure per-node work of each
     /// batch fanned out to `shards - 1` scoped worker threads (the
     /// coordinator doubles as shard 0's worker). One balanced partition,
-    /// one thread scope and one set of mailboxes serve the whole call.
+    /// one thread scope and one pair of channels per worker serve the whole
+    /// call.
     pub(super) fn run_until_sharded(&mut self, deadline: SimTime, shards: usize) {
         // Don't pay thread spawns when nothing is due (or the run is over).
         if !matches!(self.core.queue.peek_time(), Some(at) if at <= deadline) {
             return;
         }
         let part = BoundaryPartition::balanced(self.pop.nodes.len(), shards);
+        let spin = spin_budget(part.len());
         let mut chunks = split_chunks(&part, &mut self.pop).into_iter();
         let chunk0 = chunks.next().expect("partition has at least one shard");
         let core = &mut self.core;
-        // The mailboxes and the death flag live outside the scope so their
-        // borrows outlive the scope's implicit join.
-        let dead = AtomicBool::new(false);
-        let replies: Mailbox<(usize, Reply)> = Mailbox::new();
-        replies.register_owner();
-        let inboxes: Vec<Mailbox<Work>> = (1..part.len()).map(|_| Mailbox::new()).collect();
         std::thread::scope(|scope| {
-            // On every exit path — including a coordinator panic — release the
-            // workers so `scope` can join them instead of deadlocking.
-            struct ExitGuard<'a>(&'a [Mailbox<Work>]);
-            impl Drop for ExitGuard<'_> {
-                fn drop(&mut self) {
-                    for inbox in self.0 {
-                        inbox.send(Work::Exit);
-                    }
-                }
+            let (mut work, mut replies) = (Vec::new(), Vec::new());
+            for chunk in chunks {
+                let (work_tx, work_rx) = sync_channel(1);
+                let (reply_tx, reply_rx) = sync_channel(1);
+                scope.spawn(move || worker_loop(chunk, work_rx, reply_tx, spin));
+                work.push(work_tx);
+                replies.push(reply_rx);
             }
-            let _exit = ExitGuard(&inboxes);
-            let (replies, dead) = (&replies, &dead);
-            let spin = spin_budget(part.len());
-            for ((shard, chunk), inbox) in (1..).zip(chunks).zip(&inboxes) {
-                scope.spawn(move || worker_loop(shard, chunk, inbox, replies, dead, spin));
-            }
-            let mut engine = Engine {
+            let item_lists = (0..part.len()).map(|_| Vec::new()).collect();
+            // The engine drops here, or while a panic unwinds; either way its
+            // work senders hang up and the workers return.
+            Engine {
                 core,
-                part: &part,
                 chunk0,
-                overlay0: Overlay::default(),
-                inboxes: &inboxes,
+                part,
+                work,
                 replies,
-                dead,
                 spin,
-                reply_slots: (0..part.len()).map(|_| None).collect(),
                 runs: Vec::new(),
                 buf_pool: Vec::new(),
                 bufvec_pool: Vec::new(),
-                item_lists: (0..part.len()).map(|_| Vec::new()).collect(),
+                item_lists,
+                segment: Vec::new(),
+                in_segment: BitSet::new(),
                 received: Vec::new(),
-            };
-            engine.run(deadline);
+            }
+            .run(deadline);
         });
     }
 }
 
 /// The coordinator's event loop of one sharded `run_until` call: drives the
 /// [`Coordinator`] through the per-batch fork/join against the worker
-/// mailboxes, with shard 0's node chunk worked inline.
-struct Engine<'w, 'mb> {
+/// channels, with shard 0's node chunk worked inline.
+struct Engine<'w> {
     core: &'w mut Coordinator,
     chunk0: ShardChunk<'w>,
-    overlay0: Overlay,
-    part: &'mb BoundaryPartition,
-    inboxes: &'mb [Mailbox<Work>],
-    replies: &'mb Mailbox<(usize, Reply)>,
-    dead: &'mb AtomicBool,
+    part: BoundaryPartition,
+    /// Work senders and reply receivers of worker shards `1..`, at index
+    /// `shard - 1`.
+    work: Vec<SyncSender<Work>>,
+    replies: Vec<Receiver<Reply>>,
     /// Spin budget of this machine (see [`spin_budget`]).
     spin: u32,
-    /// Results of the in-flight fork, indexed by shard id: the workers'
-    /// replies plus, in slot 0, the coordinator's own inline result.
-    reply_slots: Vec<Option<Reply>>,
     /// Fenceposts of the ascending node list last split along the shard
     /// boundaries (see [`Engine::split_runs`]).
     runs: Vec<usize>,
@@ -568,10 +403,13 @@ struct Engine<'w, 'mb> {
     bufvec_pool: Vec<Vec<ActionBuf>>,
     /// Per-shard item lists of the protocol segment being built.
     item_lists: Vec<Vec<ProtocolItem>>,
+    /// The nodes of the segment's items in FIFO order, and as a set.
+    segment: Vec<NodeId>,
+    in_segment: BitSet,
     received: Vec<u32>,
 }
 
-impl Engine<'_, '_> {
+impl Engine<'_> {
     /// The batch loop — structurally identical to the serial `run_until`,
     /// with dispatch replaced by segmented fork/join.
     fn run(&mut self, deadline: SimTime) {
@@ -584,39 +422,46 @@ impl Engine<'_, '_> {
             batch.clear();
             self.core.queue.pop_due_batch(at, &mut batch);
             let mut index = 0;
-            while index < batch.len() {
-                let mut stop = index + 1;
-                match batch[index].1 {
-                    WorldEvent::Subscribe { .. } | WorldEvent::Timer { .. } => {
-                        // Maximal run of protocol events: one fork/join.
-                        while stop < batch.len()
-                            && matches!(
-                                batch[stop].1,
-                                WorldEvent::Subscribe { .. } | WorldEvent::Timer { .. }
-                            )
-                        {
-                            stop += 1;
-                        }
-                        self.protocol_segment(&batch[index..stop]);
-                    }
+            while let Some(&(_, event)) = batch.get(index) {
+                if let WorldEvent::Subscribe { .. } | WorldEvent::Timer { .. } = event {
+                    index += self.protocol_segment(&batch[index..]);
+                    continue;
+                }
+                index += 1;
+                match event {
                     WorldEvent::TxStart { frame } => self.core.on_tx_start(frame),
                     WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx),
                     WorldEvent::MobilityTick => self.on_mobility_tick(),
                     WorldEvent::Publish { index: publication } => self.on_publish(publication),
                     WorldEvent::WarmupEnd => self.on_warmup_end(),
+                    WorldEvent::Subscribe { .. } | WorldEvent::Timer { .. } => unreachable!(),
                 }
-                index = stop;
             }
         }
         self.core.batch_scratch = batch;
     }
 
-    /// Blocks until `count` outstanding replies arrived, filing each by shard.
-    fn collect_replies(&mut self, count: usize) {
-        for _ in 0..count {
-            let (shard, reply) = self.replies.recv(self.dead, self.spin);
-            debug_assert!(self.reply_slots[shard].is_none(), "double reply");
-            self.reply_slots[shard] = Some(reply);
+    /// Hands `work` to worker shard `shard`. A worker that died fails the
+    /// `join` that follows every fork.
+    fn fork(&self, shard: usize, work: Work) {
+        let _ = self.work[shard - 1].send(work);
+    }
+
+    /// Waits for worker shard `shard`'s reply. A worker that panicked hung
+    /// up its reply channel; the run then fails here rather than waiting.
+    fn join(&self, shard: usize) -> Reply {
+        recv(&self.replies[shard - 1], self.spin).unwrap_or_else(|| {
+            panic!(
+                "shard {shard} panicked in the batch at {}; the run is abandoned",
+                self.core.now
+            )
+        })
+    }
+
+    fn join_bufs(&self, shard: usize) -> Vec<ActionBuf> {
+        match self.join(shard) {
+            Reply::Actions(bufs) => bufs,
+            _ => unreachable!("mismatched reply kind"),
         }
     }
 
@@ -634,9 +479,16 @@ impl Engine<'_, '_> {
         self.bufvec_pool.push(bufs);
     }
 
+    /// Commits the filled buffers of an ascending run of nodes, in order.
+    fn commit_run(&mut self, run: &[u32], mut bufs: Vec<ActionBuf>) {
+        for (&node, buf) in run.iter().zip(&mut bufs) {
+            self.core.commit(NodeId(node), buf);
+        }
+        self.return_bufs(bufs);
+    }
+
     /// Splits an ascending node list along the shard boundaries: afterwards
-    /// `list[self.runs[s]..self.runs[s + 1]]` is shard `s`'s (possibly empty)
-    /// contiguous run.
+    /// `list[self.span(s)]` is shard `s`'s (possibly empty) contiguous run.
     fn split_runs(&mut self, list: &[u32]) {
         self.runs.clear();
         self.runs.push(0);
@@ -648,82 +500,91 @@ impl Engine<'_, '_> {
         }
     }
 
-    /// One maximal run of same-timestamp `Subscribe`/`Timer` events: build
-    /// per-shard item lists (with slot snapshots), fork the callbacks, then
-    /// commit every emitted action in the original FIFO event order.
-    fn protocol_segment(&mut self, events: &[(EventHandle, WorldEvent)]) {
+    /// Shard `shard`'s run of the list last split by [`Engine::split_runs`].
+    fn span(&self, shard: usize) -> std::ops::Range<usize> {
+        self.runs[shard]..self.runs[shard + 1]
+    }
+
+    /// Runs the protocol segment at the head of `events` — the longest run
+    /// of `Subscribe`/`Timer` events in which no node appears twice — and
+    /// returns how many events it consumed (at least 1).
+    ///
+    /// The coordinator decides each timer's fire/skip with
+    /// [`Coordinator::take_armed`] while it builds the segment, exactly as
+    /// the serial `dispatch` does, forks only the callbacks that run, and
+    /// commits their actions in FIFO order. Deciding before any of the
+    /// segment's actions commit is exact: only a node's own commits touch
+    /// its timer slots, and no node in the segment has an earlier event in
+    /// it. The cut at a repeated node keeps the second half true; it is what
+    /// lets a callback cancel another of its own timers due in the same
+    /// batch.
+    fn protocol_segment(&mut self, events: &[(EventHandle, WorldEvent)]) -> usize {
         let now = self.core.now;
         let mut item_lists = std::mem::take(&mut self.item_lists);
-        for &(handle, event) in events {
-            let (node, op) = match event {
-                WorldEvent::Subscribe { node } => {
-                    (node, ProtocolOp::Subscribe(self.core.subscribe_topic(node)))
-                }
-                WorldEvent::Timer { node, kind } => (node, ProtocolOp::Timer { kind, handle }),
-                _ => unreachable!("protocol segments hold only Subscribe/Timer events"),
-            };
-            item_lists[self.part.owner(node.index())].push(ProtocolItem {
-                node: node.0,
-                slots: self.core.timer_slots[node.index()],
-                op,
-            });
-        }
-        // Fork: workers first, then shard 0 inline on this thread.
-        let mut outstanding = 0;
-        for (inbox, list) in self.inboxes.iter().zip(&mut item_lists[1..]) {
-            if list.is_empty() {
-                continue;
-            }
-            let items = std::mem::take(list);
-            let bufs = self.take_bufs(items.len());
-            inbox.send(Work::Protocol { now, items, bufs });
-            outstanding += 1;
-        }
-        let mut bufs = self.take_bufs(item_lists[0].len());
-        let fired = do_protocol(
-            &mut self.chunk0,
-            &mut self.overlay0,
-            now,
-            &item_lists[0],
-            &mut bufs,
-        );
-        item_lists[0].clear();
-        self.item_lists = item_lists;
-        self.reply_slots[0] = Some(Reply::Protocol { fired, bufs });
-        self.collect_replies(outstanding);
-        // Join: walk the events in FIFO order again, pulling each item's
-        // result from its shard's cursor, and commit.
-        let mut results: Vec<(Vec<bool>, Vec<ActionBuf>, usize)> = self
-            .reply_slots
-            .iter_mut()
-            .map(|slot| match slot.take() {
-                Some(Reply::Protocol { fired, bufs }) => (fired, bufs, 0),
-                None => Default::default(),
-                Some(_) => unreachable!("mismatched reply kind"),
-            })
-            .collect();
+        let mut segment = std::mem::take(&mut self.segment);
+        let mut consumed = 0;
         for &(handle, event) in events {
             let node = match event {
                 WorldEvent::Subscribe { node } | WorldEvent::Timer { node, .. } => node,
-                _ => unreachable!(),
+                _ => break,
             };
-            let (fired, bufs, cursor) = &mut results[self.part.owner(node.index())];
+            if self.in_segment.contains(node.index()) {
+                break;
+            }
+            consumed += 1;
+            let op = match event {
+                WorldEvent::Timer { kind, .. } => {
+                    if !self.core.take_armed(node, kind, handle) {
+                        continue; // cancelled or re-armed: skipped, nothing runs
+                    }
+                    ProtocolOp::Timer(kind)
+                }
+                _ => ProtocolOp::Subscribe(self.core.subscribe_topic(node)),
+            };
+            self.in_segment.insert(node.index());
+            segment.push(node);
+            item_lists[self.part.owner(node.index())].push(ProtocolItem { node: node.0, op });
+        }
+        // Fork: workers first, then shard 0 inline on this thread.
+        let forked: Vec<bool> = item_lists.iter().map(|items| !items.is_empty()).collect();
+        for (shard, items) in item_lists.iter_mut().enumerate().skip(1) {
+            if !items.is_empty() {
+                let items = std::mem::take(items);
+                let bufs = self.take_bufs(items.len());
+                self.fork(shard, Work::Protocol { now, items, bufs });
+            }
+        }
+        let mut bufs = self.take_bufs(item_lists[0].len());
+        do_protocol(&mut self.chunk0, now, &item_lists[0], &mut bufs);
+        item_lists[0].clear();
+        self.item_lists = item_lists;
+        // Join: receive in shard order, then commit each item's actions in
+        // FIFO order from its shard's cursor.
+        let mut joined = vec![(bufs, 0)];
+        for (shard, &forked) in forked.iter().enumerate().skip(1) {
+            joined.push((
+                if forked {
+                    self.join_bufs(shard)
+                } else {
+                    Vec::new()
+                },
+                0,
+            ));
+        }
+        for node in segment.drain(..) {
+            self.in_segment.remove(node.index());
+            let (bufs, cursor) = &mut joined[self.part.owner(node.index())];
+            self.core.commit(node, &mut bufs[*cursor]);
             *cursor += 1;
-            if !fired[*cursor - 1] {
-                continue; // skipped stale timer: nothing ran, nothing emitted
-            }
-            if let WorldEvent::Timer { kind, .. } = event {
-                // The overlay fired this timer, which implies no earlier item
-                // of this segment touched the slot — so it still holds this
-                // exact handle, as the sequential fire check would require.
-                let armed = self.core.take_armed(node, kind, handle);
-                debug_assert!(armed, "the slot overlay fired a timer that is not armed");
-            }
-            self.core.commit(node, &mut bufs[*cursor - 1]);
         }
-        for (_, bufs, _) in results {
-            self.return_bufs(bufs);
+        self.segment = segment;
+        for (bufs, _) in joined {
+            // An idle shard's placeholder holds nothing worth pooling.
+            if bufs.capacity() > 0 {
+                self.return_bufs(bufs);
+            }
         }
+        consumed
     }
 
     /// Frame completion: reception resolves at the coordinator exactly as in
@@ -761,38 +622,34 @@ impl Engine<'_, '_> {
         let now = self.core.now;
         let message = Arc::new(message);
         self.split_runs(received);
-        let mut outstanding = 0;
         for shard in 1..self.part.len() {
-            let run = &received[self.runs[shard]..self.runs[shard + 1]];
-            if run.is_empty() {
-                continue;
+            let run = &received[self.span(shard)];
+            if !run.is_empty() {
+                let bufs = self.take_bufs(run.len());
+                let message = Arc::clone(&message);
+                let receivers = run.to_vec();
+                self.fork(
+                    shard,
+                    Work::Deliver {
+                        now,
+                        message,
+                        receivers,
+                        bufs,
+                    },
+                );
             }
-            let bufs = self.take_bufs(run.len());
-            self.inboxes[shard - 1].send(Work::Deliver {
-                now,
-                message: Arc::clone(&message),
-                receivers: run.to_vec(),
-                bufs,
-            });
-            outstanding += 1;
         }
-        let own = &received[..self.runs[1]];
+        let own = &received[self.span(0)];
         let mut bufs = self.take_bufs(own.len());
         do_deliver(&mut self.chunk0, now, &message, own, &mut bufs);
-        self.reply_slots[0] = Some(Reply::Deliver { bufs });
-        self.collect_replies(outstanding);
         // Commit ascending: shard order is receiver order.
-        for shard in 0..self.part.len() {
-            let mut bufs = match self.reply_slots[shard].take() {
-                Some(Reply::Deliver { bufs }) => bufs,
-                None => continue,
-                Some(_) => unreachable!("mismatched reply kind"),
-            };
-            let run = &received[self.runs[shard]..self.runs[shard + 1]];
-            for (&receiver, buf) in run.iter().zip(&mut bufs) {
-                self.core.commit(NodeId(receiver), buf);
+        self.commit_run(own, bufs);
+        for shard in 1..self.part.len() {
+            let run = &received[self.span(shard)];
+            if !run.is_empty() {
+                let bufs = self.join_bufs(shard);
+                self.commit_run(run, bufs);
             }
-            self.return_bufs(bufs);
         }
         // Each worker's clone dropped with its `Work::Deliver` before the
         // reply; reclaim the message's vectors for the next broadcast.
@@ -808,33 +665,27 @@ impl Engine<'_, '_> {
         let (now, tick) = (self.core.now, self.core.scenario.mobility_tick);
         let due = self.core.begin_tick(now);
         self.split_runs(&due);
-        let mut outstanding = 0;
         for shard in 1..self.part.len() {
-            let run = &due[self.runs[shard]..self.runs[shard + 1]];
-            if run.is_empty() {
-                continue;
+            let run = &due[self.span(shard)];
+            if !run.is_empty() {
+                let nodes = run.to_vec();
+                self.fork(shard, Work::Mobility { now, tick, nodes });
             }
-            self.inboxes[shard - 1].send(Work::Mobility {
-                now,
-                tick,
-                nodes: run.to_vec(),
-            });
-            outstanding += 1;
         }
-        let moves = do_mobility(&mut self.chunk0, now, tick, &due[..self.runs[1]]);
-        self.reply_slots[0] = Some(Reply::Mobility { moves });
-        self.collect_replies(outstanding);
         // Commit ascending (shard order = node order), exactly as the serial
         // walk does.
-        for shard in 0..self.part.len() {
-            match self.reply_slots[shard].take() {
-                Some(Reply::Mobility { moves }) => {
-                    for moved in moves {
-                        self.core.commit_move(moved, now);
-                    }
+        let own = &due[self.span(0)];
+        for moved in do_mobility(&mut self.chunk0, now, tick, own) {
+            self.core.commit_move(moved, now);
+        }
+        for shard in 1..self.part.len() {
+            if !due[self.span(shard)].is_empty() {
+                let Reply::Mobility(moves) = self.join(shard) else {
+                    unreachable!("mismatched reply kind")
+                };
+                for moved in moves {
+                    self.core.commit_move(moved, now);
                 }
-                None => {}
-                Some(_) => unreachable!("mismatched reply kind"),
             }
         }
         self.core.end_tick(due);
@@ -856,22 +707,22 @@ impl Engine<'_, '_> {
                 &mut buf,
             ),
             shard => {
-                self.inboxes[shard - 1].send(Work::Publish {
-                    now,
-                    node: publisher as u32,
-                    topic: publication.topic.clone(),
-                    validity: publication.validity,
-                    payload_bytes: publication.payload_bytes,
-                    buf,
-                });
-                self.collect_replies(1);
-                match self.reply_slots[shard].take() {
-                    Some(Reply::Publish { id, buf: filled }) => {
-                        buf = filled;
-                        id
-                    }
-                    _ => unreachable!("mismatched reply kind"),
-                }
+                self.fork(
+                    shard,
+                    Work::Publish {
+                        now,
+                        node: publisher as u32,
+                        topic: publication.topic.clone(),
+                        validity: publication.validity,
+                        payload_bytes: publication.payload_bytes,
+                        buf,
+                    },
+                );
+                let Reply::Publish { id, buf: filled } = self.join(shard) else {
+                    unreachable!("mismatched reply kind")
+                };
+                buf = filled;
+                id
             }
         };
         self.core
@@ -882,16 +733,15 @@ impl Engine<'_, '_> {
     /// Warm-up boundary: metrics snapshots fan out; shard order concatenation
     /// restores ascending node order.
     fn on_warmup_end(&mut self) {
-        for inbox in self.inboxes {
-            inbox.send(Work::Snapshot);
+        for shard in 1..self.part.len() {
+            self.fork(shard, Work::Snapshot);
         }
         let mut metrics = metrics_of(self.chunk0.nodes);
-        self.collect_replies(self.inboxes.len());
-        for slot in &mut self.reply_slots[1..] {
-            match slot.take() {
-                Some(Reply::Snapshot { metrics: chunk }) => metrics.extend(chunk),
-                _ => unreachable!("mismatched reply kind"),
-            }
+        for shard in 1..self.part.len() {
+            let Reply::Snapshot(chunk) = self.join(shard) else {
+                unreachable!("mismatched reply kind")
+            };
+            metrics.extend(chunk);
         }
         self.core.snapshot_warmup(metrics);
     }
@@ -900,41 +750,130 @@ impl Engine<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioBuilder;
+    use mobility::Area;
+    use netsim::RadioConfig;
+    use pubsub::SubscriptionSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// An orderly return must leave the flag down: a worker leaving on
-    /// `Exit` while a peer still waits for its own `Exit` is not a death.
-    #[test]
-    fn death_flag_stays_down_when_a_thread_returns() {
-        let dead = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _flag = DeathFlag(&dead);
-            });
-        });
-        assert!(!dead.load(Ordering::Acquire));
+    /// A stand-in protocol. `subscribe` arms a heartbeat and a
+    /// neighborhood-GC timer for the same instant; every timer broadcasts,
+    /// and the heartbeat also cancels the GC timer and re-arms both, so the
+    /// GC timer of each batch is stale by the time the serial loop reaches
+    /// it. With `panics` set, `subscribe` panics instead.
+    #[derive(Debug)]
+    struct Fake {
+        id: ProcessId,
+        subscriptions: SubscriptionSet,
+        metrics: ProtocolMetrics,
+        panics: bool,
     }
 
-    /// A panicking thread raises the flag, and a receiver waiting on an
-    /// empty mailbox then panics with the cause instead of waiting forever.
+    fn arm_both(out: &mut ActionBuf) {
+        for kind in [TimerKind::Heartbeat, TimerKind::NeighborhoodGc] {
+            let after = SimDuration::from_millis(500);
+            out.push(Action::SetTimer { kind, after });
+        }
+    }
+
+    impl DisseminationProtocol for Fake {
+        fn name(&self) -> &'static str {
+            "fake"
+        }
+
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn subscriptions(&self) -> &SubscriptionSet {
+            &self.subscriptions
+        }
+
+        fn subscribe(&mut self, _: Topic, _: SimTime, out: &mut ActionBuf) {
+            assert!(!self.panics, "node {} cannot subscribe", self.id.0);
+            arm_both(out);
+        }
+
+        fn unsubscribe(&mut self, _: &Topic, _: SimTime, _: &mut ActionBuf) {}
+
+        fn publish(
+            &mut self,
+            _: Topic,
+            _: SimDuration,
+            _: usize,
+            _: SimTime,
+            _: &mut ActionBuf,
+        ) -> EventId {
+            unreachable!("the fake world publishes nothing")
+        }
+
+        fn handle_message(&mut self, _: &Message, _: SimTime, _: &mut ActionBuf) {}
+
+        fn handle_timer(&mut self, kind: TimerKind, _: SimTime, out: &mut ActionBuf) {
+            self.metrics.messages_sent += 1;
+            out.push(Action::Broadcast(Message::Heartbeat {
+                from: self.id,
+                subscriptions: self.subscriptions.clone(),
+                speed: None,
+            }));
+            if kind == TimerKind::Heartbeat {
+                out.push(Action::CancelTimer(TimerKind::NeighborhoodGc));
+                arm_both(out);
+            }
+        }
+
+        fn update_speed(&mut self, _: Option<f64>) {}
+
+        fn metrics(&self) -> &ProtocolMetrics {
+            &self.metrics
+        }
+    }
+
+    /// Six stationary nodes in radio range of each other, running [`Fake`]
+    /// on `shards` shards; node `panicking`, if any, panics on subscribe.
+    fn fake_world(shards: usize, panicking: Option<usize>) -> World {
+        let scenario = ScenarioBuilder::new()
+            .label("fake")
+            .nodes(6)
+            .mobility(MobilityKind::Stationary {
+                area: Area::square(100.0),
+            })
+            .radio(RadioConfig::ideal(150.0))
+            .timing(SimDuration::ZERO, SimDuration::from_secs(5))
+            .publications(Vec::new())
+            .build()
+            .unwrap();
+        let mut world = World::new(scenario, 1).unwrap();
+        for (index, node) in world.pop.nodes.iter_mut().enumerate() {
+            node.protocol = Box::new(Fake {
+                id: ProcessId(index as u64),
+                subscriptions: SubscriptionSet::new(),
+                metrics: ProtocolMetrics::default(),
+                panics: panicking == Some(index),
+            });
+        }
+        world.set_shards(shards);
+        world
+    }
+
     #[test]
-    #[should_panic(expected = "a shard peer thread terminated")]
-    fn death_flag_rises_on_panic_and_unblocks_a_waiting_receiver() {
-        let dead = AtomicBool::new(false);
-        let joined = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _flag = DeathFlag(&dead);
-                    panic!("a worker callback failed");
-                })
-                .join()
-        });
-        assert!(joined.is_err(), "the worker must have panicked");
-        assert!(
-            dead.load(Ordering::Acquire),
-            "the panic must raise the flag"
-        );
-        let mailbox: Mailbox<()> = Mailbox::new();
-        mailbox.register_owner();
-        mailbox.recv(&dead, 0);
+    fn a_panicking_worker_fails_the_run_instead_of_hanging() {
+        assert_eq!(BoundaryPartition::balanced(6, 2).owner(4), 1);
+        let mut world = fake_world(2, Some(4));
+        let end = SimTime::ZERO + world.scenario().duration;
+        let payload = catch_unwind(AssertUnwindSafe(|| world.run_until(end)))
+            .expect_err("the worker's panic must fail the run");
+        let message = payload
+            .downcast::<String>()
+            .expect("the coordinator's diagnostic");
+        assert!(message.contains("shard 1"), "{message}");
+        assert!(message.contains(&world.now().to_string()), "{message}");
+    }
+
+    #[test]
+    fn a_node_twice_in_one_batch_matches_the_serial_loop() {
+        let serial = fake_world(1, None).run();
+        assert!(serial.nodes.iter().any(|node| node.messages_sent > 0));
+        assert_eq!(fake_world(2, None).run(), serial);
     }
 }

@@ -22,7 +22,7 @@ fn main() {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let tables = compile_path(&path, &[])
         .map_err(|err| err.to_string())
-        .and_then(|matrix| run_matrix(&matrix, workers, 1).map_err(|err| err.to_string()));
+        .and_then(|matrix| run_matrix(&matrix, workers).map_err(|err| err.to_string()));
     let Ok([bandwidth_kb, events_sent, duplicates, parasites]) = tables.as_deref() else {
         eprintln!("{path}: no four tables of Figs. 17-20: {:?}", tables.err());
         return;

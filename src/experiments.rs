@@ -19,7 +19,7 @@ fn compile(file: &str) -> CompiledMatrix {
 /// Runs `file` and returns its tables.
 fn run(file: &str) -> Vec<DataTable> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    run_matrix(&compile(file), workers, 1).unwrap()
+    run_matrix(&compile(file), workers).unwrap()
 }
 
 /// The distinct values of `value` over the scenarios of `matrix`, in order.

@@ -73,7 +73,7 @@ fn run(file: &str) -> Vec<DataTable> {
     let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
     let matrix = compile_path(path, &[]).unwrap_or_else(|err| panic!("{file}: {err}"));
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    run_matrix(&matrix, workers, 1).unwrap()
+    run_matrix(&matrix, workers).unwrap()
 }
 
 /// The shape claims on quick Figs. 14, 18 and 19. The trends on the files

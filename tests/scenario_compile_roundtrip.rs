@@ -269,7 +269,7 @@ fn readme_schema_example_compiles() {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep axes and the sharded-runner path.
+// Sweep axes and the sharded engine.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -284,19 +284,13 @@ fn cli_sweep_axes_expand_the_matrix() {
 }
 
 #[test]
-fn compiled_scenario_runs_through_the_sharded_runner() {
+fn compiled_scenario_runs_bit_identically_on_two_shards() {
     let matrix = compile_path(example("quickstart.toml"), &[]).unwrap();
-    let sharded = manet_sim::run_scenario_reports_sharded(
-        &matrix.points[0].scenario,
-        SeedPlan::new(42, 2),
-        2,
-        2,
-    )
-    .unwrap();
     let twin = quickstart_twin(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
-    let direct: Vec<_> = [42u64, 43]
-        .iter()
-        .map(|&seed| World::new(twin.clone(), seed).unwrap().run())
-        .collect();
-    assert_eq!(sharded, direct);
+    for seed in [42u64, 43] {
+        let mut world = World::new(matrix.points[0].scenario.clone(), seed).unwrap();
+        world.set_shards(2);
+        let direct = World::new(twin.clone(), seed).unwrap().run();
+        assert_eq!(world.run(), direct, "seed {seed}");
+    }
 }

@@ -12,13 +12,12 @@
 //! default engine at 1 to 8 shards and the **one reference oracle** — the
 //! naive, single-threaded advance-everyone world behind the doc-hidden
 //! `World::set_naive_mobility` — on random scenarios: all four protocol
-//! variants, all mobility models, fresh and arena-recycled worlds, and the
-//! sharded seed-sweep runner.
+//! variants, all mobility models, and fresh and arena-recycled worlds.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
-    run_scenario_reports, run_scenario_reports_sharded, MobilityKind, ProtocolKind, Publication,
-    PublisherChoice, RunReport, Scenario, ScenarioBuilder, SeedPlan, World, WorldArena,
+    MobilityKind, ProtocolKind, Publication, PublisherChoice, RunReport, Scenario, ScenarioBuilder,
+    World, WorldArena,
 };
 use mobility::Area;
 use netsim::RadioConfig;
@@ -281,31 +280,4 @@ fn dense_reception_matches_single_thread() {
         collided > 0,
         "no frame was lost to an interferer or to half duplex"
     );
-}
-
-/// The sharded seed-sweep runner must reproduce the default runner's reports
-/// exactly, for any worker × shard split.
-#[test]
-fn sharded_runner_matches_default_runner() {
-    let scenario = random_scenario(
-        MobilityKind::RandomWaypoint {
-            area: Area::square(400.0),
-            speed_min: 2.0,
-            speed_max: 20.0,
-            pause: SimDuration::from_secs(1),
-        },
-        ProtocolKind::Frugal(ProtocolConfig::paper_default()),
-        10,
-        400,
-        180.0,
-    );
-    let plan = SeedPlan::new(1, 4);
-    let reference = run_scenario_reports(&scenario, plan).unwrap();
-    for (workers, shards) in [(1usize, 2usize), (2, 2), (1, 4)] {
-        let sharded = run_scenario_reports_sharded(&scenario, plan, workers, shards).unwrap();
-        assert_eq!(
-            sharded, reference,
-            "sharded runner ({workers} workers × {shards} shards) diverged"
-        );
-    }
 }
