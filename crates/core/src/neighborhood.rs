@@ -6,53 +6,57 @@
 //! the time the entry was last refreshed. Entries whose refresh time is older
 //! than the neighborhood garbage-collection delay are evicted periodically, so
 //! the table's size stays bounded by the physical neighborhood size.
+//!
+//! The table is flat: rows sorted by neighbor id, each with a sorted vector of
+//! known events, found by binary search. Walks go in ascending id, the order
+//! the golden fingerprints pin for `average_speed`'s floating-point sum.
 
 use pubsub::{EventId, ProcessId, SubscriptionSet, Topic};
 use serde::{Deserialize, Serialize};
-use simkit::{BitSet, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashSet};
-
-/// Process ids below this bound are mirrored in a presence bitset so that
-/// membership tests — the hottest neighborhood query on the message-receive
-/// path — are a single load+mask instead of a tree walk. Simulated worlds
-/// assign dense ids from zero, so every real scenario fits; sparse ids above
-/// the bound (possible in hand-written tests) simply fall back to the tree.
-const DENSE_ID_BOUND: u64 = 1 << 22;
-
-fn dense_index(id: ProcessId) -> Option<usize> {
-    (id.0 < DENSE_ID_BOUND).then_some(id.0 as usize)
-}
+use simkit::{SimDuration, SimTime};
 
 /// One row of the neighborhood table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NeighborEntry {
     /// The neighbor's subscriptions, as advertised in its last heartbeat.
     pub subscriptions: SubscriptionSet,
-    /// Events the neighbor is believed to have received (learned from its
-    /// event-id announcements and from overheard event bundles).
-    pub known_events: HashSet<EventId>,
+    /// Events the neighbor is believed to have received (from its event-id
+    /// announcements and overheard event bundles), sorted and duplicate-free.
+    known_events: Vec<EventId>,
     /// The neighbor's last advertised speed in m/s, if it shares it.
     pub speed: Option<f64>,
     /// When this entry was last stored or refreshed.
     pub stored_at: SimTime,
 }
 
-/// The dynamic one-hop neighborhood table of a process.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+impl NeighborEntry {
+    /// `true` if the neighbor is believed to already hold `event`.
+    pub fn knows(&self, event: &EventId) -> bool {
+        self.known_events.binary_search(event).is_ok()
+    }
+
+    /// Records that the neighbor holds `event` and refreshes the store time.
+    fn learn(&mut self, event: EventId, now: SimTime) {
+        if let Err(at) = self.known_events.binary_search(&event) {
+            self.known_events.insert(at, event);
+        }
+        self.stored_at = now;
+    }
+}
+
+/// The one-hop neighborhood table of a process (no `PartialEq`: spare storage may differ).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NeighborhoodTable {
-    entries: BTreeMap<ProcessId, NeighborEntry>,
-    /// What recently departed neighbors were known to hold, so that a neighbor
-    /// that drives back into range is not mistaken for an empty-handed
-    /// newcomer (which would trigger needless retransmissions). Bounded by
-    /// `departed_capacity`; disabled when the capacity is zero.
-    departed: BTreeMap<ProcessId, (HashSet<EventId>, SimTime)>,
+    /// The tracked neighbors, sorted by id.
+    entries: Vec<(ProcessId, NeighborEntry)>,
+    /// What recently departed neighbors held and when they left, sorted by id,
+    /// so a returning neighbor is not mistaken for an empty-handed newcomer
+    /// (and sent needless retransmissions). At most `departed_capacity` rows.
+    departed: Vec<(ProcessId, Vec<EventId>, SimTime)>,
     departed_capacity: usize,
-    /// Presence mirror of `entries` for ids below [`DENSE_ID_BOUND`], kept in
-    /// lockstep by `upsert`/eviction/`clear`.
-    present: BitSet,
-    /// Reusable scratch for [`NeighborhoodTable::prune_stale`]; always left
-    /// empty between calls.
-    stale_scratch: Vec<ProcessId>,
+    /// Known-event vectors freed by eviction, trimming or `clear`, handed out
+    /// again (emptied) to new rows and departed records instead of allocating.
+    spare: Vec<Vec<EventId>>,
 }
 
 impl NeighborhoodTable {
@@ -82,28 +86,29 @@ impl NeighborhoodTable {
         self.entries.is_empty()
     }
 
+    /// The row of `id`, or where it would be inserted.
+    fn find(&self, id: ProcessId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id, |(key, _)| *key)
+    }
+
     /// `true` if `id` is currently in the table.
     pub fn contains(&self, id: ProcessId) -> bool {
-        match dense_index(id) {
-            Some(index) => self.present.contains(index),
-            None => self.entries.contains_key(&id),
-        }
+        self.find(id).is_ok()
     }
 
     /// The entry for neighbor `id`, if present.
     pub fn get(&self, id: ProcessId) -> Option<&NeighborEntry> {
-        self.entries.get(&id)
+        self.find(id).ok().map(|at| &self.entries[at].1)
     }
 
     /// Iterates over `(id, entry)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&ProcessId, &NeighborEntry)> {
-        self.entries.iter()
+        self.entries.iter().map(|(id, entry)| (id, entry))
     }
 
-    /// Appends the identifiers of all tracked neighbors to `out`, in id
-    /// order.
+    /// Appends the identifiers of all tracked neighbors to `out`, in id order.
     pub fn ids_into(&self, out: &mut Vec<ProcessId>) {
-        out.extend(self.entries.keys().copied());
+        out.extend(self.entries.iter().map(|(id, _)| *id));
     }
 
     /// Inserts or refreshes the entry for `id` (the paper's
@@ -116,32 +121,29 @@ impl NeighborhoodTable {
         speed: Option<f64>,
         now: SimTime,
     ) -> bool {
-        match self.entries.entry(id) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                // A returning neighbor has not forgotten the events it already
-                // received while it was away: restore what we knew about it.
-                let known_events = self
-                    .departed
-                    .remove(&id)
-                    .map(|(events, _)| events)
-                    .unwrap_or_default();
-                slot.insert(NeighborEntry {
-                    subscriptions,
-                    known_events,
-                    speed,
-                    stored_at: now,
-                });
-                if let Some(index) = dense_index(id) {
-                    self.present.insert(index);
-                }
-                true
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
+        match self.find(id) {
+            Ok(at) => {
+                let entry = &mut self.entries[at].1;
                 entry.subscriptions = subscriptions;
                 entry.speed = speed;
                 entry.stored_at = now;
                 false
+            }
+            Err(at) => {
+                // A returning neighbor has not forgotten the events it already
+                // received while it was away: restore what we knew about it.
+                let known_events = match self.departed.binary_search_by_key(&id, |d| d.0) {
+                    Ok(gone) => self.departed.remove(gone).1,
+                    Err(_) => self.spare_events(),
+                };
+                let entry = NeighborEntry {
+                    subscriptions,
+                    known_events,
+                    speed,
+                    stored_at: now,
+                };
+                self.entries.insert(at, (id, entry));
+                true
             }
         }
     }
@@ -150,101 +152,85 @@ impl NeighborhoodTable {
     /// `UPDATENEIGHBOREVENTINFO`). Unknown neighbors are ignored. Also
     /// refreshes the entry's store time.
     pub fn record_known_event(&mut self, id: ProcessId, event: EventId, now: SimTime) {
-        if let Some(entry) = self.entries.get_mut(&id) {
-            entry.known_events.insert(event);
-            entry.stored_at = now;
+        if let Ok(at) = self.find(id) {
+            self.entries[at].1.learn(event, now);
+        }
+    }
+
+    /// [`NeighborhoodTable::record_known_event`] for every tracked neighbor and
+    /// each of `events` (after a broadcast to all of them), in one pass.
+    pub fn mark_known_by_all(&mut self, events: &[EventId], now: SimTime) {
+        for (_, entry) in &mut self.entries {
+            for &event in events {
+                entry.learn(event, now);
+            }
         }
     }
 
     /// `true` if neighbor `id` is believed to already hold `event`.
     pub fn neighbor_knows(&self, id: ProcessId, event: &EventId) -> bool {
-        self.entries
-            .get(&id)
-            .map(|e| e.known_events.contains(event))
-            .unwrap_or(false)
-    }
-
-    /// `true` if some tracked neighbor is subscribed to `topic` (directly or
-    /// through an ancestor subscription) and is not yet known to hold `event`.
-    pub fn someone_needs(&self, topic: &Topic, event: &EventId) -> bool {
-        self.entries
-            .values()
-            .any(|entry| entry.subscriptions.matches(topic) && !entry.known_events.contains(event))
+        self.get(id).is_some_and(|entry| entry.knows(event))
     }
 
     /// `true` if some tracked neighbor is subscribed to `topic`.
     pub fn someone_subscribed_to(&self, topic: &Topic) -> bool {
-        self.entries
-            .values()
-            .any(|entry| entry.subscriptions.matches(topic))
+        self.iter()
+            .any(|(_, entry)| entry.subscriptions.matches(topic))
     }
 
     /// Average advertised speed of the neighbors that share one, in m/s.
     /// `None` when no neighbor advertises a speed (the paper then keeps the
-    /// default heartbeat delay). Computed streaming, in the same id-order
-    /// summation as the historical collect-then-sum implementation, so the
-    /// floating-point result is bit-identical.
+    /// default heartbeat delay). Summed in id order, which the fingerprints pin.
     pub fn average_speed(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for speed in self.entries.values().filter_map(|e| e.speed) {
-            sum += speed;
-            count += 1;
-        }
+        let speeds = self.entries.iter().filter_map(|(_, e)| e.speed);
+        let (sum, count) = speeds.fold((0.0, 0u64), |(sum, n), speed| (sum + speed, n + 1));
         (count > 0).then(|| sum / count as f64)
     }
 
     /// Evicts entries whose store time is older than `now - ngc_delay` (the
-    /// paper's `neighborhoodGC` task), remembering what departed neighbors
-    /// held when the departed memory is enabled. Returns how many neighbors
-    /// were evicted.
+    /// paper's `neighborhoodGC` task) in one id-ordered pass, remembering what
+    /// they held if the departed memory is on. Returns how many were evicted.
     pub fn prune_stale(&mut self, now: SimTime, ngc_delay: SimDuration) -> usize {
         let cutoff = now - ngc_delay;
-        let mut stale = std::mem::take(&mut self.stale_scratch);
-        stale.extend(
-            self.entries
-                .iter()
-                .filter(|(_, e)| e.stored_at < cutoff)
-                .map(|(id, _)| *id),
-        );
-        let evicted = stale.len();
-        self.evict(&stale, now);
-        stale.clear();
-        self.stale_scratch = stale;
+        let mut entries = std::mem::take(&mut self.entries);
+        let before = entries.len();
+        entries.retain_mut(|(id, entry)| {
+            let fresh = entry.stored_at >= cutoff;
+            if !fresh {
+                let events = std::mem::take(&mut entry.known_events);
+                if self.departed_capacity > 0 && !events.is_empty() {
+                    self.remember(*id, events.iter().copied(), now);
+                }
+                self.spare.push(events);
+            }
+            fresh
+        });
+        let evicted = before - entries.len();
+        self.entries = entries;
+        self.trim_departed();
         evicted
     }
 
-    fn evict(&mut self, stale: &[ProcessId], now: SimTime) {
-        for id in stale {
-            if let Some(entry) = self.entries.remove(id) {
-                if let Some(index) = dense_index(*id) {
-                    self.present.remove(index);
-                }
-                if self.departed_capacity > 0 && !entry.known_events.is_empty() {
-                    self.departed.insert(*id, (entry.known_events, now));
-                }
-            }
-        }
-        self.trim_departed();
-    }
-
-    /// Keeps the departed memory bounded: drops the oldest entries first.
+    /// Keeps the departed memory bounded: drops the oldest records first, the
+    /// lowest id among equally old ones.
     fn trim_departed(&mut self) {
         while self.departed.len() > self.departed_capacity {
-            if let Some(oldest) = self
-                .departed
-                .iter()
-                .min_by_key(|(_, (_, at))| *at)
-                .map(|(id, _)| *id)
-            {
-                self.departed.remove(&oldest);
-            } else {
-                break;
-            }
+            // Of equal minima `min_by_key` keeps the first: the lowest id.
+            let oldest = (0..self.departed.len()).min_by_key(|&at| self.departed[at].2);
+            self.spare
+                .extend(oldest.map(|at| self.departed.remove(at).1));
         }
     }
 
-    /// Number of departed neighbors currently remembered (for tests).
+    /// An empty known-event vector, reusing freed storage when there is some.
+    fn spare_events(&mut self) -> Vec<EventId> {
+        let mut events = self.spare.pop().unwrap_or_default();
+        events.clear();
+        events
+    }
+
+    /// Number of departed neighbors currently remembered.
+    #[cfg(test)]
     pub fn departed_len(&self) -> usize {
         self.departed.len()
     }
@@ -262,23 +248,37 @@ impl NeighborhoodTable {
         events: I,
         now: SimTime,
     ) {
-        if self.departed_capacity == 0 || self.entries.contains_key(&id) {
+        if self.departed_capacity == 0 || self.contains(id) {
             return;
         }
-        let slot = self
-            .departed
-            .entry(id)
-            .or_insert_with(|| (HashSet::new(), now));
-        slot.0.extend(events);
-        slot.1 = now;
+        self.remember(id, events, now);
         self.trim_departed();
     }
 
-    /// Removes every entry (used when the process unsubscribes from everything).
+    /// Adds `events` to `id`'s departed record (made if missing), stamped `now`.
+    fn remember(&mut self, id: ProcessId, events: impl IntoIterator<Item = EventId>, now: SimTime) {
+        let at = match self.departed.binary_search_by_key(&id, |d| d.0) {
+            Ok(at) => at,
+            Err(at) => {
+                let fresh = self.spare_events();
+                self.departed.insert(at, (id, fresh, now));
+                at
+            }
+        };
+        let (_, known, left_at) = &mut self.departed[at];
+        known.extend(events);
+        known.sort_unstable();
+        known.dedup();
+        *left_at = now;
+    }
+
+    /// Removes every entry (when the process unsubscribes from everything, and
+    /// on protocol reset). Row vectors are kept for reuse, but the departed
+    /// memory is released: kept, a recycled world would hold every run's peak.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.departed.clear();
-        self.present.clear();
+        let rows = self.entries.drain(..);
+        self.spare.extend(rows.map(|(_, entry)| entry.known_events));
+        self.departed = Vec::new();
     }
 }
 
@@ -323,18 +323,25 @@ mod tests {
     }
 
     #[test]
-    fn someone_needs_respects_topic_and_known_events() {
+    fn someone_subscribed_to_respects_topic_and_knows_tracks_events() {
         let mut table = NeighborhoodTable::new();
         table.upsert(ProcessId(2), subs(".T0.T1"), None, SimTime::ZERO);
-        // A subscriber of .T0.T1 needs events on .T0.T1.T2 (subtopic).
-        assert!(table.someone_needs(&topic(".T0.T1.T2"), &eid(1)));
-        // But not events on .T0 (ancestor: that would be a parasite for it).
-        assert!(!table.someone_needs(&topic(".T0"), &eid(1)));
-        // Once the neighbor is known to hold the event, nobody needs it.
-        table.record_known_event(ProcessId(2), eid(1), SimTime::ZERO);
-        assert!(!table.someone_needs(&topic(".T0.T1.T2"), &eid(1)));
+        // A subscriber of .T0.T1 wants events on .T0.T1.T2 (subtopic)...
         assert!(table.someone_subscribed_to(&topic(".T0.T1.T2")));
+        // ...but not events on .T0 (ancestor: that would be a parasite for it).
+        assert!(!table.someone_subscribed_to(&topic(".T0")));
         assert!(!table.someone_subscribed_to(&topic(".music")));
+        // Once the neighbor is known to hold the event, it no longer needs it.
+        let entry = table.get(ProcessId(2)).unwrap();
+        assert!(!entry.knows(&eid(1)));
+        table.record_known_event(ProcessId(2), eid(1), SimTime::ZERO);
+        table.record_known_event(ProcessId(2), eid(1), SimTime::ZERO);
+        let entry = table.get(ProcessId(2)).unwrap();
+        assert!(entry.knows(&eid(1)));
+        assert!(!entry.knows(&eid(2)));
+        table.mark_known_by_all(&[eid(2), eid(0)], SimTime::ZERO);
+        let entry = table.get(ProcessId(2)).unwrap();
+        assert!([0, 1, 2].iter().all(|&seq| entry.knows(&eid(seq))));
     }
 
     #[test]
@@ -417,7 +424,24 @@ mod tests {
     }
 
     #[test]
-    fn contains_handles_sparse_ids_beyond_dense_bound() {
+    fn departed_trim_drops_the_lowest_id_among_equally_old() {
+        let mut table = NeighborhoodTable::with_departed_memory(2);
+        for i in [7u64, 3, 5] {
+            table.upsert(ProcessId(i), subs(".a"), None, SimTime::ZERO);
+            table.record_known_event(ProcessId(i), eid(i), SimTime::ZERO);
+        }
+        // All three leave in one collection, so their departures tie.
+        let evicted = table.prune_stale(SimTime::from_secs(10), SimDuration::from_secs(5));
+        assert_eq!(evicted, 3);
+        assert_eq!(table.departed_len(), 2);
+        for (i, remembered) in [(3u64, false), (5, true), (7, true)] {
+            table.upsert(ProcessId(i), subs(".a"), None, SimTime::from_secs(20));
+            assert_eq!(table.neighbor_knows(ProcessId(i), &eid(i)), remembered);
+        }
+    }
+
+    #[test]
+    fn sparse_ids_are_tracked_like_dense_ones() {
         let mut table = NeighborhoodTable::new();
         let sparse = ProcessId(u64::MAX - 7);
         assert!(!table.contains(sparse));
@@ -453,8 +477,178 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The reference layout on std ordered collections: rows in a `BTreeMap`
+    /// with `BTreeSet` known events, and a departed `BTreeMap` trimmed by
+    /// `min_by_key` over its id-ordered iteration.
+    #[derive(Default)]
+    struct Model {
+        entries: BTreeMap<ProcessId, (SubscriptionSet, BTreeSet<EventId>, Option<f64>, SimTime)>,
+        departed: BTreeMap<ProcessId, (BTreeSet<EventId>, SimTime)>,
+        capacity: usize,
+    }
+
+    impl Model {
+        fn upsert(
+            &mut self,
+            id: ProcessId,
+            subs: SubscriptionSet,
+            speed: Option<f64>,
+            now: SimTime,
+        ) -> bool {
+            if let Some(row) = self.entries.get_mut(&id) {
+                (row.0, row.2, row.3) = (subs, speed, now);
+                return false;
+            }
+            let known = self
+                .departed
+                .remove(&id)
+                .map(|(events, _)| events)
+                .unwrap_or_default();
+            self.entries.insert(id, (subs, known, speed, now));
+            true
+        }
+
+        fn record(&mut self, id: ProcessId, events: &[EventId], now: SimTime) {
+            if let Some(row) = self.entries.get_mut(&id) {
+                row.1.extend(events.iter().copied());
+                row.3 = now;
+            }
+        }
+
+        fn remember_unknown(&mut self, id: ProcessId, events: &[EventId], now: SimTime) {
+            if self.capacity == 0 || self.entries.contains_key(&id) {
+                return;
+            }
+            let slot = self
+                .departed
+                .entry(id)
+                .or_insert_with(|| (BTreeSet::new(), now));
+            slot.0.extend(events.iter().copied());
+            slot.1 = now;
+            self.trim();
+        }
+
+        fn prune(&mut self, now: SimTime, delay: SimDuration) -> usize {
+            let cutoff = now - delay;
+            let stale: Vec<ProcessId> = self
+                .entries
+                .iter()
+                .filter(|(_, row)| row.3 < cutoff)
+                .map(|(id, _)| *id)
+                .collect();
+            for id in &stale {
+                let (_, known, _, _) = self.entries.remove(id).unwrap();
+                if self.capacity > 0 && !known.is_empty() {
+                    self.departed.insert(*id, (known, now));
+                }
+            }
+            self.trim();
+            stale.len()
+        }
+
+        fn trim(&mut self) {
+            while self.departed.len() > self.capacity {
+                let oldest = *self
+                    .departed
+                    .iter()
+                    .min_by_key(|(_, (_, at))| *at)
+                    .unwrap()
+                    .0;
+                self.departed.remove(&oldest);
+            }
+        }
+
+        fn average_speed(&self) -> Option<f64> {
+            let speeds: Vec<f64> = self.entries.values().filter_map(|row| row.2).collect();
+            (!speeds.is_empty()).then(|| speeds.iter().sum::<f64>() / speeds.len() as f64)
+        }
+    }
 
     proptest! {
+        /// The flat table behaves exactly like the B-tree reference layout
+        /// under any sequence of operations: same return values, rows in the
+        /// same order, same known events, store times, departed memory and
+        /// bit-identical average speed.
+        #[test]
+        fn neighborhood_matches_btreemap_model(
+            capacity in 0usize..4,
+            ops in proptest::collection::vec(
+                (0u8..12, 0u64..12, 0u64..8, 0u64..3, proptest::option::of(0u32..40)),
+                0..40,
+            ),
+        ) {
+            let mut table = NeighborhoodTable::with_departed_memory(capacity);
+            let mut model = Model { capacity, ..Model::default() };
+            let eid = |seq: u64| EventId::new(ProcessId(99), seq);
+            let topic = |n: u64| Topic::root().child(&format!("t{n}"));
+            let mut now = SimTime::ZERO;
+            for (op, id, event, step, speed) in ops {
+                now += SimDuration::from_secs(step);
+                let pid = ProcessId(id);
+                let events = [eid(event), eid((event + 3) % 8)];
+                match op {
+                    0..=3 => {
+                        let subs = SubscriptionSet::single(topic(id % 3));
+                        let speed = speed.map(|s| f64::from(s) / 7.0);
+                        prop_assert_eq!(
+                            table.upsert(pid, subs.clone(), speed, now),
+                            model.upsert(pid, subs, speed, now)
+                        );
+                    }
+                    4..=5 => {
+                        table.record_known_event(pid, events[0], now);
+                        model.record(pid, &events[..1], now);
+                    }
+                    6 => {
+                        table.mark_known_by_all(&events, now);
+                        let ids: Vec<ProcessId> = model.entries.keys().copied().collect();
+                        for id in ids {
+                            model.record(id, &events, now);
+                        }
+                    }
+                    7..=8 => {
+                        table.remember_unknown(pid, events, now);
+                        model.remember_unknown(pid, &events, now);
+                    }
+                    9..=10 => {
+                        let delay = SimDuration::from_secs(event % 4);
+                        prop_assert_eq!(table.prune_stale(now, delay), model.prune(now, delay));
+                    }
+                    _ => {
+                        table.clear();
+                        model.entries.clear();
+                        model.departed.clear();
+                    }
+                }
+                prop_assert_eq!(table.len(), model.entries.len());
+                let mut ids = Vec::new();
+                table.ids_into(&mut ids);
+                prop_assert!(ids.iter().eq(model.entries.keys()));
+                prop_assert_eq!(table.departed_len(), model.departed.len());
+                prop_assert_eq!(
+                    table.average_speed().map(f64::to_bits),
+                    model.average_speed().map(f64::to_bits)
+                );
+                prop_assert_eq!(
+                    table.someone_subscribed_to(&topic(0)),
+                    model.entries.values().any(|row| row.0.matches(&topic(0)))
+                );
+                for probe in (0..12).map(ProcessId) {
+                    let row = model.entries.get(&probe);
+                    prop_assert_eq!(table.contains(probe), row.is_some());
+                    prop_assert_eq!(table.get(probe).map(|e| e.stored_at), row.map(|r| r.3));
+                    for seq in 0..8 {
+                        prop_assert_eq!(
+                            table.get(probe).map(|e| e.knows(&eid(seq))),
+                            row.map(|r| r.1.contains(&eid(seq)))
+                        );
+                    }
+                }
+            }
+        }
+
         /// After garbage collection every surviving entry is fresh enough, and
         /// evicted + surviving = original count.
         #[test]

@@ -168,24 +168,23 @@ impl FrugalProtocol {
 
     /// The paper's `RETRIEVEEVENTSTOSEND`: fills `needed` with the identifiers
     /// of the still-valid stored events that some neighbor is subscribed to
-    /// but not yet known to hold. The ids come out sorted and deduplicated —
-    /// the same order the historical `BTreeSet` implementation produced —
-    /// without allocating once `needed`'s capacity has warmed up.
+    /// but not yet known to hold. The ids come out in the event table's id
+    /// order, each once, without allocating once `needed`'s capacity has
+    /// warmed up.
     fn events_needed_by_neighbors(&self, now: SimTime, needed: &mut Vec<EventId>) {
         needed.clear();
-        for (_, entry) in self.neighborhood.iter() {
-            for stored in self.event_table.iter() {
-                let event = &stored.event;
-                if event.is_valid_at(now)
-                    && entry.subscriptions.matches(&event.topic)
-                    && !entry.known_events.contains(&event.id)
-                {
-                    needed.push(event.id);
-                }
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
+        let wanted = |event: &Event| {
+            self.neighborhood.iter().any(|(_, entry)| {
+                entry.subscriptions.matches(&event.topic) && !entry.knows(&event.id)
+            })
+        };
+        needed.extend(
+            self.event_table
+                .iter()
+                .map(|stored| &stored.event)
+                .filter(|event| event.is_valid_at(now) && wanted(event))
+                .map(|event| event.id),
+        );
     }
 
     /// Arms the back-off if there is something to send and no back-off is
@@ -232,19 +231,17 @@ impl FrugalProtocol {
             ids.iter()
                 .filter_map(|id| self.event_table.get(id).map(|s| s.event.clone())),
         );
-        ids.clear();
-        self.needed_scratch = ids;
         let mut recipients = out.recipients_vec();
         self.neighborhood.ids_into(&mut recipients);
         // Bookkeeping first (the vectors move into the message below); the
-        // relative order of metric and table updates is unobservable.
-        for event in &events {
-            for &neighbor in &recipients {
-                self.neighborhood
-                    .record_known_event(neighbor, event.id, now);
-            }
-            self.event_table.increment_forward_count(&event.id);
+        // relative order of metric and table updates is unobservable. Every
+        // id in `ids` came from the event table, so `events` carries them all.
+        self.neighborhood.mark_known_by_all(&ids, now);
+        for id in &ids {
+            self.event_table.increment_forward_count(id);
         }
+        ids.clear();
+        self.needed_scratch = ids;
         let message = Message::Events {
             from: self.id,
             events,
@@ -411,9 +408,7 @@ impl DisseminationProtocol for FrugalProtocol {
             events.push(event.clone());
             let mut recipients = out.recipients_vec();
             self.neighborhood.ids_into(&mut recipients);
-            for &neighbor in &recipients {
-                self.neighborhood.record_known_event(neighbor, id, now);
-            }
+            self.neighborhood.mark_known_by_all(&[id], now);
             let message = Message::Events {
                 from: self.id,
                 events,
@@ -497,7 +492,7 @@ impl DisseminationProtocol for FrugalProtocol {
     fn reset(&mut self) -> bool {
         // `id`, `config` and the id-derived `bo_jitter` are seed-independent;
         // everything else goes back to its `new` value, with the event table,
-        // neighborhood maps and metrics cleared in place.
+        // neighborhood table and metrics cleared in place.
         self.subscriptions.clear();
         self.neighborhood.clear();
         self.event_table.clear();
