@@ -33,7 +33,7 @@
 //! Every world runs the serial event loop; `--workers` seed workers (one per
 //! core by default) share the machine.
 
-use manet_sim::{compile_path, run_matrix, SweepAxis};
+use manet_sim::{compile_path, run_matrix, SeedPlan, SweepAxis};
 
 /// Where the figure files live.
 const FIGURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../figures");
@@ -103,8 +103,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             // A table of zeros would read as a measurement.
             "--seeds" => {
-                let runs = positive(value()?, arg, "a seed plan needs at least 1 run")?;
-                options.seeds = Some(runs as u64);
+                let runs = positive(value()?, arg, "a seed plan needs at least 1 run")? as u64;
+                if runs > SeedPlan::MAX_RUNS {
+                    let max = SeedPlan::MAX_RUNS;
+                    return Err(format!("{arg}: a seed plan runs at most {max} seeds"));
+                }
+                options.seeds = Some(runs);
             }
             "--first-seed" => options.first_seed = Some(numeric(value()?, arg)?),
             "--workers" => {

@@ -36,6 +36,19 @@ fn zero_seeds_is_a_usage_error() {
     }
 }
 
+/// A seed count of `u64::MAX` used to print the header, then panic with
+/// `capacity overflow` when the runner sized its report slots.
+#[test]
+fn oversized_seed_plan_is_a_usage_error() {
+    let output = reproduce(&["--seeds", "18446744073709551615"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty(), "no table is printed");
+    assert_eq!(
+        String::from_utf8(output.stderr).unwrap(),
+        "--seeds: a seed plan runs at most 100000 seeds\n"
+    );
+}
+
 /// Figure mode used to ignore a misspelt flag or a second experiment and run
 /// the smoke-scale figure anyway, and `--scenario` ignored `--paper`, which
 /// only picks a figure's file; `--verbose` went with the engine counters it
@@ -71,11 +84,26 @@ fn unknown_arguments_are_usage_errors() {
 /// before the figures became files under `figures/` (captured then; only the
 /// quick Fig. 13 and Fig. 14 titles changed, to the 90 s validity those runs
 /// use). `all` holds every table of every quick figure file; the city names
-/// check that a name prints its file's tables, or one of them.
+/// check that a name prints its file's tables, or one of them, and every
+/// other name prints its tables exactly as `all` does.
 #[test]
 fn figures_and_examples_reproduce_their_goldens() {
+    // From the repository root, as the scenario tables' titles name the file.
+    let stdout = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+            .output()
+            .expect("the binary runs");
+        assert!(output.status.success(), "{args:?}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let golden = |name| {
+        let path = format!("{}/tests/goldens/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).unwrap()
+    };
     let example = |name| ["--scenario", name, "--seeds", "2"];
-    for (golden, args) in [
+    for (name, args) in [
         ("all.md", &["all"][..]),
         ("all.csv", &["all", "--csv"]),
         ("fig13.md", &["fig13"]),
@@ -104,19 +132,20 @@ fn figures_and_examples_reproduce_their_goldens() {
             .concat(),
         ),
     ] {
-        // From the repository root, as the scenario tables' titles name the file.
-        let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-            .args(args)
-            .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-            .output()
-            .expect("the binary runs");
-        assert!(output.status.success(), "{args:?}");
-        let path = format!("{}/tests/goldens/{golden}", env!("CARGO_MANIFEST_DIR"));
-        let expected = std::fs::read_to_string(path).unwrap();
-        assert_eq!(
-            String::from_utf8(output.stdout).unwrap(),
-            expected,
-            "{args:?}"
-        );
+        assert_eq!(stdout(args), golden(name), "{args:?}");
+    }
+    let all = golden("all.md");
+    for figure in [
+        "fig11",
+        "fig12",
+        "fig17",
+        "fig18",
+        "fig19",
+        "fig20",
+        "frugality",
+        "ablation",
+    ] {
+        let tables = stdout(&[figure]);
+        assert!(!tables.is_empty() && all.contains(&tables), "{figure}");
     }
 }

@@ -166,7 +166,7 @@ impl ActionBuf {
 
     /// Consumes the buffer, returning the plain action vector (pools are
     /// dropped). The [`VecActions`] adapter is built on this.
-    pub fn into_actions(self) -> Vec<Action> {
+    fn into_actions(self) -> Vec<Action> {
         self.actions
     }
 
@@ -195,13 +195,13 @@ impl ActionBuf {
     }
 
     /// Returns an id vector to the pool (cleared, capacity kept).
-    pub fn recycle_ids(&mut self, mut ids: Vec<EventId>) {
+    fn recycle_ids(&mut self, mut ids: Vec<EventId>) {
         ids.clear();
         self.ids_pool.push(ids);
     }
 
     /// Returns a recipient vector to the pool (cleared, capacity kept).
-    pub fn recycle_recipients(&mut self, mut recipients: Vec<ProcessId>) {
+    fn recycle_recipients(&mut self, mut recipients: Vec<ProcessId>) {
         recipients.clear();
         self.recipients_pool.push(recipients);
     }

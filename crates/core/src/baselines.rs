@@ -65,7 +65,7 @@ pub struct FloodingProtocol {
 
 impl FloodingProtocol {
     /// The flooding period used in the paper's comparison: one second.
-    pub const PAPER_FLOOD_INTERVAL: SimDuration = SimDuration::from_secs(1);
+    const PAPER_FLOOD_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
     /// Creates a flooding protocol instance for process `id`.
     pub fn new(id: ProcessId, policy: FloodingPolicy) -> Self {
@@ -88,8 +88,9 @@ impl FloodingProtocol {
         self.policy
     }
 
-    /// Number of events currently held for re-flooding.
-    pub fn stored_events(&self) -> usize {
+    /// Events held for re-flooding, probed by `interest_aware_flooding_drops_parasites`.
+    #[cfg(test)]
+    fn stored_events(&self) -> usize {
         self.store.len()
     }
 
@@ -185,7 +186,7 @@ impl FloodingProtocol {
                     self.metrics.record_duplicate();
                 } else {
                     self.store.insert(event.id, event.clone());
-                    if self.metrics.record_delivery(event.id, now) {
+                    if self.metrics.record_delivery(event.id) {
                         out.push(Action::Deliver(event.clone()));
                     }
                     self.ensure_flood_timer(out);
@@ -249,7 +250,7 @@ impl DisseminationProtocol for FloodingProtocol {
             recipients: out.recipients_vec(),
         };
         self.broadcast(message, out);
-        if self.subscriptions.matches(&topic) && self.metrics.record_delivery(id, now) {
+        if self.subscriptions.matches(&topic) && self.metrics.record_delivery(id) {
             out.push(Action::Deliver(event));
         }
         self.ensure_flood_timer(out);

@@ -29,7 +29,7 @@ pub struct StoredEvent {
 impl StoredEvent {
     /// The paper's Equation 1: `val / (fwd + val)`, with the validity period
     /// expressed in seconds. Smaller scores are evicted first.
-    pub fn gc_score(&self) -> f64 {
+    fn gc_score(&self) -> f64 {
         let val = self.event.validity.as_secs_f64();
         if val <= 0.0 {
             return 0.0;
@@ -95,7 +95,7 @@ impl EventTable {
     }
 
     /// `true` when the table holds `capacity` events.
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
 

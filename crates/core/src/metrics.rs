@@ -7,8 +7,7 @@
 
 use pubsub::EventId;
 use serde::{Deserialize, Serialize};
-use simkit::SimTime;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Counters maintained by every dissemination protocol instance.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -26,8 +25,8 @@ pub struct ProtocolMetrics {
     pub events_sent: u64,
     /// Protocol messages of any kind this process broadcast.
     pub messages_sent: u64,
-    /// Delivery time of each delivered event, for latency analysis.
-    deliveries: BTreeMap<EventId, SimTime>,
+    /// The events delivered so far, for deduplication.
+    deliveries: BTreeSet<EventId>,
 }
 
 impl ProtocolMetrics {
@@ -49,19 +48,15 @@ impl ProtocolMetrics {
         self.deliveries.clear();
     }
 
-    /// Records the delivery of `id` at `now`. Returns `false` (and counts a
-    /// duplicate) if the event had already been delivered.
-    pub fn record_delivery(&mut self, id: EventId, now: SimTime) -> bool {
-        match self.deliveries.entry(id) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(now);
-                self.events_delivered += 1;
-                true
-            }
-            std::collections::btree_map::Entry::Occupied(_) => {
-                self.duplicates_received += 1;
-                false
-            }
+    /// Records the delivery of `id`. Returns `false` (and counts a duplicate)
+    /// if the event had already been delivered.
+    pub fn record_delivery(&mut self, id: EventId) -> bool {
+        if self.deliveries.insert(id) {
+            self.events_delivered += 1;
+            true
+        } else {
+            self.duplicates_received += 1;
+            false
         }
     }
 
@@ -88,17 +83,7 @@ impl ProtocolMetrics {
 
     /// `true` if the event was delivered to the local application.
     pub fn has_delivered(&self, id: &EventId) -> bool {
-        self.deliveries.contains_key(id)
-    }
-
-    /// Delivery time of `id`, if it was delivered.
-    pub fn delivery_time(&self, id: &EventId) -> Option<SimTime> {
-        self.deliveries.get(id).copied()
-    }
-
-    /// Iterates over all `(event, delivery time)` pairs.
-    pub fn deliveries(&self) -> impl Iterator<Item = (&EventId, &SimTime)> {
-        self.deliveries.iter()
+        self.deliveries.contains(id)
     }
 }
 
@@ -114,20 +99,12 @@ mod tests {
     #[test]
     fn delivery_is_counted_once() {
         let mut m = ProtocolMetrics::new();
-        assert!(m.record_delivery(id(0), SimTime::from_secs(1)));
-        assert!(
-            !m.record_delivery(id(0), SimTime::from_secs(2)),
-            "second copy is a duplicate"
-        );
+        assert!(m.record_delivery(id(0)));
+        assert!(!m.record_delivery(id(0)), "second copy is a duplicate");
         assert_eq!(m.events_delivered, 1);
         assert_eq!(m.duplicates_received, 1);
         assert!(m.has_delivered(&id(0)));
         assert!(!m.has_delivered(&id(1)));
-        assert_eq!(
-            m.delivery_time(&id(0)),
-            Some(SimTime::from_secs(1)),
-            "first delivery time wins"
-        );
     }
 
     #[test]
@@ -147,18 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn deliveries_iterate_in_id_order() {
-        let mut m = ProtocolMetrics::new();
-        m.record_delivery(id(5), SimTime::from_secs(5));
-        m.record_delivery(id(1), SimTime::from_secs(1));
-        let order: Vec<u64> = m.deliveries().map(|(e, _)| e.sequence).collect();
-        assert_eq!(order, vec![1, 5]);
-    }
-
-    #[test]
     fn reset_restores_the_freshly_constructed_state() {
         let mut m = ProtocolMetrics::new();
-        m.record_delivery(id(0), SimTime::from_secs(1));
+        m.record_delivery(id(0));
         m.record_duplicate();
         m.record_parasite();
         m.record_send(2);
@@ -177,6 +145,6 @@ mod tests {
         assert_eq!(m.events_sent, 0);
         assert_eq!(m.messages_sent, 0);
         assert_eq!(m.events_published, 0);
-        assert_eq!(m.deliveries().count(), 0);
+        assert!(!m.has_delivered(&id(0)));
     }
 }

@@ -229,9 +229,9 @@ impl NeighborhoodTable {
         events
     }
 
-    /// Number of departed neighbors currently remembered.
+    /// Number of departed neighbors remembered, probed by `neighborhood_matches_btreemap_model`.
     #[cfg(test)]
-    pub fn departed_len(&self) -> usize {
+    fn departed_len(&self) -> usize {
         self.departed.len()
     }
 

@@ -109,18 +109,21 @@ impl FrugalProtocol {
         &self.event_table
     }
 
-    /// The heartbeat delay currently in force.
-    pub fn heartbeat_delay(&self) -> SimDuration {
+    /// The heartbeat delay, probed by `speed_adapts_heartbeat_delay_from_neighbor_reports`.
+    #[cfg(test)]
+    fn heartbeat_delay(&self) -> SimDuration {
         self.hb_delay
     }
 
-    /// The neighborhood garbage-collection delay currently in force.
-    pub fn neighborhood_gc_delay(&self) -> SimDuration {
+    /// The neighborhood GC delay, probed by `speed_adapts_heartbeat_delay_from_neighbor_reports`.
+    #[cfg(test)]
+    fn neighborhood_gc_delay(&self) -> SimDuration {
         self.ngc_delay
     }
 
-    /// `true` while a dissemination back-off is pending.
-    pub fn backoff_pending(&self) -> bool {
+    /// `true` while a back-off is pending, probed by `event_ids_from_needy_neighbor_arm_a_backoff`.
+    #[cfg(test)]
+    fn backoff_pending(&self) -> bool {
         self.bo_delay.is_some()
     }
 
@@ -324,7 +327,7 @@ impl FrugalProtocol {
                         out.push(Action::CancelTimer(TimerKind::BackOff));
                     }
                     if self.event_table.insert(event.clone(), now).is_ok()
-                        && self.metrics.record_delivery(event.id, now)
+                        && self.metrics.record_delivery(event.id)
                     {
                         out.push(Action::Deliver(event.clone()));
                     }
@@ -421,7 +424,7 @@ impl DisseminationProtocol for FrugalProtocol {
         // when the publisher itself is a subscriber of the topic.
         if self.event_table.insert(event.clone(), now).is_ok()
             && self.subscriptions.matches(&topic)
-            && self.metrics.record_delivery(id, now)
+            && self.metrics.record_delivery(id)
         {
             out.push(Action::Deliver(event));
         }

@@ -29,6 +29,12 @@ pub struct SeedPlan {
 }
 
 impl SeedPlan {
+    /// The most runs a scenario file or `reproduce --seeds` may ask for. The
+    /// runner allocates a report slot per seed up front, so a mistyped plan
+    /// must be refused before it asks for more memory than exists. The
+    /// largest checked-in plan has 600 runs.
+    pub const MAX_RUNS: u64 = 100_000;
+
     /// A cheap smoke-test plan (3 runs), what a scenario file without
     /// `[seeds]` runs.
     pub fn quick() -> Self {

@@ -398,22 +398,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Convenience: a single publication of one `validity`-second event on the
-    /// default event topic, published by a random subscriber right after the
-    /// warm-up, with the duration extended to cover the full validity period.
-    pub fn single_publication(mut self, validity: SimDuration) -> Self {
-        let at = SimTime::ZERO + self.scenario.warmup;
-        self.scenario.publications = vec![Publication {
-            publisher: PublisherChoice::RandomSubscriber,
-            topic: self.scenario.event_topic.clone(),
-            at,
-            validity,
-            payload_bytes: 400,
-        }];
-        self.scenario.duration = self.scenario.warmup + validity;
-        self
-    }
-
     /// Validates and returns the scenario.
     ///
     /// # Errors
@@ -463,7 +447,7 @@ mod tests {
             .subscriber_fraction(0.5)
             .protocol(ProtocolKind::Flooding(FloodingPolicy::Simple))
             .mobility_tick(SimDuration::from_millis(250))
-            .single_publication(SimDuration::from_secs(60))
+            .timing(SimDuration::from_secs(600), SimDuration::from_secs(660))
             .build()
             .unwrap();
         assert_eq!(scenario.label, "custom");

@@ -791,6 +791,10 @@ fn decode_seeds(root: &Sect<'_>) -> Result<SeedPlan, CompileError> {
     let runs = match seeds.opt_u64("runs")? {
         // No runs would print a row of zeros that reads as a measurement.
         Some((0, pos)) => return Err(seeds.err_at(pos, "`runs` must be at least 1")),
+        Some((runs, pos)) if runs > SeedPlan::MAX_RUNS => {
+            let max = SeedPlan::MAX_RUNS;
+            return Err(seeds.err_at(pos, format!("`runs` must be at most {max}, got {runs}")));
+        }
         Some((runs, _)) => runs,
         None => 3,
     };
@@ -1162,6 +1166,20 @@ validity_s = 19.0
 
         let err = compile_str(&format!("{MINIMAL}\n[seeds]\nruns = 0\n")).unwrap_err();
         assert!(err.message.contains("`runs` must be at least 1"), "{err}");
+        assert_eq!(err.pos.unwrap().line, 29);
+    }
+
+    /// Used to compile, then panic with `capacity overflow` when the runner
+    /// sized its report slots.
+    #[test]
+    fn runs_above_the_seed_plan_limit_are_positioned() {
+        let err =
+            compile_str(&format!("{MINIMAL}\n[seeds]\nruns = 9223372036854775807\n")).unwrap_err();
+        assert!(
+            err.message
+                .contains("`runs` must be at most 100000, got 9223372036854775807"),
+            "{err}"
+        );
         assert_eq!(err.pos.unwrap().line, 29);
     }
 

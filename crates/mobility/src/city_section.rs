@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 /// A road connecting two intersections of a [`StreetMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Road {
+struct Road {
     /// Index of the first endpoint intersection.
     pub a: usize,
     /// Index of the second endpoint intersection.
@@ -224,7 +224,7 @@ impl StreetMap {
     }
 
     /// Number of intersections.
-    pub fn intersection_count(&self) -> usize {
+    fn intersection_count(&self) -> usize {
         self.intersections.len()
     }
 
@@ -237,8 +237,9 @@ impl StreetMap {
         self.intersections[i]
     }
 
-    /// The roads of the map, in insertion order.
-    pub fn roads(&self) -> &[Road] {
+    /// The roads in insertion order, probed by `campus_speed_limits_match_paper_range`.
+    #[cfg(test)]
+    fn roads(&self) -> &[Road] {
         &self.roads
     }
 
@@ -249,7 +250,7 @@ impl StreetMap {
 
     /// Popularity weight of an intersection: the sum of the popularity of its
     /// adjacent roads. Used to bias destination choice towards busy spots.
-    pub fn intersection_popularity(&self, i: usize) -> f64 {
+    fn intersection_popularity(&self, i: usize) -> f64 {
         self.adjacency[i]
             .iter()
             .map(|&(_, road)| self.roads[road].popularity)
@@ -257,7 +258,7 @@ impl StreetMap {
     }
 
     /// The road joining intersections `a` and `b`, if one exists.
-    pub fn road_between(&self, a: usize, b: usize) -> Option<&Road> {
+    fn road_between(&self, a: usize, b: usize) -> Option<&Road> {
         self.adjacency[a]
             .iter()
             .find(|&&(n, _)| n == b)
@@ -272,7 +273,7 @@ impl StreetMap {
     /// # Panics
     ///
     /// Panics if `from` or `to` is out of bounds.
-    pub fn fastest_route(&self, from: usize, to: usize) -> Option<Vec<usize>> {
+    fn fastest_route(&self, from: usize, to: usize) -> Option<Vec<usize>> {
         assert!(from < self.intersections.len() && to < self.intersections.len());
         if from == to {
             return Some(vec![from]);
@@ -413,7 +414,7 @@ impl CitySection {
     /// # Panics
     ///
     /// Panics if `start` is not a valid intersection index.
-    pub fn from_intersection(config: CitySectionConfig, start: usize, rng: &mut SimRng) -> Self {
+    fn from_intersection(config: CitySectionConfig, start: usize, rng: &mut SimRng) -> Self {
         assert!(
             start < config.map.intersection_count(),
             "invalid start intersection"
@@ -433,8 +434,9 @@ impl CitySection {
         this
     }
 
-    /// The index of the intersection the process most recently visited.
-    pub fn last_intersection(&self) -> usize {
+    /// The intersection most recently visited, probed by `from_intersection_starts_there`.
+    #[cfg(test)]
+    fn last_intersection(&self) -> usize {
         self.at_intersection
     }
 

@@ -62,14 +62,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// The displacement vector from `self` to `other`.
-    pub fn vector_to(self, other: Point) -> Vector {
-        Vector {
-            dx: other.x - self.x,
-            dy: other.y - self.y,
-        }
-    }
-
     /// Moves from `self` towards `target` by at most `max_distance` meters.
     ///
     /// If `target` is closer than `max_distance`, the result is exactly `target`.
@@ -84,34 +76,12 @@ impl Point {
             y: self.y + (target.y - self.y) * ratio,
         }
     }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point {
-            x: self.x + (other.x - self.x) * t,
-            y: self.y + (other.y - self.y) * t,
-        }
-    }
 }
 
 impl Vector {
     /// The length of the vector in meters.
     pub fn length(self) -> f64 {
         (self.dx * self.dx + self.dy * self.dy).sqrt()
-    }
-
-    /// A unit-length vector pointing in the same direction, or the zero vector
-    /// if this vector has zero length.
-    pub fn normalized(self) -> Vector {
-        let len = self.length();
-        if len == 0.0 {
-            Vector::default()
-        } else {
-            Vector {
-                dx: self.dx / len,
-                dy: self.dy / len,
-            }
-        }
     }
 }
 
@@ -128,7 +98,10 @@ impl Add<Vector> for Point {
 impl Sub for Point {
     type Output = Vector;
     fn sub(self, other: Point) -> Vector {
-        other.vector_to(self)
+        Vector {
+            dx: self.x - other.x,
+            dy: self.y - other.y,
+        }
     }
 }
 
@@ -245,25 +218,13 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point::new(1.0, 2.0));
-    }
-
-    #[test]
     fn vector_arithmetic() {
         let a = Point::new(1.0, 1.0);
         let b = Point::new(4.0, 5.0);
-        let v = a.vector_to(b);
+        let v = b - a;
+        assert_eq!(v, Vector { dx: 3.0, dy: 4.0 });
         assert_eq!(v.length(), 5.0);
         assert_eq!(a + v, b);
-        assert_eq!(b - a, v);
-        let u = v.normalized();
-        assert!((u.length() - 1.0).abs() < 1e-12);
-        assert_eq!(Vector::default().normalized(), Vector::default());
         assert_eq!((v * 2.0).length(), 10.0);
     }
 

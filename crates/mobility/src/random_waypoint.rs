@@ -6,10 +6,10 @@
 //! pause time before choosing the next waypoint. This is the model used for the
 //! paper's large-area experiments (Figures 11, 12 and 17–20).
 //!
-//! Two configurations from the paper are provided as constructors:
-//! [`RandomWaypointConfig::paper_fixed_speed`] (every node moves at the same
-//! speed, Fig. 11) and [`RandomWaypointConfig::paper_heterogeneous`] (each node
-//! draws its own speed from 1–40 m/s, Fig. 12).
+//! [`RandomWaypointConfig::paper_fixed_speed`] builds the paper's Fig. 11
+//! configuration, where every node moves at the same speed. Fig. 12's
+//! heterogeneous speeds are a [`RandomWaypointConfig::new`] whose legs draw
+//! from 1–40 m/s.
 
 use crate::model::MobilityModel;
 use crate::point::{Area, Point};
@@ -62,17 +62,6 @@ impl RandomWaypointConfig {
             SimDuration::from_secs(1),
         )
     }
-
-    /// The paper's heterogeneous configuration (Fig. 12): each leg's speed is
-    /// drawn uniformly from 1–40 m/s.
-    pub fn paper_heterogeneous() -> Self {
-        RandomWaypointConfig::new(
-            Area::paper_random_waypoint(),
-            1.0,
-            40.0,
-            SimDuration::from_secs(1),
-        )
-    }
 }
 
 /// Internal movement state of a random-waypoint process.
@@ -100,9 +89,8 @@ impl RandomWaypoint {
         Self::from_position(config, position, rng)
     }
 
-    /// Creates a process at a specific initial position (useful for tests and
-    /// trace-controlled scenarios).
-    pub fn from_position(config: RandomWaypointConfig, position: Point, rng: &mut SimRng) -> Self {
+    /// Creates a process at a specific initial position.
+    fn from_position(config: RandomWaypointConfig, position: Point, rng: &mut SimRng) -> Self {
         let mut this = RandomWaypoint {
             config,
             position,
@@ -119,8 +107,9 @@ impl RandomWaypoint {
         &self.config
     }
 
-    /// The waypoint currently being travelled to, if the process is moving.
-    pub fn current_waypoint(&self) -> Option<Point> {
+    /// The waypoint being travelled to, probed by `transition_time_tracks_the_phase`.
+    #[cfg(test)]
+    fn current_waypoint(&self) -> Option<Point> {
         match self.phase {
             Phase::Moving { waypoint, .. } => Some(waypoint),
             Phase::Pausing { .. } => None,
@@ -311,7 +300,7 @@ mod tests {
     #[test]
     fn heterogeneous_speeds_vary_between_nodes() {
         let rng = SimRng::seed_from(13);
-        let config = RandomWaypointConfig::paper_heterogeneous();
+        let config = cfg(1.0, 40.0);
         let speeds: Vec<f64> = (0..20)
             .map(|i| {
                 let mut node_rng = rng.derive(i);

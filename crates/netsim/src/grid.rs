@@ -93,11 +93,6 @@ impl SpatialGrid {
         self.positions.len()
     }
 
-    /// The side length of one cell in meters.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     /// Current position of `node`.
     ///
     /// # Panics

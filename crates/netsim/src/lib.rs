@@ -5,11 +5,10 @@
 //! directly on an 802.11b MAC inside QualNet; this crate provides the
 //! equivalent open model:
 //!
-//! * [`propagation`] — dBm arithmetic, free-space and two-ray path loss, and
-//!   range derivation from a link budget;
 //! * [`radio`] — [`RadioConfig`]: bit rates, the paper's radio ranges
 //!   (442/339/321/273 m in the open area, 44 m in the city), frame air time and
-//!   per-frame overhead;
+//!   per-frame overhead; a test-only `propagation` module derives those ranges
+//!   from the two-ray link budget, the oracle that pins them to the physics;
 //! * [`grid`] — [`SpatialGrid`]: a uniform spatial hash over node positions
 //!   (cell size = radio range) so reception queries touch only a 3×3 cell
 //!   neighborhood instead of every node;
@@ -41,7 +40,8 @@
 
 pub mod grid;
 pub mod medium;
-pub mod propagation;
+#[cfg(test)]
+mod propagation;
 pub mod radio;
 
 pub use grid::SpatialGrid;

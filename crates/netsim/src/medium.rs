@@ -32,9 +32,9 @@
 //!
 //! Receivers are visited in ascending node index, which keeps the RNG stream
 //! — and therefore every simulation report — bit-identical to the brute-force
-//! full scan against every overlapping frame world-wide (kept as
-//! [`RadioMedium::complete_transmission_brute`], the oracle which the
-//! equivalence tests consult).
+//! full scan against every overlapping frame world-wide (kept as the
+//! test-only `complete_transmission_brute`, the oracle which
+//! `grid_matches_brute_force_reference` consults).
 //!
 //! The medium also does per-node traffic accounting ([`TrafficCounters`]),
 //! which the frugality experiments (Fig. 17–20) read back.
@@ -202,8 +202,8 @@ pub struct RadioMedium {
 impl RadioMedium {
     /// Creates a medium for `node_count` nodes sharing one `config`, all nodes
     /// initially at the origin. Push real positions with
-    /// [`RadioMedium::update_position`] or [`RadioMedium::sync_positions`]
-    /// before transmitting.
+    /// [`RadioMedium::update_position`] before transmitting, or build with
+    /// [`RadioMedium::with_positions`].
     ///
     /// # Panics
     ///
@@ -232,7 +232,7 @@ impl RadioMedium {
     /// transmissions — while keeping every allocation (including the spatial
     /// grid's buckets) for reuse by the next run. Node positions are left as
     /// they are; callers push the next run's initial positions with
-    /// [`RadioMedium::update_position`] or [`RadioMedium::sync_positions`].
+    /// [`RadioMedium::update_position`].
     ///
     /// After a reset the medium behaves exactly like a freshly built one:
     /// transmission ids restart at zero and all counters read zero.
@@ -278,7 +278,7 @@ impl RadioMedium {
     /// # Panics
     ///
     /// Panics if `positions` does not hold exactly one entry per node.
-    pub fn sync_positions(&mut self, positions: &[Point]) {
+    fn sync_positions(&mut self, positions: &[Point]) {
         assert_eq!(
             positions.len(),
             self.counters.len(),
@@ -344,8 +344,8 @@ impl RadioMedium {
     /// the medium tracks. Returns the per-receiver outcomes in ascending node
     /// index; nodes outside the range are not listed.
     ///
-    /// Outcomes and RNG consumption are bit-identical to
-    /// [`RadioMedium::complete_transmission_brute`].
+    /// Outcomes and RNG consumption are bit-identical to the brute-force
+    /// reference (see the module docs).
     ///
     /// # Panics
     ///
@@ -383,10 +383,10 @@ impl RadioMedium {
     /// checks each against **every** transmission that overlapped the frame
     /// in time, wherever it was sent from. Semantically identical to
     /// [`RadioMedium::complete_transmission`] but O(nodes) per frame and
-    /// O(frames on the air) per receiver; kept as the oracle the
-    /// equivalence tests compare the local path against.
-    #[doc(hidden)]
-    pub fn complete_transmission_brute(
+    /// O(frames on the air) per receiver; the oracle of
+    /// `grid_matches_brute_force_reference`.
+    #[cfg(test)]
+    fn complete_transmission_brute(
         &mut self,
         tx: TxId,
         rng: &mut SimRng,
@@ -549,8 +549,9 @@ impl RadioMedium {
         }
     }
 
-    /// Number of transmissions currently tracked (for tests and diagnostics).
-    pub fn tracked_transmissions(&self) -> usize {
+    /// Number of transmissions tracked, probed by `pruning_keeps_memory_bounded`.
+    #[cfg(test)]
+    fn tracked_transmissions(&self) -> usize {
         self.transmissions.len()
     }
 }

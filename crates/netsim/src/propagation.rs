@@ -1,48 +1,24 @@
-//! Radio propagation helpers: dBm/mW conversions and path-loss models.
+//! Radio propagation: free-space and two-ray path-loss models (test-only).
 //!
 //! The paper configures QualNet with a transmission power of 15 dB, per-rate
 //! reception sensitivities (−93/−89/−87/−83 dBm) and a two-ray path-loss model,
-//! and reports the resulting radio ranges (442/339/321/273 m). This module
-//! implements the free-space and two-ray ground models so the radio ranges used
-//! by the simulator can be *derived* from the same physical parameters rather
-//! than hard-coded, plus the inverse computation (maximum range at which the
-//! received power still exceeds a sensitivity threshold).
+//! and reports the resulting radio ranges (442/339/321/273 m). The simulator
+//! uses those reported ranges; this module derives them from the same physical
+//! parameters instead (the maximum range at which the received power still
+//! exceeds a sensitivity threshold), the oracle behind
+//! `derived_ranges_are_in_the_paper_ballpark` in `radio.rs`.
 
 use std::f64::consts::PI;
 
 /// Speed of light in m/s.
-pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
-
-/// Converts a power in dBm to milliwatts.
-///
-/// ```
-/// # use netsim::propagation::dbm_to_mw;
-/// assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
-/// assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
-/// ```
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10f64.powf(dbm / 10.0)
-}
-
-/// Converts a power in milliwatts to dBm.
-///
-/// # Panics
-///
-/// Panics if `mw` is not strictly positive.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    assert!(
-        mw > 0.0,
-        "power must be positive to express in dBm, got {mw}"
-    );
-    10.0 * mw.log10()
-}
+const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
 /// Wavelength in meters for a carrier frequency in Hz.
 ///
 /// # Panics
 ///
 /// Panics if `frequency_hz` is not strictly positive.
-pub fn wavelength(frequency_hz: f64) -> f64 {
+fn wavelength(frequency_hz: f64) -> f64 {
     assert!(frequency_hz > 0.0, "frequency must be positive");
     SPEED_OF_LIGHT / frequency_hz
 }
@@ -51,7 +27,7 @@ pub fn wavelength(frequency_hz: f64) -> f64 {
 ///
 /// Returns 0 dB for distances of one meter or less (near field is out of scope
 /// for a network simulator).
-pub fn free_space_path_loss_db(distance_m: f64, frequency_hz: f64) -> f64 {
+fn free_space_path_loss_db(distance_m: f64, frequency_hz: f64) -> f64 {
     if distance_m <= 1.0 {
         return 0.0;
     }
@@ -64,7 +40,7 @@ pub fn free_space_path_loss_db(distance_m: f64, frequency_hz: f64) -> f64 {
 /// Below the crossover distance `d_c = 4 π h_t h_r / λ` the model falls back to
 /// free-space loss; beyond it the classic `40 log10(d) − 20 log10(h_t h_r)`
 /// expression applies. Antenna heights are in meters.
-pub fn two_ray_path_loss_db(
+fn two_ray_path_loss_db(
     distance_m: f64,
     frequency_hz: f64,
     tx_height_m: f64,
@@ -84,7 +60,7 @@ pub fn two_ray_path_loss_db(
 
 /// Received power in dBm given transmit power, antenna efficiency and a path
 /// loss in dB.
-pub fn received_power_dbm(tx_power_dbm: f64, antenna_efficiency: f64, path_loss_db: f64) -> f64 {
+fn received_power_dbm(tx_power_dbm: f64, antenna_efficiency: f64, path_loss_db: f64) -> f64 {
     let efficiency_loss_db = if antenna_efficiency > 0.0 {
         -10.0 * antenna_efficiency.log10()
     } else {
@@ -96,7 +72,7 @@ pub fn received_power_dbm(tx_power_dbm: f64, antenna_efficiency: f64, path_loss_
 /// The largest distance (in meters) at which the received power still reaches
 /// `sensitivity_dbm`, under the two-ray model, found by bisection. Returns 0 if
 /// even at one meter the signal is too weak.
-pub fn two_ray_range_m(
+pub(crate) fn two_ray_range_m(
     tx_power_dbm: f64,
     sensitivity_dbm: f64,
     frequency_hz: f64,
@@ -133,19 +109,6 @@ pub fn two_ray_range_m(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dbm_mw_roundtrip() {
-        for dbm in [-90.0, -30.0, 0.0, 15.0, 30.0] {
-            assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn mw_to_dbm_rejects_zero() {
-        let _ = mw_to_dbm(0.0);
-    }
 
     #[test]
     fn wavelength_at_2_4_ghz() {

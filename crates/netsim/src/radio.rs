@@ -7,7 +7,6 @@
 //! the **air time** of a frame of a given size (how long it occupies the
 //! channel, which drives collisions).
 
-use crate::propagation::two_ray_range_m;
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
@@ -35,7 +34,7 @@ impl BitRate {
     ];
 
     /// The rate in bits per second.
-    pub fn bits_per_second(self) -> f64 {
+    fn bits_per_second(self) -> f64 {
         match self {
             BitRate::Mbps1 => 1_000_000.0,
             BitRate::Mbps2 => 2_000_000.0,
@@ -44,9 +43,10 @@ impl BitRate {
         }
     }
 
-    /// The reception sensitivity the paper configures for this rate in the
-    /// random-waypoint scenario (−93/−89/−87/−83 dBm).
-    pub fn paper_sensitivity_dbm(self) -> f64 {
+    /// The paper's random-waypoint reception sensitivity for this rate
+    /// (−93/−89/−87/−83 dBm), an input of `derived_ranges_are_in_the_paper_ballpark`.
+    #[cfg(test)]
+    fn paper_sensitivity_dbm(self) -> f64 {
         match self {
             BitRate::Mbps1 => -93.0,
             BitRate::Mbps2 => -89.0,
@@ -57,7 +57,7 @@ impl BitRate {
 
     /// The radio range the paper reports for this rate in the random-waypoint
     /// scenario (442/339/321/273 m).
-    pub fn paper_range_m(self) -> f64 {
+    fn paper_range_m(self) -> f64 {
         match self {
             BitRate::Mbps1 => 442.0,
             BitRate::Mbps2 => 339.0,
@@ -120,13 +120,14 @@ impl RadioConfig {
         }
     }
 
-    /// Builds a configuration whose range is *derived* from the physical link
-    /// budget (15 dB transmit power, per-rate sensitivity, 2.4 GHz, antenna
-    /// efficiency 0.8, 1.5 m antennas, two-ray model) instead of using the
-    /// paper's reported radii. Useful to validate that the reported radii are
-    /// consistent with the physics (see tests).
-    pub fn derived_from_link_budget(bit_rate: BitRate) -> Self {
-        let range = two_ray_range_m(15.0, bit_rate.paper_sensitivity_dbm(), 2.4e9, 0.8, 1.5, 1.5);
+    /// A configuration whose range is *derived* from the physical link budget
+    /// (15 dB transmit power, per-rate sensitivity, 2.4 GHz, antenna
+    /// efficiency 0.8, 1.5 m antennas, two-ray model) instead of the paper's
+    /// reported radii: the oracle of `derived_ranges_are_in_the_paper_ballpark`.
+    #[cfg(test)]
+    fn derived_from_link_budget(bit_rate: BitRate) -> Self {
+        let sensitivity = bit_rate.paper_sensitivity_dbm();
+        let range = crate::propagation::two_ray_range_m(15.0, sensitivity, 2.4e9, 0.8, 1.5, 1.5);
         RadioConfig {
             bit_rate,
             range_m: range,

@@ -101,7 +101,7 @@ impl Event {
     }
 
     /// The instant after which the event is no longer valid.
-    pub fn expires_at(&self) -> SimTime {
+    fn expires_at(&self) -> SimTime {
         self.published_at.saturating_add(self.validity)
     }
 

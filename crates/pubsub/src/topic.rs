@@ -143,11 +143,6 @@ impl Topic {
         self.segments.len()
     }
 
-    /// `true` for the root topic.
-    pub fn is_root(&self) -> bool {
-        self.segments.is_empty()
-    }
-
     /// The segments below the root, in order.
     pub fn segments(&self) -> &[String] {
         &self.segments
@@ -173,25 +168,10 @@ impl Topic {
                 .all(|(a, b)| a == b)
     }
 
-    /// `true` if `self` is a strict descendant of `other`.
-    pub fn is_subtopic_of(&self, other: &Topic) -> bool {
-        other.covers(self) && self != other
-    }
-
     /// `true` if the two topics are related (one covers the other), which is
     /// when two processes share an interest worth gossiping about.
     pub fn related(&self, other: &Topic) -> bool {
         self.covers(other) || other.covers(self)
-    }
-
-    /// Iterator over `self` and all its ancestors up to the root, nearest first.
-    pub fn ancestors(&self) -> impl Iterator<Item = Topic> + '_ {
-        let mut current = Some(self.clone());
-        std::iter::from_fn(move || {
-            let this = current.take()?;
-            current = this.parent();
-            Some(this)
-        })
     }
 }
 
@@ -258,7 +238,6 @@ mod tests {
     #[test]
     fn root_properties() {
         let root = Topic::root();
-        assert!(root.is_root());
         assert_eq!(root.depth(), 0);
         assert_eq!(root.parent(), None);
         assert_eq!(root.to_string(), ".");
@@ -297,21 +276,12 @@ mod tests {
         assert!(!t1.covers(&other) && !other.covers(&t1));
         assert!(t1.related(&t2) && t2.related(&t1));
         assert!(!t1.related(&other));
-        assert!(t2.is_subtopic_of(&t0));
-        assert!(!t0.is_subtopic_of(&t0));
     }
 
     #[test]
     fn prefix_segments_do_not_cover() {
         // ".ab" is not an ancestor of ".abc": matching is per segment, not per character.
         assert!(!t(".ab").covers(&t(".abc")));
-    }
-
-    #[test]
-    fn ancestors_walk_to_root() {
-        let chain: Vec<String> = t(".a.b.c").ancestors().map(|x| x.to_string()).collect();
-        assert_eq!(chain, vec![".a.b.c", ".a.b", ".a", "."]);
-        assert_eq!(Topic::root().ancestors().count(), 1);
     }
 
     #[test]
@@ -368,8 +338,10 @@ mod proptests {
         /// Every topic is covered by each of its ancestors and by the root.
         #[test]
         fn ancestors_cover(topic in topic_strategy()) {
-            for ancestor in topic.ancestors() {
-                prop_assert!(ancestor.covers(&topic));
+            let mut ancestor = Some(topic.clone());
+            while let Some(this) = ancestor {
+                prop_assert!(this.covers(&topic));
+                ancestor = this.parent();
             }
             prop_assert!(Topic::root().covers(&topic));
         }
@@ -378,7 +350,7 @@ mod proptests {
         #[test]
         fn child_is_subtopic(topic in topic_strategy(), seg in segment_strategy()) {
             let child = topic.child(&seg);
-            prop_assert!(child.is_subtopic_of(&topic));
+            prop_assert!(topic.covers(&child) && child != topic);
             prop_assert_eq!(child.parent().unwrap(), topic);
         }
     }

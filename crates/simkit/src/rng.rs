@@ -158,17 +158,6 @@ impl SimRng {
         chosen.into_iter().collect()
     }
 
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        if slice.len() < 2 {
-            return;
-        }
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
     /// Picks a reference to a random element of `slice`, or `None` if it is empty.
     pub fn pick<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
@@ -317,16 +306,6 @@ mod tests {
         assert!(chosen.iter().all(|&i| i < 100));
         assert!(rng.choose_indices(5, 0).is_empty());
         assert_eq!(rng.choose_indices(5, 5).len(), 5);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(6);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -690,8 +690,9 @@ impl IndexedMinQueue {
         self.pos.get(id).is_some_and(|&p| p != ABSENT)
     }
 
-    /// The key of `id`, if it holds an entry.
-    pub fn key_of(&self, id: usize) -> Option<SimTime> {
+    /// The key of `id` if it holds an entry, probed by `set_rekeys_in_both_directions`.
+    #[cfg(test)]
+    fn key_of(&self, id: usize) -> Option<SimTime> {
         self.contains(id).then(|| self.key[id])
     }
 

@@ -97,7 +97,7 @@ impl OnlineStats {
     }
 
     /// Sample variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -106,7 +106,7 @@ impl OnlineStats {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 

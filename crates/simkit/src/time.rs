@@ -99,11 +99,6 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -148,11 +143,6 @@ impl SimDuration {
     /// `true` if this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked subtraction; `None` if `other` is longer than `self`.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
     }
 
     /// Saturating subtraction (zero floor).
@@ -354,15 +344,6 @@ mod tests {
         assert_eq!(
             SimTime::from_secs(2).saturating_since(SimTime::from_secs(5)),
             SimDuration::ZERO
-        );
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_millis(1)), None);
-        assert_eq!(
-            SimTime::from_secs(1).checked_add(SimDuration::from_secs(1)),
-            Some(SimTime::from_secs(2))
-        );
-        assert_eq!(
-            SimDuration::from_secs(1).checked_sub(SimDuration::from_secs(2)),
-            None
         );
     }
 
