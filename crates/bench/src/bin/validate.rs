@@ -12,7 +12,9 @@
 //! is ROADMAP item 5(c)).
 //!
 //! Run with: `cargo run --release -p bench --bin validate` (it takes no
-//! arguments; any argument is a usage error, exit 2).
+//! arguments; any argument is a usage error, exit 2). Every table that runs
+//! is printed; if any spot check failed to compile or run, the binary then
+//! exits 1.
 
 use manet_sim::{compile_path, run_matrix};
 
@@ -53,6 +55,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# Paper-scale spot checks (reduced seed count)\n");
+    let mut failed = false;
     for (file, heading, reference) in SPOT_CHECKS {
         let path = format!("{FIGURES}/{file}");
         let tables = compile_path(&path, &[])
@@ -66,8 +69,14 @@ fn main() {
                 }
                 println!("{reference}\n");
             }
-            Err(err) => eprintln!("{path}: spot check failed: {err}"),
+            Err(err) => {
+                eprintln!("{path}: spot check failed: {err}");
+                failed = true;
+            }
         }
         eprintln!("[{file} done after {:.0?}]", t0.elapsed());
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

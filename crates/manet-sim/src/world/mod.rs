@@ -30,26 +30,21 @@
 //! timer cancelled or re-armed by an earlier event of its own batch is
 //! skipped exactly as one-at-a-time popping would have skipped it.
 //!
-//! # Two loops, one coordinator
+//! # One loop, one coordinator
 //!
 //! A world is two halves. The `Coordinator` owns everything the sequential
 //! dispatch order serializes — clock, wheel, medium, timer slots, frame slab,
-//! MAC RNG, publications, the wake queue — and carries the coordinator-side
-//! logic **once**, as methods: the action commit, `on_tx_start`, the publish
-//! prologue/epilogue, the warm-up snapshot, the due-node merge and move
-//! commit of a mobility tick. `NodeArrays` holds the per-node state,
-//! structure-of-arrays (cold boxed protocol/mobility state plus the hot
-//! last-advance and wake times), which is all a shard worker ever borrows.
+//! MAC RNG, publications, the wake queue — and carries the action commit,
+//! the timer fire check and the mobility tick's wake bookkeeping as methods.
+//! `NodeArrays` holds the per-node state, structure-of-arrays (cold boxed
+//! protocol/mobility state plus the hot last-advance times).
 //!
-//! Two event loops drive those methods, chosen by [`World::set_shards`]: the
-//! serial loop in this file runs each protocol callback inline and commits
-//! what it emitted straight away; the sharded engine (`world::shard`)
-//! segments each batch, decides timer fire/skip with the same
-//! `Coordinator::take_armed` call, forks the callbacks that run to worker
-//! threads over std channels and commits the joined results in the same
-//! order. The serial loop is a measured fast
-//! path, not a leftover: sending one-shard runs through the engine costs
-//! 10–58 % wall-clock on the benchmark workloads (see ARCHITECTURE.md).
+//! There is one event loop, [`World::run_until`], at every shard count.
+//! [`World::set_shards`] changes one handler: a completed frame's delivery
+//! callbacks fork to worker threads (`world::shard`) and commit in the same
+//! ascending receiver order. Delivery is the only per-node work of any size
+//! in a batch; every other handler stays serial, so there is nothing to
+//! segment and no second copy of a handler to keep in step.
 //!
 //! Protocol callbacks append into one world-owned [`ActionBuf`] whose action
 //! vector and pooled message vectors cycle in place — together with the
@@ -59,9 +54,7 @@
 mod shard;
 
 use crate::report::{EventOutcome, NodeReport, RunReport};
-use crate::scenario::{
-    MobilityKind, ProtocolKind, Publication, PublisherChoice, Scenario, ScenarioError,
-};
+use crate::scenario::{MobilityKind, ProtocolKind, PublisherChoice, Scenario, ScenarioError};
 use frugal::{
     Action, ActionBuf, DisseminationProtocol, FloodingProtocol, FrugalProtocol, Message,
     ProtocolConfig, ProtocolMetrics, TimerKind,
@@ -72,20 +65,32 @@ use mobility::{
 };
 use netsim::{RadioMedium, ReceptionOutcome, TrafficCounters, TxId};
 use pubsub::{EventId, ProcessId, Topic};
-use simkit::{
-    BitSet, EventHandle, IndexedMinQueue, NodeId, SimDuration, SimRng, SimTime, TimerWheel,
-};
+use simkit::{EventHandle, IndexedMinQueue, NodeId, SimDuration, SimRng, SimTime, TimerWheel};
 
 /// The cold half of one simulated process: protocol + movement + private
-/// randomness, all behind pointers. The per-tick hot fields (wake times,
-/// last-advance times) live in parallel arrays of [`NodeArrays`] instead, so
-/// the event loop walks dense cache lines rather than hopping through these
-/// structs.
+/// randomness, all behind pointers. The per-tick hot field (the last-advance
+/// time) lives in a parallel array of [`NodeArrays`] instead, so the event
+/// loop walks dense cache lines rather than hopping through these structs.
 #[derive(Debug)]
 struct SimNode {
-    protocol: Box<dyn DisseminationProtocol>,
+    /// Absent only while a shard worker holds it, inside one sharded
+    /// delivery (see `world::shard`).
+    protocol: Option<Box<dyn DisseminationProtocol>>,
     mobility: BoxedMobility,
     rng: SimRng,
+}
+
+/// Why a node's protocol can be missing.
+const LENT: &str = "a shard worker holds this node's protocol";
+
+impl SimNode {
+    fn protocol(&self) -> &dyn DisseminationProtocol {
+        self.protocol.as_deref().expect(LENT)
+    }
+
+    fn protocol_mut(&mut self) -> &mut dyn DisseminationProtocol {
+        self.protocol.as_deref_mut().expect(LENT)
+    }
 }
 
 /// A broadcast waiting to go on (or currently on) the air.
@@ -97,8 +102,7 @@ struct PendingFrame {
 
 /// Everything the event loop can be asked to do. Node and frame references
 /// are 32-bit ([`NodeId`] and a frame-slot index), keeping the scheduler's
-/// event payloads dense (and `Copy`, so the sharded engine can segment a
-/// drained batch without consuming it).
+/// event payloads dense.
 #[derive(Debug, Clone, Copy)]
 enum WorldEvent {
     /// Advance every node's position by one mobility tick.
@@ -125,16 +129,6 @@ struct PublishedRecord {
     topic: Topic,
 }
 
-/// Where one mobility advance left a node: what the coordinator needs to
-/// replay the move into the grid and route the node to the active list or
-/// the wake queue.
-#[derive(Debug, Clone, Copy)]
-struct NodeMove {
-    node: u32,
-    position: Point,
-    wake: SimTime,
-}
-
 /// Former engagement counters of the sharded engine (see
 /// [`World::debug_stats`]), all always 0: the widened windows, fused batches,
 /// repartition passes and classification fan-outs they counted were retired
@@ -154,29 +148,26 @@ pub struct WorldDebugStats {
 
 /// The per-node state, structure-of-arrays (indexed by `NodeId::index`):
 /// everything a protocol callback or a mobility advance of one node touches,
-/// and nothing else — so the sharded engine can lend each worker a disjoint
-/// `split_at_mut` range of it while the [`Coordinator`] stays behind.
+/// and nothing else. A node's wake time is the coordinator's (its wake-queue
+/// key or its place in the active list); sharded delivery lends a worker
+/// single protocols by value out of `nodes`.
 #[derive(Debug, Default)]
 struct NodeArrays {
     nodes: Vec<SimNode>,
     /// Virtual time of each node's last mobility advance (dirty-tick
     /// bookkeeping: skipped nodes are caught up from here).
     last_advance: Vec<SimTime>,
-    /// Earliest virtual time at which each node's movement state can change.
-    /// While a node is not moving, ticks strictly before its wake time are
-    /// skipped entirely — no advance, no grid update, no RNG draw.
-    wake_times: Vec<SimTime>,
 }
 
 /// Advances one node across the tick ending at `now`, catching up any skipped
-/// pause time, and returns its next wake time. The world-global effects of
-/// the move (grid update, wake-queue routing) are the coordinator's
-/// ([`Coordinator::commit_move`]); both event loops advance through here, so
-/// they are advance-for-advance identical.
+/// pause time, and returns its next wake time: the earliest virtual time at
+/// which its movement state can change. While a node is not moving, ticks
+/// strictly before it are skipped entirely — no advance, no grid update, no
+/// RNG draw. The world-global effects of the move (grid update, wake-queue
+/// routing) are the coordinator's ([`Coordinator::commit_move`]).
 fn advance(
     node: &mut SimNode,
     last_advance: &mut SimTime,
-    wake_time: &mut SimTime,
     now: SimTime,
     tick: SimDuration,
 ) -> SimTime {
@@ -199,25 +190,15 @@ fn advance(
     } else {
         now.saturating_add(node.mobility.time_to_transition())
     };
-    *wake_time = wake;
-    node.protocol.update_speed(Some(speed));
+    node.protocol_mut().update_speed(Some(speed));
     wake
-}
-
-/// The nodes' protocol counters, ascending (the warm-up snapshot of a run of
-/// nodes).
-fn metrics_of(nodes: &[SimNode]) -> Vec<ProtocolMetrics> {
-    nodes
-        .iter()
-        .map(|node| node.protocol.metrics().clone())
-        .collect()
 }
 
 /// Everything the sequential dispatch order serializes. Every method that
 /// draws MAC randomness or consumes scheduler sequence numbers must be
-/// invoked in exactly that order to keep runs bit-identical; both event
-/// loops — the serial one below and the sharded `shard::Engine`, which holds
-/// one `&mut Coordinator` — do, and neither re-implements any of it.
+/// invoked in exactly that order to keep runs bit-identical; the event loop
+/// does, and sharded delivery (`shard::Workers`) commits through the same
+/// methods in the same order.
 #[derive(Debug)]
 struct Coordinator {
     scenario: Scenario,
@@ -233,12 +214,10 @@ struct Coordinator {
     /// hashing — and the handle match is what validates eagerly drained
     /// batch entries against mid-batch cancellations.
     timer_slots: Vec<[Option<EventHandle>; TimerKind::COUNT]>,
-    /// One bit per node: set if the node subscribes to the measured topic.
-    subscriber_bits: BitSet,
-    /// The same set, ascending. Cached so resolving
-    /// `PublisherChoice::RandomSubscriber` allocates nothing per publication
-    /// event; rebuilt by every populate/reset.
-    subscriber_cache: Vec<usize>,
+    /// The nodes that subscribe to the measured topic, ascending: searched
+    /// at subscribe time, indexed by `PublisherChoice::RandomSubscriber`.
+    /// Rebuilt by every populate/reset.
+    subscribers: Vec<usize>,
     frames: Vec<Option<PendingFrame>>,
     /// Frame slots whose transmission completed, ready for reuse — the frame
     /// slab stops growing once the network reaches steady state.
@@ -266,7 +245,7 @@ struct Coordinator {
     woken: Vec<u32>,
     /// Scratch: the buffer `begin_tick` hands out as the due list.
     due: Vec<u32>,
-    /// Scratch: every serial protocol callback appends into this one buffer;
+    /// Scratch: every inline protocol callback appends into this one buffer;
     /// its action vector and the pooled message vectors inside it cycle in
     /// place, so the steady-state event path performs no allocation.
     action_buf: ActionBuf,
@@ -332,7 +311,8 @@ impl Coordinator {
     /// says whether it was. Batches are drained eagerly, so a popped timer
     /// event fires only on `true`: an earlier event of the same batch may
     /// have cancelled or re-armed it, and one-at-a-time popping would then
-    /// never have surfaced it.
+    /// never have surfaced it. Timers fire in the serial handlers at every
+    /// shard count, so this check sees every earlier commit of the batch.
     fn take_armed(&mut self, node: NodeId, kind: TimerKind, handle: EventHandle) -> bool {
         let slot = &mut self.timer_slots[node.index()][kind.index()];
         let armed = *slot == Some(handle);
@@ -344,7 +324,7 @@ impl Coordinator {
 
     /// The topic `node` subscribes to at start-up.
     fn subscribe_topic(&self, node: NodeId) -> Topic {
-        if self.subscriber_bits.contains(node.index()) {
+        if self.subscribers.binary_search(&node.index()).is_ok() {
             self.scenario.subscriber_topic.clone()
         } else {
             self.scenario.bystander_topic.clone()
@@ -375,39 +355,24 @@ impl Coordinator {
         Some(pending)
     }
 
-    /// Publish prologue: resolves the publisher, drawing MAC randomness for
-    /// the random choices.
-    fn begin_publish(&mut self, index: u32) -> (Publication, usize) {
-        let publication = self.scenario.publications[index as usize].clone();
-        let node_count = self.scenario.node_count;
-        let publisher = match publication.publisher {
-            PublisherChoice::Node(index) => index,
-            PublisherChoice::RandomSubscriber if !self.subscriber_cache.is_empty() => {
-                self.subscriber_cache[self.mac_rng.index(self.subscriber_cache.len())]
+    /// Runs `handle_message` inline for every receiver in `outcomes` that
+    /// got the frame, committing each one's actions before the next runs.
+    fn deliver(
+        &mut self,
+        nodes: &mut [SimNode],
+        outcomes: &[(usize, ReceptionOutcome)],
+        message: &Message,
+    ) {
+        let mut out = std::mem::take(&mut self.action_buf);
+        for &(receiver, outcome) in outcomes {
+            if outcome == ReceptionOutcome::Received {
+                nodes[receiver]
+                    .protocol_mut()
+                    .handle_message(message, self.now, &mut out);
+                self.commit(NodeId::from_index(receiver), &mut out);
             }
-            PublisherChoice::RandomAny | PublisherChoice::RandomSubscriber => {
-                self.mac_rng.index(node_count)
-            }
-        };
-        (publication, publisher)
-    }
-
-    /// Publish epilogue: records the event the publisher's callback created
-    /// and commits what the callback emitted.
-    fn end_publish(&mut self, publisher: usize, id: EventId, topic: Topic, out: &mut ActionBuf) {
-        self.published.push(PublishedRecord {
-            id,
-            publisher,
-            topic,
-        });
-        self.commit(NodeId::from_index(publisher), out);
-    }
-
-    /// Warm-up boundary: `metrics` is every node's protocol counters,
-    /// ascending; the traffic counters are the medium's own.
-    fn snapshot_warmup(&mut self, metrics: Vec<ProtocolMetrics>) {
-        self.warmup_metrics = Some(metrics);
-        self.warmup_traffic = Some(self.medium.all_counters().to_vec());
+        }
+        self.action_buf = out;
     }
 
     /// Opens a mobility tick at `now`: returns every due node — the moving
@@ -459,15 +424,15 @@ impl Coordinator {
 
     /// Replays one advanced node's move: grid update, then routing — still
     /// (or again) moving at `now` means due at every tick, so it stays dense
-    /// in the next active list; otherwise it sleeps in the wake queue.
-    /// Callers commit in ascending node order.
-    fn commit_move(&mut self, moved: NodeMove, now: SimTime) {
-        let index = moved.node as usize;
-        self.medium.update_position(index, moved.position);
-        if moved.wake <= now {
-            self.next_active.push(moved.node);
+    /// in the next active list; otherwise it sleeps in the wake queue until
+    /// `wake`. Callers commit in ascending node order.
+    fn commit_move(&mut self, node: u32, position: Point, wake: SimTime, now: SimTime) {
+        let index = node as usize;
+        self.medium.update_position(index, position);
+        if wake <= now {
+            self.next_active.push(node);
         } else {
-            self.wake_queue.set(index, moved.wake);
+            self.wake_queue.set(index, wake);
         }
     }
 
@@ -477,15 +442,6 @@ impl Coordinator {
         self.due = due;
         std::mem::swap(&mut self.active, &mut self.next_active);
     }
-
-    /// Schedules the mobility tick after the one at `now`, if the run lasts
-    /// that long.
-    fn schedule_next_tick(&mut self, now: SimTime) {
-        let next = now + self.scenario.mobility_tick;
-        if next <= self.end {
-            self.queue.schedule(next, WorldEvent::MobilityTick);
-        }
-    }
 }
 
 /// The complete state of one simulation run.
@@ -494,8 +450,8 @@ pub struct World {
     core: Coordinator,
     pop: NodeArrays,
     seed: u64,
-    /// How many worker shards `run_until` splits the node population across
-    /// (1 = the serial loop). The choice survives [`World::reset`].
+    /// How many shards `run_until` splits a frame's receivers across (1 =
+    /// every callback inline). The choice survives [`World::reset`].
     shards: usize,
     /// Set by [`World::set_naive_mobility`]: the reference oracle. Survives
     /// [`World::reset`].
@@ -520,8 +476,7 @@ impl World {
             queue: TimerWheel::new(),
             medium: RadioMedium::new(scenario.radio.clone(), scenario.node_count),
             timer_slots: Vec::new(),
-            subscriber_bits: BitSet::new(),
-            subscriber_cache: Vec::new(),
+            subscribers: Vec::new(),
             frames: Vec::new(),
             free_frames: Vec::new(),
             mac_rng: SimRng::seed_from(seed).derive(0xBEEF).derive(7),
@@ -648,15 +603,9 @@ impl World {
         let mut layout_rng = master.derive(0xA11);
         let n = core.scenario.node_count;
 
-        // Choose which nodes subscribe to the measured topic, and keep the
-        // ascending index behind `PublisherChoice::RandomSubscriber`.
+        // Choose which nodes subscribe to the measured topic.
         let subscriber_count = core.scenario.subscriber_count().min(n);
-        core.subscriber_bits.clear();
-        for index in layout_rng.choose_indices(n, subscriber_count) {
-            core.subscriber_bits.insert(index);
-        }
-        core.subscriber_cache.clear();
-        core.subscriber_cache.extend(core.subscriber_bits.iter());
+        core.subscribers = layout_rng.choose_indices(n, subscriber_count);
 
         // Build (or recycle) the nodes: protocol + mobility + private stream.
         let recycle = pop.nodes.len() == n;
@@ -672,8 +621,8 @@ impl World {
                     node.mobility =
                         Self::build_mobility(&core.scenario.mobility, index, n, &mut node_rng);
                 }
-                if !node.protocol.reset() {
-                    node.protocol = Self::build_protocol(&core.scenario.protocol, index);
+                if !node.protocol_mut().reset() {
+                    node.protocol = Some(Self::build_protocol(&core.scenario.protocol, index));
                 }
                 let position = node.mobility.position();
                 node.rng = node_rng;
@@ -684,19 +633,17 @@ impl World {
                 let protocol = Self::build_protocol(&core.scenario.protocol, index);
                 core.medium.update_position(index, mobility.position());
                 pop.nodes.push(SimNode {
-                    protocol,
+                    protocol: Some(protocol),
                     mobility,
                     rng: node_rng,
                 });
             }
         }
-        // Every node is due at the first tick (wake = ZERO, all `active`): it
-        // initializes the protocol's speed and the wake times, and sorts each
-        // node into `active` or the wake queue.
+        // Every node is due at the first tick (all `active`): it initializes
+        // the protocol's speed and sorts each node into `active` or the wake
+        // queue.
         pop.last_advance.clear();
         pop.last_advance.resize(n, SimTime::ZERO);
-        pop.wake_times.clear();
-        pop.wake_times.resize(n, SimTime::ZERO);
         core.wake_queue.clear();
         core.active.clear();
         core.active.extend(0..n as u32);
@@ -751,27 +698,26 @@ impl World {
     }
 
     /// Selects the **reference oracle**: the original mobility path that
-    /// fully advances every node on every tick, on the serial loop whatever
-    /// the shard count. Semantically identical to the default engine at
-    /// every shard count (the `shard_equivalence` oracle proptest pins whole
-    /// reports bit-identical); kept as the reference for the equivalence
-    /// proptests. Call before [`World::run`]; `false` restores the default.
+    /// fully advances every node on every tick. Semantically identical to
+    /// the default engine at every shard count (the `shard_equivalence`
+    /// oracle proptest pins whole reports bit-identical); kept as the
+    /// reference for the equivalence proptests. Call before [`World::run`];
+    /// `false` restores the default.
     #[doc(hidden)]
     pub fn set_naive_mobility(&mut self, naive: bool) {
         self.naive_mobility = naive;
     }
 
-    /// Splits the event loop's per-node work across `shards` worker threads
-    /// (clamped to at least 1; 1 keeps the serial loop). Sharded runs are
-    /// **bit-identical** to serial ones — same reports, same RNG streams —
-    /// because every random draw and every scheduler mutation, reception
-    /// included, stays in the sequential dispatch order; only the per-node
-    /// work (mobility integration, protocol callbacks) runs concurrently
-    /// within each same-timestamp batch, the conservative time window of
-    /// this model (see the `world::shard` module). The choice survives
-    /// [`World::reset`]. This is the only way to shard a world: the
-    /// multi-seed runner and the binaries run every world on the serial
-    /// loop, and parallelize across seeds instead.
+    /// Splits each completed frame's delivery callbacks across `shards`
+    /// threads (clamped to at least 1; 1 runs every callback inline).
+    /// Sharded runs are **bit-identical** to serial ones — same reports, same
+    /// RNG streams — because reception, every random draw and every
+    /// scheduler mutation stay in the sequential dispatch order, and the
+    /// receivers' actions commit in ascending receiver order either way (see
+    /// the `world::shard` module). Every other handler runs serially at any
+    /// shard count. The choice survives [`World::reset`]. This is the only
+    /// way to shard a world: the multi-seed runner and the binaries run every
+    /// world on one shard, and parallelize across seeds instead.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -807,13 +753,29 @@ impl World {
     /// allocation-accounting tests warm a world up, open a measurement
     /// window, and assert over just the steady-state slice; a single
     /// `run_until(end)` is exactly [`World::run_mut`] minus the report.
+    ///
+    /// With more than one shard the call opens a thread scope and spawns the
+    /// delivery workers for its whole length, unless nothing is due.
     pub fn run_until(&mut self, deadline: SimTime) {
         let deadline = deadline.min(self.core.end);
-        let shards = self.shards.min(self.pop.nodes.len().max(1));
-        if shards > 1 && !self.naive_mobility {
-            self.run_until_sharded(deadline, shards);
-            return;
+        let shards = self.shards.min(self.pop.nodes.len());
+        let due = matches!(self.core.queue.peek_time(), Some(at) if at <= deadline);
+        if shards > 1 && due {
+            let nodes = self.pop.nodes.len();
+            std::thread::scope(|scope| {
+                // The workers drop at the end of the scope, or while a panic
+                // unwinds; either way their work senders hang up and the
+                // worker threads return.
+                let mut workers = shard::Workers::spawn(scope, nodes, shards);
+                self.drain(deadline, Some(&mut workers));
+            });
+        } else {
+            self.drain(deadline, None);
         }
+    }
+
+    /// The event loop: dispatches batch after batch up to `deadline`.
+    fn drain(&mut self, deadline: SimTime, mut workers: Option<&mut shard::Workers>) {
         let mut batch = std::mem::take(&mut self.core.batch_scratch);
         while let Some(at) = self.core.queue.peek_time() {
             if at > deadline {
@@ -823,13 +785,18 @@ impl World {
             batch.clear();
             self.core.queue.pop_due_batch(at, &mut batch);
             for (handle, event) in batch.drain(..) {
-                self.dispatch(handle, event);
+                self.dispatch(handle, event, workers.as_deref_mut());
             }
         }
         self.core.batch_scratch = batch;
     }
 
-    fn dispatch(&mut self, handle: EventHandle, event: WorldEvent) {
+    fn dispatch(
+        &mut self,
+        handle: EventHandle,
+        event: WorldEvent,
+        workers: Option<&mut shard::Workers>,
+    ) {
         match event {
             WorldEvent::MobilityTick => self.on_mobility_tick(),
             WorldEvent::Subscribe { node } => {
@@ -846,24 +813,27 @@ impl World {
                 }
             }
             WorldEvent::TxStart { frame } => self.core.on_tx_start(frame),
-            WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx),
+            WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx, workers),
             WorldEvent::Publish { index } => self.on_publish(index),
             WorldEvent::WarmupEnd => {
-                let metrics = metrics_of(&self.pop.nodes);
-                self.core.snapshot_warmup(metrics);
+                let core = &mut self.core;
+                let metrics = self.pop.nodes.iter();
+                let metrics = metrics.map(|node| node.protocol().metrics().clone());
+                core.warmup_metrics = Some(metrics.collect());
+                core.warmup_traffic = Some(core.medium.all_counters().to_vec());
             }
         }
     }
 
     /// Runs one protocol callback of `node` inline and commits what it
-    /// emitted — the serial loop's whole fork/join.
+    /// emitted.
     fn callback(
         &mut self,
         node: NodeId,
         run: impl FnOnce(&mut dyn DisseminationProtocol, SimTime, &mut ActionBuf),
     ) {
         let mut out = std::mem::take(&mut self.core.action_buf);
-        let protocol = &mut *self.pop.nodes[node.index()].protocol;
+        let protocol = self.pop.nodes[node.index()].protocol_mut();
         run(protocol, self.core.now, &mut out);
         self.core.commit(node, &mut out);
         self.core.action_buf = out;
@@ -882,7 +852,8 @@ impl World {
             for (index, node) in pop.nodes.iter_mut().enumerate() {
                 node.mobility.advance(tick, &mut node.rng);
                 core.medium.update_position(index, node.mobility.position());
-                node.protocol.update_speed(Some(node.mobility.speed()));
+                let speed = node.mobility.speed();
+                node.protocol_mut().update_speed(Some(speed));
             }
         } else {
             let due = core.begin_tick(now);
@@ -891,24 +862,24 @@ impl World {
                 let wake = advance(
                     &mut pop.nodes[index],
                     &mut pop.last_advance[index],
-                    &mut pop.wake_times[index],
                     now,
                     tick,
                 );
                 let position = pop.nodes[index].mobility.position();
-                let moved = NodeMove {
-                    node,
-                    position,
-                    wake,
-                };
-                core.commit_move(moved, now);
+                core.commit_move(node, position, wake, now);
             }
             core.end_tick(due);
         }
-        core.schedule_next_tick(now);
+        let next = now + tick;
+        if next <= core.end {
+            core.queue.schedule(next, WorldEvent::MobilityTick);
+        }
     }
 
-    fn on_tx_end(&mut self, frame: u32, tx: TxId) {
+    /// Frame completion: reception resolves here at every shard count (one
+    /// MAC RNG draw order); the delivery callbacks run inline, or fork to
+    /// the `workers` when the world is sharded.
+    fn on_tx_end(&mut self, frame: u32, tx: TxId, workers: Option<&mut shard::Workers>) {
         let World { core, pop, .. } = self;
         let Some(pending) = core.take_frame(frame) else {
             return;
@@ -917,37 +888,50 @@ impl World {
         outcomes.clear();
         core.medium
             .complete_transmission_into(tx, &mut core.mac_rng, &mut outcomes);
-        let now = core.now;
-        let mut out = std::mem::take(&mut core.action_buf);
-        for &(receiver, outcome) in &outcomes {
-            if outcome != ReceptionOutcome::Received {
-                continue;
+        match workers {
+            None => {
+                core.deliver(&mut pop.nodes, &outcomes, &pending.message);
+                // The frame died: reclaim the vectors inside its message so
+                // the next broadcast builds on their capacity instead of
+                // allocating.
+                core.action_buf.recycle_message(pending.message);
             }
-            pop.nodes[receiver]
-                .protocol
-                .handle_message(&pending.message, now, &mut out);
-            core.commit(NodeId::from_index(receiver), &mut out);
+            Some(workers) => workers.deliver(core, &mut pop.nodes, &outcomes, pending.message),
         }
-        // The frame died: reclaim the vectors inside its message so the next
-        // broadcast builds on their capacity instead of allocating.
-        out.recycle_message(pending.message);
-        core.action_buf = out;
         core.outcome_scratch = outcomes;
     }
 
+    /// Publication: resolves the publisher (drawing MAC randomness for the
+    /// random choices), runs its publish callback, records the event it
+    /// created and commits what it emitted.
     fn on_publish(&mut self, index: u32) {
-        let (publication, publisher) = self.core.begin_publish(index);
-        let mut out = std::mem::take(&mut self.core.action_buf);
-        let id = self.pop.nodes[publisher].protocol.publish(
-            publication.topic.clone(),
+        let core = &mut self.core;
+        let publication = &core.scenario.publications[index as usize];
+        let publisher = match publication.publisher {
+            PublisherChoice::Node(index) => index,
+            PublisherChoice::RandomSubscriber if !core.subscribers.is_empty() => {
+                core.subscribers[core.mac_rng.index(core.subscribers.len())]
+            }
+            PublisherChoice::RandomAny | PublisherChoice::RandomSubscriber => {
+                core.mac_rng.index(core.scenario.node_count)
+            }
+        };
+        let topic = publication.topic.clone();
+        let mut out = std::mem::take(&mut core.action_buf);
+        let id = self.pop.nodes[publisher].protocol_mut().publish(
+            topic.clone(),
             publication.validity,
             publication.payload_bytes,
-            self.core.now,
+            core.now,
             &mut out,
         );
-        self.core
-            .end_publish(publisher, id, publication.topic, &mut out);
-        self.core.action_buf = out;
+        core.published.push(PublishedRecord {
+            id,
+            publisher,
+            topic,
+        });
+        core.commit(NodeId::from_index(publisher), &mut out);
+        core.action_buf = out;
     }
 
     fn report(&self) -> RunReport {
@@ -961,7 +945,7 @@ impl World {
             .iter()
             .enumerate()
             .map(|(index, node)| {
-                let metrics = node.protocol.metrics();
+                let metrics = node.protocol().metrics();
                 let base = warmup_metrics.get(index);
                 let traffic = *core.medium.counters(index);
                 let traffic_base = warmup_traffic.get(index).copied().unwrap_or_default();
@@ -997,9 +981,10 @@ impl World {
                 // subscriptions match, and as delivered if it also got it.
                 let (mut subscribers, mut delivered) = (0, 0);
                 for node in &self.pop.nodes {
-                    if node.protocol.subscriptions().matches(&record.topic) {
+                    let protocol = node.protocol();
+                    if protocol.subscriptions().matches(&record.topic) {
                         subscribers += 1;
-                        delivered += usize::from(node.protocol.has_delivered(&record.id));
+                        delivered += usize::from(protocol.has_delivered(&record.id));
                     }
                 }
                 EventOutcome {

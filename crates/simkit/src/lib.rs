@@ -12,9 +12,9 @@
 //!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]);
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
-//! * [`ids`] — dense 32-bit node ids ([`NodeId`]), bit-packed membership
-//!   sets ([`BitSet`]) and contiguous equal-count index partitions
-//!   ([`BoundaryPartition`]) shared by the simulation layers;
+//! * [`ids`] — dense 32-bit node ids ([`NodeId`]) and contiguous
+//!   equal-count index partitions ([`BoundaryPartition`]) shared by the
+//!   simulation layers;
 //! * [`stats`] — streaming statistics ([`OnlineStats`]) for averaging the 30
 //!   runs per data point used throughout the paper's evaluation.
 //!
@@ -54,7 +54,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod time;
 
-pub use ids::{BitSet, BoundaryPartition, NodeId};
+pub use ids::{BoundaryPartition, NodeId};
 pub use rng::SimRng;
 pub use scheduler::{EventHandle, IndexedMinQueue, TimerWheel};
 pub use stats::{OnlineStats, Summary};

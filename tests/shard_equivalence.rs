@@ -1,18 +1,18 @@
 //! Equivalence suite for the engine: every shard count against one oracle.
 //!
-//! The world has two event loops — the serial one (`set_shards(1)`, the
-//! default) and the sharded engine, which splits the node population into
-//! contiguous [`simkit::BoundaryPartition`] ranges and steps each
-//! same-timestamp batch (the degenerate conservative time window of this
-//! model: the shortest frame is on the air for one clock millisecond) with
-//! the pure per-node work fanned out to worker threads,
-//! while every random draw and every scheduler mutation stays in the
-//! sequential dispatch order. None of that may change a single bit of any
-//! run: these properties pin whole `RunReport`s bit-identical between the
-//! default engine at 1 to 8 shards and the **one reference oracle** — the
-//! naive, single-threaded advance-everyone world behind the doc-hidden
-//! `World::set_naive_mobility` — on random scenarios: all four protocol
-//! variants, all mobility models, and fresh and arena-recycled worlds.
+//! The world has one event loop at every shard count. With more than one
+//! shard (`World::set_shards`) a completed frame's receivers are split into
+//! contiguous [`simkit::BoundaryPartition`] ranges, each worker shard's
+//! delivery callbacks run on its own thread with the receivers' protocols
+//! lent by value, and the emitted actions commit in ascending receiver
+//! order, while reception, every random draw and every scheduler mutation
+//! stay in the sequential dispatch order. None of that may change a single
+//! bit of any run: these properties pin whole `RunReport`s bit-identical
+//! between the default engine at 1 to 8 shards and the **one reference
+//! oracle** — the naive advance-everyone world behind the doc-hidden
+//! `World::set_naive_mobility`, run on one shard — on random scenarios: all
+//! four protocol variants, all mobility models, fresh and arena-recycled
+//! worlds, and runs stepped in uneven `run_until` slices.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
@@ -52,8 +52,8 @@ fn random_scenario(
         .unwrap()
 }
 
-/// The reference oracle's report: the naive advance-everyone world, which is
-/// single-threaded whatever its shard count.
+/// The reference oracle's report: the naive advance-everyone world on one
+/// shard.
 fn oracle(scenario: &Scenario, seed: u64) -> RunReport {
     let mut world = World::new(scenario.clone(), seed).unwrap();
     world.set_naive_mobility(true);
@@ -200,6 +200,52 @@ proptest! {
             200.0,
         );
         assert_engine_matches_oracle(scenario, seed, shards);
+    }
+
+    /// A sharded world stepped in random uneven `run_until` slices (some
+    /// empty, some reaching past the scenario end) and then run to the end
+    /// reports what the one-shot serial run does. Each slice opens and
+    /// closes its own worker scope, so every lent protocol must be home at
+    /// every slice end.
+    #[test]
+    fn sliced_sharded_runs_match_the_one_shot_serial_report(
+        seed in 0u64..1_000_000,
+        nodes in 4usize..16,
+        shards in 2usize..9,
+        protocol_pick in 0u8..4,
+        slices_ms in proptest::collection::vec(0u64..4_000, 1..12),
+    ) {
+        let mut scenario = random_scenario(
+            MobilityKind::RandomWaypoint {
+                area: Area::square(400.0),
+                speed_min: 2.0,
+                speed_max: 25.0,
+                pause: SimDuration::from_secs(2),
+            },
+            protocol(protocol_pick),
+            nodes,
+            500,
+            180.0,
+        );
+        // The paper's radio draws fringe losses and contention jitter from
+        // the MAC RNG, so a frame's receivers committing out of ascending
+        // order shows in the report; on the ideal radio it may not.
+        scenario.radio = RadioConfig::paper_random_waypoint();
+        let serial = World::new(scenario.clone(), seed).unwrap().run();
+        let mut world = World::new(scenario, seed).unwrap();
+        world.set_shards(shards);
+        let mut until = SimTime::ZERO;
+        for slice_ms in slices_ms {
+            until += SimDuration::from_millis(slice_ms);
+            world.run_until(until);
+        }
+        prop_assert_eq!(
+            &world.run_mut(),
+            &serial,
+            "the sliced {}-shard run diverged from the serial run for seed {}",
+            shards,
+            seed
+        );
     }
 
     /// Arena-recycled sharded worlds must match fresh oracle worlds: the
