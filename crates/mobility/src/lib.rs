@@ -40,5 +40,5 @@ pub mod random_waypoint;
 
 pub use city_section::{CitySection, CitySectionConfig, StreetMap, StreetMapBuilder};
 pub use model::{BoxedMobility, MobilityModel, Stationary};
-pub use point::{Area, Point, Vector};
+pub use point::{Area, Point};
 pub use random_waypoint::{RandomWaypoint, RandomWaypointConfig};

@@ -1,4 +1,4 @@
-//! Planar geometry primitives: points, displacement vectors and rectangular areas.
+//! Planar geometry primitives: points and rectangular areas.
 //!
 //! All coordinates are in **meters**. The simulation areas of the paper are a
 //! 5000 m × 5000 m square (25 km², random waypoint) and a 1200 m × 900 m campus
@@ -7,7 +7,6 @@
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 use std::fmt;
-use std::ops::{Add, Mul, Sub};
 
 /// A position in the plane, in meters.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -16,15 +15,6 @@ pub struct Point {
     pub x: f64,
     /// North-south coordinate in meters.
     pub y: f64,
-}
-
-/// A displacement between two points, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Vector {
-    /// East-west component in meters.
-    pub dx: f64,
-    /// North-south component in meters.
-    pub dy: f64,
 }
 
 /// An axis-aligned rectangular simulation area `[0, width] × [0, height]`.
@@ -74,43 +64,6 @@ impl Point {
         Point {
             x: self.x + (target.x - self.x) * ratio,
             y: self.y + (target.y - self.y) * ratio,
-        }
-    }
-}
-
-impl Vector {
-    /// The length of the vector in meters.
-    pub fn length(self) -> f64 {
-        (self.dx * self.dx + self.dy * self.dy).sqrt()
-    }
-}
-
-impl Add<Vector> for Point {
-    type Output = Point;
-    fn add(self, v: Vector) -> Point {
-        Point {
-            x: self.x + v.dx,
-            y: self.y + v.dy,
-        }
-    }
-}
-
-impl Sub for Point {
-    type Output = Vector;
-    fn sub(self, other: Point) -> Vector {
-        Vector {
-            dx: self.x - other.x,
-            dy: self.y - other.y,
-        }
-    }
-}
-
-impl Mul<f64> for Vector {
-    type Output = Vector;
-    fn mul(self, k: f64) -> Vector {
-        Vector {
-            dx: self.dx * k,
-            dy: self.dy * k,
         }
     }
 }
@@ -215,17 +168,6 @@ mod tests {
         assert_eq!(a.step_towards(b, 4.0), Point::new(4.0, 0.0));
         assert_eq!(a.step_towards(b, 15.0), b);
         assert_eq!(a.step_towards(a, 3.0), a);
-    }
-
-    #[test]
-    fn vector_arithmetic() {
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(4.0, 5.0);
-        let v = b - a;
-        assert_eq!(v, Vector { dx: 3.0, dy: 4.0 });
-        assert_eq!(v.length(), 5.0);
-        assert_eq!(a + v, b);
-        assert_eq!((v * 2.0).length(), 10.0);
     }
 
     #[test]

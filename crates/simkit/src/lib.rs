@@ -15,6 +15,8 @@
 //! * [`ids`] — dense 32-bit node ids ([`NodeId`]) and contiguous
 //!   equal-count index partitions ([`BoundaryPartition`]) shared by the
 //!   simulation layers;
+//! * [`prefetch()`] — a cache hint that lets an event loop overlap the
+//!   memory latency of the next nodes of a batch;
 //! * [`stats`] — streaming statistics ([`OnlineStats`]) for averaging the 30
 //!   runs per data point used throughout the paper's evaluation.
 //!
@@ -44,17 +46,21 @@
 //! assert_eq!(now, SimTime::from_secs(15));
 //! ```
 
-#![forbid(unsafe_code)]
+// The one `unsafe` block under `crates/` is the cache hint in `prefetch`,
+// allowed there with its SAFETY note; every other crate forbids `unsafe`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod ids;
+mod prefetch;
 pub mod rng;
 pub mod scheduler;
 pub mod stats;
 pub mod time;
 
 pub use ids::{BoundaryPartition, NodeId};
+pub use prefetch::prefetch;
 pub use rng::SimRng;
 pub use scheduler::{EventHandle, IndexedMinQueue, TimerWheel};
 pub use stats::{OnlineStats, Summary};

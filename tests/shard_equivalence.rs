@@ -11,8 +11,9 @@
 //! between the default engine at 1 to 8 shards and the **one reference
 //! oracle** — the naive advance-everyone world behind the doc-hidden
 //! `World::set_naive_mobility`, run on one shard — on random scenarios: all
-//! four protocol variants, all mobility models, fresh and arena-recycled
-//! worlds, and runs stepped in uneven `run_until` slices.
+//! four protocol variants, all mobility models, the ideal and both paper
+//! radios, fresh and arena-recycled worlds, and runs stepped in uneven
+//! `run_until` slices.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
@@ -24,13 +25,28 @@ use netsim::RadioConfig;
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
 
+/// The three radios, by proptest-drawn pick, each with the drawn range: the
+/// ideal disc, and the paper's random-waypoint and city-section presets. The
+/// presets draw fringe losses and contention jitter from the MAC RNG, so a
+/// frame's receivers committing out of ascending order reaches the report;
+/// on the ideal radio it may not.
+fn radio(pick: u8, range_m: f64) -> RadioConfig {
+    let mut radio = match pick {
+        0 => return RadioConfig::ideal(range_m),
+        1 => RadioConfig::paper_random_waypoint(),
+        _ => RadioConfig::paper_city_section(),
+    };
+    radio.range_m = range_m;
+    radio
+}
+
 /// Builds a random small scenario from proptest-drawn parameters.
 fn random_scenario(
     mobility: MobilityKind,
     protocol: ProtocolKind,
     nodes: usize,
     tick_ms: u64,
-    range_m: f64,
+    radio: RadioConfig,
 ) -> Scenario {
     ScenarioBuilder::new()
         .label("shard-equivalence")
@@ -38,7 +54,7 @@ fn random_scenario(
         .nodes(nodes)
         .subscriber_fraction(0.8)
         .mobility(mobility)
-        .radio(RadioConfig::ideal(range_m))
+        .radio(radio)
         .timing(SimDuration::from_secs(3), SimDuration::from_secs(25))
         .publications(vec![Publication {
             publisher: PublisherChoice::RandomSubscriber,
@@ -88,9 +104,10 @@ proptest! {
 
     /// The oracle test: the default engine at 1, 2 and 4 shards — the serial
     /// loop and the sharded engine — reproduces the naive oracle's whole
-    /// `RunReport` on random scenarios across all four protocol variants and
-    /// the random-waypoint, city-section and stationary models, on a fresh
-    /// world and again on the same world recycled for the next seed.
+    /// `RunReport` on random scenarios across all four protocol variants,
+    /// the random-waypoint, city-section and stationary models and the three
+    /// radios, on a fresh world and again on the same world recycled for the
+    /// next seed.
     #[test]
     fn default_engine_matches_naive_oracle(
         seed in 0u64..1_000_000,
@@ -99,6 +116,7 @@ proptest! {
         pause_s in 0u64..20,
         protocol_pick in 0u8..4,
         mobility_pick in 0u8..3,
+        radio_pick in 0u8..3,
     ) {
         let (mobility, range_m) = match mobility_pick {
             0 => (
@@ -113,7 +131,8 @@ proptest! {
             1 => (MobilityKind::CityCampus, 60.0),
             _ => (MobilityKind::Stationary { area: Area::square(700.0) }, 200.0),
         };
-        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, range_m);
+        let radio = radio(radio_pick, range_m);
+        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, radio);
         let references = [oracle(&scenario, seed), oracle(&scenario, seed + 1)];
         for shards in [1usize, 2, 4] {
             let mut arena = WorldArena::new();
@@ -134,8 +153,8 @@ proptest! {
     /// Whole-world equivalence under the random-waypoint model: random
     /// populations, shard counts (including counts above the population, so
     /// the clamp is exercised), tick sizes, pause lengths and all four
-    /// protocol variants. Mobility keeps the active/wake merge and the
-    /// cross-shard move commit hot.
+    /// protocol variants and radios. Mobility keeps the active/wake merge
+    /// and the cross-shard move commit hot.
     #[test]
     fn sharded_reports_identical_random_waypoint(
         seed in 0u64..1_000_000,
@@ -144,6 +163,7 @@ proptest! {
         tick_ms in 200u64..1_000,
         pause_s in 0u64..20,
         protocol_pick in 0u8..4,
+        radio_pick in 0u8..3,
     ) {
         let mobility = MobilityKind::RandomWaypoint {
             area: Area::square(400.0),
@@ -151,7 +171,8 @@ proptest! {
             speed_max: 25.0,
             pause: SimDuration::from_secs(pause_s),
         };
-        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, 180.0);
+        let radio = radio(radio_pick, 180.0);
+        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, radio);
         assert_engine_matches_oracle(scenario, seed, shards);
     }
 
@@ -164,13 +185,14 @@ proptest! {
         nodes in 4usize..16,
         shards in 2usize..9,
         tick_ms in 200u64..1_000,
+        radio_pick in 0u8..3,
     ) {
         let scenario = random_scenario(
             MobilityKind::CityCampus,
             ProtocolKind::Frugal(ProtocolConfig::paper_default()),
             nodes,
             tick_ms,
-            60.0,
+            radio(radio_pick, 60.0),
         );
         assert_engine_matches_oracle(scenario, seed, shards);
     }
@@ -184,6 +206,7 @@ proptest! {
         nodes in 8usize..24,
         shards in 2usize..9,
         frugal in any::<bool>(),
+        radio_pick in 0u8..3,
     ) {
         let protocol = if frugal {
             ProtocolKind::Frugal(ProtocolConfig::paper_default())
@@ -197,7 +220,7 @@ proptest! {
             protocol,
             nodes,
             500,
-            200.0,
+            radio(radio_pick, 200.0),
         );
         assert_engine_matches_oracle(scenario, seed, shards);
     }
@@ -215,7 +238,7 @@ proptest! {
         protocol_pick in 0u8..4,
         slices_ms in proptest::collection::vec(0u64..4_000, 1..12),
     ) {
-        let mut scenario = random_scenario(
+        let scenario = random_scenario(
             MobilityKind::RandomWaypoint {
                 area: Area::square(400.0),
                 speed_min: 2.0,
@@ -225,12 +248,8 @@ proptest! {
             protocol(protocol_pick),
             nodes,
             500,
-            180.0,
+            RadioConfig::paper_random_waypoint(),
         );
-        // The paper's radio draws fringe losses and contention jitter from
-        // the MAC RNG, so a frame's receivers committing out of ascending
-        // order shows in the report; on the ideal radio it may not.
-        scenario.radio = RadioConfig::paper_random_waypoint();
         let serial = World::new(scenario.clone(), seed).unwrap().run();
         let mut world = World::new(scenario, seed).unwrap();
         world.set_shards(shards);
@@ -256,6 +275,7 @@ proptest! {
         seed in 0u64..1_000_000,
         nodes in 4usize..12,
         shards in 2usize..5,
+        radio_pick in 0u8..3,
     ) {
         let scenario = random_scenario(
             MobilityKind::RandomWaypoint {
@@ -267,7 +287,7 @@ proptest! {
             ProtocolKind::Frugal(ProtocolConfig::paper_default()),
             nodes,
             400,
-            180.0,
+            radio(radio_pick, 180.0),
         );
         let mut arena = WorldArena::new();
         for offset in 0..3u64 {
