@@ -285,21 +285,6 @@ pub trait DisseminationProtocol: Debug + Send {
     /// The metrics accumulated so far.
     fn metrics(&self) -> &ProtocolMetrics;
 
-    /// Restores this instance to its just-constructed state — same process id,
-    /// same configuration, empty subscriptions, tables and metrics — reusing
-    /// its heap allocations where possible. This is the hook behind *total*
-    /// world-arena recycling: a reset protocol lets the simulator keep the
-    /// boxed instance across the seeds of a sweep instead of rebuilding it,
-    /// while staying bit-identical to a freshly built one.
-    ///
-    /// Returns `true` if the reset happened in place. The conservative default
-    /// returns `false`, telling the embedder to drop the instance and rebuild
-    /// it; custom protocols that do not implement the hook therefore stay
-    /// correct, just un-recycled.
-    fn reset(&mut self) -> bool {
-        false
-    }
-
     /// `true` if the event has been delivered to the local application — the
     /// per-node predicate behind the reliability figures.
     fn has_delivered(&self, id: &EventId) -> bool {

@@ -301,20 +301,6 @@ impl DisseminationProtocol for FloodingProtocol {
     fn metrics(&self) -> &ProtocolMetrics {
         &self.metrics
     }
-
-    fn reset(&mut self) -> bool {
-        // `id`, `policy` and `flood_interval` are seed-independent; everything
-        // else goes back to its `new` value with the store, neighborhood and
-        // metrics cleared in place.
-        self.subscriptions.clear();
-        self.neighborhood.clear();
-        self.store.clear();
-        self.flood_running = false;
-        self.heartbeat_running = false;
-        self.next_sequence = 0;
-        self.metrics.reset();
-        true
-    }
 }
 
 #[cfg(test)]
@@ -551,47 +537,6 @@ mod tests {
                 1,
                 "policy {policy:?} must flood its own event"
             );
-        }
-    }
-
-    #[test]
-    fn reset_restores_the_freshly_constructed_protocol() {
-        for policy in [
-            FloodingPolicy::Simple,
-            FloodingPolicy::InterestAware,
-            FloodingPolicy::NeighborInterest,
-        ] {
-            let script = |p: &mut FloodingProtocol| {
-                let produced = vec![
-                    p.subscribe_vec(topic(".mine"), t(0)),
-                    p.publish_vec(topic(".mine.x"), SimDuration::from_secs(60), 400, t(1))
-                        .1,
-                    p.handle_message_vec(
-                        &Message::Heartbeat {
-                            from: ProcessId(9),
-                            subscriptions: SubscriptionSet::single(topic(".mine")),
-                            speed: None,
-                        },
-                        t(1),
-                    ),
-                    p.handle_message_vec(&incoming(0, ".mine.news"), t(2)),
-                    p.handle_message_vec(&incoming(1, ".other"), t(2)),
-                    p.handle_timer_vec(TimerKind::FloodTick, t(3)),
-                ];
-                (produced, p.metrics().clone())
-            };
-            let mut recycled = proto(1, policy);
-            let (first, _) = script(&mut recycled);
-            assert!(recycled.reset(), "flooding baselines reset in place");
-            assert!(recycled.subscriptions().is_empty());
-            assert_eq!(recycled.stored_events(), 0);
-            assert_eq!(recycled.metrics(), &ProtocolMetrics::new());
-            let (second, second_metrics) = script(&mut recycled);
-            let mut fresh = proto(1, policy);
-            let (fresh_actions, fresh_metrics) = script(&mut fresh);
-            assert_eq!(second, first, "policy {policy:?} reset diverged");
-            assert_eq!(second, fresh_actions);
-            assert_eq!(second_metrics, fresh_metrics);
         }
     }
 

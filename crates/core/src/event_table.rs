@@ -193,9 +193,9 @@ impl EventTable {
             .map(|s| s.event.id)
     }
 
-    /// Removes every stored event, keeping the capacity configuration. Part of
-    /// the protocol's in-place `reset` when a simulation world is recycled
-    /// across seeds.
+    /// Removes every stored event, keeping the capacity configuration. The
+    /// repository benchmark's insert replay empties one table between rounds
+    /// with it.
     pub fn clear(&mut self) {
         self.entries.clear();
     }

@@ -35,19 +35,6 @@ impl ProtocolMetrics {
         ProtocolMetrics::default()
     }
 
-    /// Zeroes every counter and forgets every recorded delivery, leaving the
-    /// metrics exactly as freshly constructed. Part of the protocol's in-place
-    /// `reset` when a simulation world is recycled across seeds.
-    pub fn reset(&mut self) {
-        self.events_published = 0;
-        self.events_delivered = 0;
-        self.duplicates_received = 0;
-        self.parasites_received = 0;
-        self.events_sent = 0;
-        self.messages_sent = 0;
-        self.deliveries.clear();
-    }
-
     /// Records the delivery of `id`. Returns `false` (and counts a duplicate)
     /// if the event had already been delivered.
     pub fn record_delivery(&mut self, id: EventId) -> bool {
@@ -121,19 +108,6 @@ mod tests {
         assert_eq!(m.events_sent, 3);
         assert_eq!(m.messages_sent, 2);
         assert_eq!(m.events_published, 1);
-    }
-
-    #[test]
-    fn reset_restores_the_freshly_constructed_state() {
-        let mut m = ProtocolMetrics::new();
-        m.record_delivery(id(0));
-        m.record_duplicate();
-        m.record_parasite();
-        m.record_send(2);
-        m.record_publish();
-        m.reset();
-        assert_eq!(m, ProtocolMetrics::new());
-        assert!(!m.has_delivered(&id(0)));
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub struct NeighborhoodTable {
     /// (and sent needless retransmissions). At most `departed_capacity` rows.
     departed: Vec<(ProcessId, Vec<EventId>, SimTime)>,
     departed_capacity: usize,
-    /// Known-event vectors freed by eviction, trimming or `clear`, handed out
-    /// again (emptied) to new rows and departed records instead of allocating.
+    /// Known-event vectors freed by eviction or trimming, handed out again
+    /// (emptied) to new rows and departed records instead of allocating.
     spare: Vec<Vec<EventId>>,
 }
 
@@ -271,15 +271,6 @@ impl NeighborhoodTable {
         known.dedup();
         *left_at = now;
     }
-
-    /// Removes every entry (when the process unsubscribes from everything, and
-    /// on protocol reset). Row vectors are kept for reuse, but the departed
-    /// memory is released: kept, a recycled world would hold every run's peak.
-    pub fn clear(&mut self) {
-        let rows = self.entries.drain(..);
-        self.spare.extend(rows.map(|(_, entry)| entry.known_events));
-        self.departed = Vec::new();
-    }
 }
 
 #[cfg(test)]
@@ -453,15 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_table() {
-        let mut table = NeighborhoodTable::new();
-        table.upsert(ProcessId(1), subs(".a"), None, SimTime::ZERO);
-        table.clear();
-        assert!(table.is_empty());
-        assert_eq!(table.iter().count(), 0);
-    }
-
-    #[test]
     fn ids_and_iter_in_order() {
         let mut table = NeighborhoodTable::new();
         table.upsert(ProcessId(5), subs(".a"), None, SimTime::ZERO);
@@ -575,7 +557,7 @@ mod proptests {
         fn neighborhood_matches_btreemap_model(
             capacity in 0usize..4,
             ops in proptest::collection::vec(
-                (0u8..12, 0u64..12, 0u64..8, 0u64..3, proptest::option::of(0u32..40)),
+                (0u8..11, 0u64..12, 0u64..8, 0u64..3, proptest::option::of(0u32..40)),
                 0..40,
             ),
         ) {
@@ -612,14 +594,9 @@ mod proptests {
                         table.remember_unknown(pid, events, now);
                         model.remember_unknown(pid, &events, now);
                     }
-                    9..=10 => {
+                    _ => {
                         let delay = SimDuration::from_secs(event % 4);
                         prop_assert_eq!(table.prune_stale(now, delay), model.prune(now, delay));
-                    }
-                    _ => {
-                        table.clear();
-                        model.entries.clear();
-                        model.departed.clear();
                     }
                 }
                 prop_assert_eq!(table.len(), model.entries.len());

@@ -491,24 +491,6 @@ impl DisseminationProtocol for FrugalProtocol {
     fn metrics(&self) -> &ProtocolMetrics {
         &self.metrics
     }
-
-    fn reset(&mut self) -> bool {
-        // `id`, `config` and the id-derived `bo_jitter` are seed-independent;
-        // everything else goes back to its `new` value, with the event table,
-        // neighborhood table and metrics cleared in place.
-        self.subscriptions.clear();
-        self.neighborhood.clear();
-        self.event_table.clear();
-        self.hb_delay = compute_hb_delay(&self.config, None);
-        self.ngc_delay = compute_ngc_delay(&self.config, self.hb_delay);
-        self.bo_delay = None;
-        self.heartbeat_running = false;
-        self.ngc_running = false;
-        self.current_speed = None;
-        self.next_sequence = 0;
-        self.metrics.reset();
-        true
-    }
 }
 
 #[cfg(test)]
@@ -1171,55 +1153,6 @@ mod tests {
             20,
             "evictions never block deliveries"
         );
-    }
-
-    /// Drives `p` through a fixed interaction script and collects everything
-    /// observable: the actions it produces and its final metrics.
-    fn scripted_run(p: &mut FrugalProtocol) -> (Vec<Vec<Action>>, ProtocolMetrics) {
-        let produced = vec![
-            p.subscribe_vec(topic(".T0"), t(0)),
-            p.publish_vec(topic(".T0.x"), SimDuration::from_secs(120), 400, t(1))
-                .1,
-            p.handle_message_vec(
-                &Message::Heartbeat {
-                    from: ProcessId(9),
-                    subscriptions: SubscriptionSet::single(topic(".T0")),
-                    speed: Some(4.0),
-                },
-                t(2),
-            ),
-            p.handle_message_vec(
-                &Message::EventIds {
-                    from: ProcessId(9),
-                    ids: vec![],
-                },
-                t(2),
-            ),
-            p.handle_timer_vec(TimerKind::BackOff, t(3)),
-            p.handle_timer_vec(TimerKind::Heartbeat, t(4)),
-            p.handle_timer_vec(TimerKind::NeighborhoodGc, t(60)),
-        ];
-        (produced, p.metrics().clone())
-    }
-
-    #[test]
-    fn reset_restores_the_freshly_constructed_protocol() {
-        let mut recycled = proto(1);
-        let (first, _) = scripted_run(&mut recycled);
-        assert!(recycled.reset(), "the frugal protocol resets in place");
-        assert!(recycled.subscriptions().is_empty());
-        assert!(recycled.neighborhood().is_empty());
-        assert!(recycled.event_table().is_empty());
-        assert!(!recycled.backoff_pending());
-        assert_eq!(recycled.metrics(), &ProtocolMetrics::new());
-        // Replaying the same script must be indistinguishable from both the
-        // first run and a brand-new instance (same id => same jitter).
-        let (second, second_metrics) = scripted_run(&mut recycled);
-        let mut fresh = proto(1);
-        let (fresh_actions, fresh_metrics) = scripted_run(&mut fresh);
-        assert_eq!(second, first);
-        assert_eq!(second, fresh_actions);
-        assert_eq!(second_metrics, fresh_metrics);
     }
 
     #[test]

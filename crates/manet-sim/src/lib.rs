@@ -83,4 +83,4 @@ pub use scenario_compile::{
     compile_path, compile_str, compile_str_with_sweeps, CompileError, CompiledMatrix, MatrixPoint,
     SweepAxis,
 };
-pub use world::{World, WorldArena, WorldDebugStats};
+pub use world::{World, WorldDebugStats};

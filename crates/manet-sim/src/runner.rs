@@ -15,7 +15,7 @@ use crate::output::DataTable;
 use crate::report::{ExperimentPoint, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
 use crate::scenario_compile::CompiledMatrix;
-use crate::world::WorldArena;
+use crate::world::World;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -111,9 +111,10 @@ pub fn run_scenario_reports(
 /// threads (clamped to at least 1 and at most one per seed), and invoking
 /// `on_seed` after every completed run (from the worker thread that ran it),
 /// so long sweeps can stream progress to a UI or log. Reports are identical
-/// for every worker count — seeds fully determine runs and each worker
-/// recycles its own world arena — which the integration determinism suite
-/// pins across 1, 2 and `available_parallelism()` workers.
+/// for every worker count — seeds fully determine runs, and a worker's
+/// [`World::reset`] matches a fresh world bit for bit — which the
+/// integration determinism suite pins across 1, 2 and
+/// `available_parallelism()` workers.
 ///
 /// Seeds are distributed over a chunked work-stealing pool: each worker
 /// repeatedly claims a contiguous chunk of the seed list through one atomic
@@ -150,13 +151,10 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // One arena per worker: every seed after the first reuses the
-                // previous world's allocations — each node's boxed protocol
-                // and mobility state (reset in place), the timer wheel's slot
-                // buckets and handle slab (cleared, tombstones compacted, so
-                // no dead handles leak across seeds), the medium's grid
-                // buckets — instead of rebuilding them.
-                let mut arena = WorldArena::new();
+                // One world per worker: every seed after the first resets it,
+                // keeping the world's own buffers (timer wheel, grid, slabs)
+                // and building its nodes fresh.
+                let mut world: Option<World> = None;
                 loop {
                     let start = next_chunk.fetch_add(chunk_size, Ordering::Relaxed);
                     if start >= seeds.len() {
@@ -165,9 +163,16 @@ where
                     let end = (start + chunk_size).min(seeds.len());
                     for index in start..end {
                         let seed = seeds[index];
-                        let world = arena
-                            .checkout(scenario, seed)
-                            .expect("scenario validated before spawning workers");
+                        let world = match &mut world {
+                            Some(world) => {
+                                world.reset(seed);
+                                world
+                            }
+                            empty => empty.insert(
+                                World::new(scenario.clone(), seed)
+                                    .expect("scenario validated before spawning workers"),
+                            ),
+                        };
                         let report = world.run_mut();
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         on_seed(SeedProgress {

@@ -562,25 +562,24 @@ impl World {
         Ok(world)
     }
 
-    /// Re-initializes this world for a fresh run of the **same scenario** with
-    /// a different `seed`, recycling every recyclable allocation: the node
-    /// vector **including each node's boxed protocol and mobility state**
-    /// (reset in place through [`DisseminationProtocol::reset`] and
-    /// [`mobility::MobilityModel::reset`] — event tables, neighborhood maps
-    /// and flood stores are cleared, not rebuilt), the medium's spatial-grid
-    /// buckets, traffic counters and transmission slab, the event queue, the
-    /// wake queue, the timer table, and the frame and publication records. A
-    /// reset world produces a report bit-identical to
-    /// `World::new(scenario, seed)` — that equivalence is pinned by the
-    /// integration determinism suite.
+    /// Re-initializes this world for a fresh run of the same scenario with a
+    /// different `seed`, from any point of a run. Only the world's own
+    /// buffers are kept: the timer wheel ([`TimerWheel::clear`]), the
+    /// medium's grid and counters ([`RadioMedium::reset`]), the timer slots,
+    /// the frame slab, the wake queue and the scratch vectors. Every node's
+    /// protocol and mobility model is built fresh, exactly as
+    /// [`World::new`] builds it, so a reset world's report is bit-identical
+    /// to `World::new(scenario, seed)`'s (pinned by the integration
+    /// determinism suite).
     ///
-    /// Use through [`WorldArena`] when sweeping thousands of seeds.
+    /// The multi-seed runner's workers and the repository benchmark call it
+    /// for every seed after their first.
     pub fn reset(&mut self, seed: u64) {
         self.seed = seed;
         let core = &mut self.core;
         core.now = SimTime::ZERO;
         core.end = SimTime::ZERO + core.scenario.duration;
-        // `TimerWheel::clear` also restarts the handle space, so a recycled
+        // `TimerWheel::clear` also restarts the handle space, so a reset
         // world carries no dead handles (or unbounded sequence growth) across
         // seeds.
         core.queue.clear();
@@ -595,8 +594,7 @@ impl World {
     }
 
     /// Builds a node's mobility model, drawing its initial state from the
-    /// node's private stream. [`mobility::MobilityModel::reset`] must stay
-    /// bit-compatible with this for the models that support it.
+    /// node's private stream.
     fn build_mobility(
         kind: &MobilityKind,
         index: usize,
@@ -647,13 +645,6 @@ impl World {
     /// event schedule and the wake queue — exactly the same way for a fresh
     /// world and a reset one. Expects `queue`/`frames`/`published` empty,
     /// `medium` counters zeroed, and `mac_rng` freshly derived for `seed`.
-    ///
-    /// When the node vector already holds one node per process (an arena
-    /// reset of the same scenario), each node's protocol and mobility boxes
-    /// are reset **in place**; only instances whose `reset` hook declines
-    /// (e.g. [`Stationary`], whose position is drawn here) are rebuilt. The
-    /// RNG draw order is identical either way, so recycled worlds stay
-    /// bit-identical to fresh ones.
     fn populate(&mut self, seed: u64) {
         let World { core, pop, .. } = self;
         let master = SimRng::seed_from(seed);
@@ -664,37 +655,19 @@ impl World {
         let subscriber_count = core.scenario.subscriber_count().min(n);
         core.subscribers = layout_rng.choose_indices(n, subscriber_count);
 
-        // Build (or recycle) the nodes: protocol + mobility + private stream.
-        let recycle = pop.nodes.len() == n;
-        if !recycle {
-            pop.nodes.clear();
-            pop.nodes.reserve(n);
-        }
+        // Build the nodes: protocol + mobility + private stream.
+        pop.nodes.clear();
+        pop.nodes.reserve(n);
         for index in 0..n {
             let mut node_rng = master.derive(1000 + index as u64);
-            if recycle {
-                let node = &mut pop.nodes[index];
-                if !node.mobility.reset(&mut node_rng) {
-                    node.mobility =
-                        Self::build_mobility(&core.scenario.mobility, index, n, &mut node_rng);
-                }
-                if !node.protocol_mut().reset() {
-                    node.protocol = Some(Self::build_protocol(&core.scenario.protocol, index));
-                }
-                let position = node.mobility.position();
-                node.rng = node_rng;
-                core.medium.update_position(index, position);
-            } else {
-                let mobility =
-                    Self::build_mobility(&core.scenario.mobility, index, n, &mut node_rng);
-                let protocol = Self::build_protocol(&core.scenario.protocol, index);
-                core.medium.update_position(index, mobility.position());
-                pop.nodes.push(SimNode {
-                    protocol: Some(protocol),
-                    mobility,
-                    rng: node_rng,
-                });
-            }
+            let mobility = Self::build_mobility(&core.scenario.mobility, index, n, &mut node_rng);
+            let protocol = Self::build_protocol(&core.scenario.protocol, index);
+            core.medium.update_position(index, mobility.position());
+            pop.nodes.push(SimNode {
+                protocol: Some(protocol),
+                mobility,
+                rng: node_rng,
+            });
         }
         // Every node is due at the first tick (all `active`): it initializes
         // the protocol's speed and sorts each node into `active` or the wake
@@ -790,8 +763,8 @@ impl World {
         self.run_mut()
     }
 
-    /// Like [`World::run`], but borrows the world so its allocations can be
-    /// recycled afterwards with [`World::reset`].
+    /// Like [`World::run`], but borrows the world so it can be re-seeded
+    /// afterwards with [`World::reset`].
     ///
     /// The loop advances one **timestamp batch** at a time: every event
     /// sharing the earliest pending timestamp is drained from the scheduler
@@ -1086,51 +1059,6 @@ impl World {
     }
 }
 
-/// Recycles one [`World`] across the seeds of a sweep.
-///
-/// `World::new` rebuilds every vector, hash map, grid bucket and per-node
-/// protocol/mobility box from scratch; over a multi-thousand-seed sweep that
-/// allocation churn dominates short scenarios. An arena keeps the previous
-/// seed's world and [`World::reset`]s it for the next seed instead, recycling
-/// the node vector — with each node's protocol and mobility state reset **in
-/// place** through their `reset` hooks — the medium's grid buckets and
-/// counters, the event queue, the wake queue and the frame/publication
-/// records. The runner keeps one arena per worker thread.
-///
-/// Reports are unaffected: a recycled world is bit-identical to a fresh one
-/// (pinned by the integration determinism suite).
-#[derive(Debug, Default)]
-pub struct WorldArena {
-    world: Option<World>,
-}
-
-impl WorldArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        WorldArena { world: None }
-    }
-
-    /// Returns a world ready to run `(scenario, seed)`, reusing the previous
-    /// world's allocations when the scenario is unchanged (the common case in
-    /// a seed sweep) and building a fresh world otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] if a fresh world has to be built and the
-    /// scenario fails validation.
-    pub fn checkout(
-        &mut self,
-        scenario: &Scenario,
-        seed: u64,
-    ) -> Result<&mut World, ScenarioError> {
-        match &mut self.world {
-            Some(world) if world.scenario() == scenario => world.reset(seed),
-            slot => *slot = Some(World::new(scenario.clone(), seed)?),
-        }
-        Ok(self.world.as_mut().expect("checkout just filled the slot"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1372,7 +1300,6 @@ mod tests {
     fn reset_world_reproduces_fresh_world_reports() {
         for scenario in [
             small_scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
-            // Flooding exercises the baselines' in-place protocol reset.
             small_scenario(ProtocolKind::Flooding(FloodingPolicy::Simple)),
         ] {
             let mut reused = World::new(scenario.clone(), 1).unwrap();
@@ -1388,8 +1315,8 @@ mod tests {
 
     #[test]
     fn reset_world_reproduces_fresh_reports_in_the_city_model() {
-        // City-section nodes carry route vectors and pause state; the in-place
-        // mobility reset must redraw them exactly like a fresh construction.
+        // City-section nodes carry route vectors and pause state, drawn from
+        // each node's private stream exactly like a fresh construction.
         let scenario = ScenarioBuilder::city()
             .timing(SimDuration::from_secs(5), SimDuration::from_secs(40))
             .publications(vec![Publication {
@@ -1409,24 +1336,5 @@ mod tests {
             let fresh = World::new(scenario.clone(), seed).unwrap().run();
             assert_eq!(recycled, fresh, "city reset world diverged for seed {seed}");
         }
-    }
-
-    #[test]
-    fn arena_checkout_recycles_across_seeds_and_scenarios() {
-        let frugal = small_scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
-        let flooding = small_scenario(ProtocolKind::Flooding(FloodingPolicy::Simple));
-        let mut arena = WorldArena::new();
-        // Same scenario: second checkout reuses the first world.
-        let a = arena.checkout(&frugal, 4).unwrap().run_mut();
-        let b = arena.checkout(&frugal, 5).unwrap().run_mut();
-        assert_eq!(a, World::new(frugal.clone(), 4).unwrap().run());
-        assert_eq!(b, World::new(frugal.clone(), 5).unwrap().run());
-        // Scenario switch: the arena rebuilds and still matches fresh runs.
-        let c = arena.checkout(&flooding, 4).unwrap().run_mut();
-        assert_eq!(c, World::new(flooding, 4).unwrap().run());
-        // Invalid scenarios surface their error through checkout.
-        let mut broken = frugal;
-        broken.node_count = 0;
-        assert!(arena.checkout(&broken, 1).is_err());
     }
 }

@@ -18,7 +18,7 @@ use crate::point::{Area, Point};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A road connecting two intersections of a [`StreetMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -193,7 +193,17 @@ impl StreetMap {
     /// avenue (row 1) and the central north-south street (column 2) are marked
     /// as highly popular so traffic concentrates there, reproducing the paper's
     /// "certain roads have more importance than others".
+    ///
+    /// The map is built once per process and shared: every city-section node
+    /// of every world holds the same `Arc`, so building a world's nodes does
+    /// not rebuild the map for each of them.
     pub fn campus() -> Arc<StreetMap> {
+        static CAMPUS: OnceLock<Arc<StreetMap>> = OnceLock::new();
+        Arc::clone(CAMPUS.get_or_init(Self::build_campus))
+    }
+
+    /// Builds the map [`StreetMap::campus`] shares.
+    fn build_campus() -> Arc<StreetMap> {
         let mut b = StreetMapBuilder::new();
         let cols = 5usize; // x: 0, 300, 600, 900, 1200
         let rows = 4usize; // y: 0, 300, 600, 900
@@ -440,24 +450,6 @@ impl CitySection {
         self.at_intersection
     }
 
-    /// Mirrors [`CitySection::new`] in place: redraw the start intersection
-    /// (popularity-weighted) and the first trip, consuming `rng` in exactly
-    /// the constructor's order.
-    fn redraw_initial_state(&mut self, rng: &mut SimRng) {
-        let weights: Vec<f64> = (0..self.config.map.intersection_count())
-            .map(|i| self.config.map.intersection_popularity(i))
-            .collect();
-        let start = rng.pick_weighted(&weights).unwrap_or(0);
-        self.at_intersection = start;
-        self.position = self.config.map.intersection(start);
-        self.drive = Drive::Paused {
-            route: vec![start],
-            next: 0,
-            remaining: SimDuration::ZERO,
-        };
-        self.plan_new_trip(rng);
-    }
-
     fn plan_new_trip(&mut self, rng: &mut SimRng) {
         let map = &self.config.map;
         // Choose a destination different from the current intersection, weighted
@@ -560,11 +552,6 @@ impl MobilityModel for CitySection {
             }
             Drive::Paused { remaining, .. } => *remaining,
         }
-    }
-
-    fn reset(&mut self, rng: &mut SimRng) -> bool {
-        self.redraw_initial_state(rng);
-        true
     }
 
     fn advance(&mut self, dt: SimDuration, rng: &mut SimRng) {
@@ -842,33 +829,6 @@ mod tests {
                 before - SimDuration::from_millis(100)
             );
         }
-    }
-
-    #[test]
-    fn reset_is_bit_identical_to_a_fresh_construction() {
-        let config = CitySectionConfig::paper_campus();
-        let mut walk_rng = SimRng::seed_from(41);
-        let mut recycled = CitySection::new(config.clone(), &mut walk_rng);
-        for _ in 0..300 {
-            recycled.advance(SimDuration::from_millis(700), &mut walk_rng);
-        }
-        let mut recycled_rng = SimRng::seed_from(13);
-        let mut fresh_rng = SimRng::seed_from(13);
-        assert!(recycled.reset(&mut recycled_rng));
-        let mut fresh = CitySection::new(config, &mut fresh_rng);
-        assert_eq!(recycled.position(), fresh.position());
-        assert_eq!(recycled.last_intersection(), fresh.last_intersection());
-        for _ in 0..200 {
-            recycled.advance(SimDuration::from_millis(400), &mut recycled_rng);
-            fresh.advance(SimDuration::from_millis(400), &mut fresh_rng);
-            assert_eq!(recycled.position(), fresh.position());
-            assert_eq!(recycled.speed(), fresh.speed());
-        }
-        assert_eq!(
-            recycled_rng.uniform_u64(0, u64::MAX),
-            fresh_rng.uniform_u64(0, u64::MAX),
-            "reset must consume the RNG exactly like the constructor"
-        );
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub mod model;
 pub mod point;
 pub mod random_waypoint;
 
-pub use city_section::{CitySection, CitySectionConfig, StreetMap, StreetMapBuilder};
+pub use city_section::{
+    CitySection, CitySectionConfig, StreetMap, StreetMapBuilder, StreetMapError,
+};
 pub use model::{BoxedMobility, MobilityModel, Stationary};
 pub use point::{Area, Point};
 pub use random_waypoint::{RandomWaypoint, RandomWaypointConfig};

@@ -46,22 +46,6 @@ pub trait MobilityModel: Debug + Send {
     fn time_to_transition(&self) -> SimDuration {
         SimDuration::ZERO
     }
-
-    /// Re-draws this model's just-constructed state from `rng`, **exactly** as
-    /// its constructor would for the same configuration: same state, same RNG
-    /// draws, same draw order. This is the hook behind *total* world-arena
-    /// recycling — a reset model lets the simulator reuse the boxed allocation
-    /// across the seeds of a sweep instead of rebuilding it, while keeping
-    /// reports bit-identical to a freshly built world.
-    ///
-    /// Returns `true` if the reset happened in place. The conservative default
-    /// returns `false` without touching `rng`, telling the embedder to drop
-    /// the instance and rebuild it; custom models that do not implement the
-    /// hook therefore stay correct, just un-recycled.
-    fn reset(&mut self, rng: &mut SimRng) -> bool {
-        let _ = rng;
-        false
-    }
 }
 
 /// A boxed mobility model, used when nodes in one simulation mix models.
@@ -140,21 +124,5 @@ mod tests {
         }
         // Models without the hook must be advanced every tick.
         assert_eq!(Custom.time_to_transition(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn default_reset_hook_declines_without_touching_the_rng() {
-        // Stationary's position is drawn by the embedder, not the model, so it
-        // keeps the conservative default: decline and get rebuilt.
-        let mut m = Stationary::new(Point::new(1.0, 2.0));
-        let mut rng = SimRng::seed_from(5);
-        let mut untouched = rng.clone();
-        assert!(!m.reset(&mut rng));
-        assert_eq!(m.position(), Point::new(1.0, 2.0));
-        assert_eq!(
-            rng.uniform_u64(0, u64::MAX),
-            untouched.uniform_u64(0, u64::MAX),
-            "a declined reset must not consume randomness"
-        );
     }
 }

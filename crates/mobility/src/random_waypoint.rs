@@ -116,16 +116,6 @@ impl RandomWaypoint {
         }
     }
 
-    /// Mirrors [`RandomWaypoint::new`] in place: redraw the initial position,
-    /// then the first leg, consuming `rng` in exactly the constructor's order.
-    fn redraw_initial_state(&mut self, rng: &mut SimRng) {
-        self.position = self.config.area.random_point(rng);
-        self.phase = Phase::Pausing {
-            remaining: SimDuration::ZERO,
-        };
-        self.pick_next_leg(rng);
-    }
-
     fn pick_next_leg(&mut self, rng: &mut SimRng) {
         let waypoint = self.config.area.random_point(rng);
         let speed = rng.uniform_f64(self.config.speed_min, self.config.speed_max);
@@ -163,11 +153,6 @@ impl MobilityModel for RandomWaypoint {
             }
             Phase::Pausing { remaining } => remaining,
         }
-    }
-
-    fn reset(&mut self, rng: &mut SimRng) -> bool {
-        self.redraw_initial_state(rng);
-        true
     }
 
     fn advance(&mut self, dt: SimDuration, rng: &mut SimRng) {
@@ -338,35 +323,6 @@ mod tests {
         let node = RandomWaypoint::from_position(cfg(1.0, 2.0), start, &mut rng);
         assert_eq!(node.position(), start);
         assert!(node.current_waypoint().is_some());
-    }
-
-    #[test]
-    fn reset_is_bit_identical_to_a_fresh_construction() {
-        let config = cfg(2.0, 25.0);
-        // Dirty a node with a long walk, then reset it with a fresh stream.
-        let mut walk_rng = SimRng::seed_from(3);
-        let mut recycled = RandomWaypoint::new(config, &mut walk_rng);
-        for _ in 0..300 {
-            recycled.advance(SimDuration::from_millis(700), &mut walk_rng);
-        }
-        let mut recycled_rng = SimRng::seed_from(77);
-        let mut fresh_rng = SimRng::seed_from(77);
-        assert!(recycled.reset(&mut recycled_rng));
-        let mut fresh = RandomWaypoint::new(config, &mut fresh_rng);
-        // Same state, and — advancing both with their streams — same future.
-        assert_eq!(recycled.position(), fresh.position());
-        assert_eq!(recycled.speed(), fresh.speed());
-        for _ in 0..200 {
-            recycled.advance(SimDuration::from_millis(400), &mut recycled_rng);
-            fresh.advance(SimDuration::from_millis(400), &mut fresh_rng);
-            assert_eq!(recycled.position(), fresh.position());
-            assert_eq!(recycled.speed(), fresh.speed());
-        }
-        assert_eq!(
-            recycled_rng.uniform_u64(0, u64::MAX),
-            fresh_rng.uniform_u64(0, u64::MAX),
-            "reset must consume the RNG exactly like the constructor"
-        );
     }
 
     #[test]

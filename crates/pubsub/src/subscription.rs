@@ -18,10 +18,10 @@ use std::sync::Arc;
 /// `shares_interest_with` — run on every received event and heartbeat — are
 /// slice scans behind one dependent load. Cloning a set, which every
 /// heartbeat and every neighborhood-table upsert does, is a reference-count
-/// bump. `subscribe`, `unsubscribe` and `clear` never write through the
-/// `Arc`: they build a fresh slice (they run only at subscribe time and on
-/// reset), so a clone taken earlier keeps its contents. Equality and
-/// iteration order see through the `Arc`, so the sharing is unobservable.
+/// bump. `subscribe` and `unsubscribe` never write through the `Arc`: they
+/// build a fresh slice (they run only at subscribe time), so a clone taken
+/// earlier keeps its contents. Equality and iteration order see through the
+/// `Arc`, so the sharing is unobservable.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubscriptionSet {
     topics: Arc<[Topic]>,
@@ -68,13 +68,6 @@ impl SubscriptionSet {
             .cloned()
             .collect();
         true
-    }
-
-    /// Removes every subscription, leaving the set as freshly constructed.
-    /// Used by the protocols' in-place `reset` when a simulation world is
-    /// recycled across seeds.
-    pub fn clear(&mut self) {
-        self.topics = Arc::default();
     }
 
     /// `true` when the process has no subscriptions left (at which point the
@@ -171,15 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_set() {
-        let mut subs: SubscriptionSet = [t(".a"), t(".b.c")].into_iter().collect();
-        subs.clear();
-        assert!(subs.is_empty());
-        assert_eq!(subs, SubscriptionSet::new());
-        assert!(subs.subscribe(t(".a")), "a cleared set is freshly usable");
-    }
-
-    #[test]
     fn matches_subtopics_but_not_ancestors() {
         let subs = SubscriptionSet::single(t(".T0.T1"));
         assert!(subs.matches(&t(".T0.T1")));
@@ -229,7 +213,8 @@ mod tests {
         let after_subscribe = subs.clone();
         subs.unsubscribe(&t(".a"));
         let after_unsubscribe = subs.clone();
-        subs.clear();
+        subs.unsubscribe(&t(".b"));
+        subs.unsubscribe(&t(".c"));
         let topics = |s: &SubscriptionSet| s.iter().cloned().collect::<Vec<_>>();
         assert_eq!(topics(&before), [t(".a"), t(".b")]);
         assert_eq!(topics(&after_subscribe), [t(".a"), t(".b"), t(".c")]);
@@ -274,7 +259,6 @@ mod proptests {
         /// Unsubscribes the `n % len`-th held topic, so removals of present
         /// topics are common (random topics seldom collide).
         UnsubscribeHeld(usize),
-        Clear,
         Extend(Vec<Topic>),
     }
 
@@ -292,7 +276,6 @@ mod proptests {
                 Op::UnsubscribeHeld(n) => *n,
                 _ => unreachable!("inverse called on a foreign variant"),
             }),
-            proptest::strategy::Just(Op::Clear),
             proptest::collection::vec(topic_strategy(), 0..4).prop_map_invertible(
                 Op::Extend,
                 |op| match op {
@@ -325,10 +308,6 @@ mod proptests {
                             prop_assert!(set.unsubscribe(&t));
                             model.remove(&t);
                         }
-                    }
-                    Op::Clear => {
-                        set.clear();
-                        model.clear();
                     }
                     Op::Extend(ts) => {
                         set.extend(ts.iter().cloned());

@@ -8,7 +8,7 @@
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
     run_scenario_reports, run_scenario_reports_with_workers, MobilityKind, ProtocolKind,
-    Publication, PublisherChoice, ScenarioBuilder, SeedPlan, World, WorldArena,
+    Publication, PublisherChoice, ScenarioBuilder, SeedPlan, World,
 };
 use mobility::{
     Area, CitySection, CitySectionConfig, MobilityModel, RandomWaypoint, RandomWaypointConfig,
@@ -471,12 +471,14 @@ fn action_buffers_reproduce_pre_refactor_reports_seed_for_seed() {
     }
 }
 
-/// Arena-recycled worlds must reproduce fresh-world reports seed for seed:
-/// `WorldArena::checkout` + `World::reset` may only recycle allocations,
-/// never state. Since PR 4 the recycling is *total* — per-node protocol and
-/// mobility boxes are reset in place rather than rebuilt — so this suite
-/// covers all three protocol/mobility reset implementations plus the
-/// rebuild fallback (stationary models decline their reset hook).
+/// Reset worlds must reproduce fresh-world reports seed for seed.
+/// `World::reset` keeps only the world's own buffers (timer wheel, the
+/// medium's grid and counters, timer slots, frame slab, wake queue, scratch
+/// vectors) and builds every node fresh, so no state may cross a reset.
+/// Each world is reset after complete runs and also from 1/10, 3/10 and
+/// 7/10 of a run, where timers are armed and frames may be leased and in
+/// flight. The scenarios cover both protocols, all three mobility models
+/// and the neighbour-interest flooding policy.
 #[test]
 fn arena_reused_worlds_reproduce_fresh_reports_seed_for_seed() {
     let scenarios = [
@@ -495,24 +497,44 @@ fn arena_reused_worlds_reproduce_fresh_reports_seed_for_seed() {
         ),
     ];
     for scenario in scenarios {
-        let mut arena = WorldArena::new();
-        for seed in 1..=5u64 {
-            let recycled = arena.checkout(&scenario, seed).unwrap().run_mut();
-            let fresh = World::new(scenario.clone(), seed).unwrap().run();
+        let fresh: Vec<_> = (1..=5u64)
+            .map(|seed| World::new(scenario.clone(), seed).unwrap().run())
+            .collect();
+        let check = |world: &mut World, seed: u64, how: &str| {
+            let report = world.run_mut();
+            let expected = &fresh[seed as usize - 1];
             assert_eq!(
-                fingerprint(&recycled),
-                fingerprint(&fresh),
-                "arena-reused world diverged for {} seed {seed}",
+                fingerprint(&report),
+                fingerprint(expected),
+                "{how} diverged for {} seed {seed}",
                 scenario.label
             );
-            assert_eq!(recycled, fresh);
+            assert_eq!(&report, expected);
+        };
+        let mut world = World::new(scenario.clone(), 1).unwrap();
+        check(&mut world, 1, "fresh world");
+        for seed in 2..=5u64 {
+            world.reset(seed);
+            check(&mut world, seed, "world reset after a complete run");
+        }
+        let end = SimTime::ZERO + scenario.duration;
+        for (tenths, seed) in [(1u64, 1u64), (3, 2), (7, 3)] {
+            world.reset(seed + 1);
+            world.run_until(SimTime::ZERO + scenario.duration * tenths / 10);
+            assert!(SimTime::ZERO < world.now() && world.now() < end);
+            world.reset(seed);
+            check(
+                &mut world,
+                seed,
+                &format!("world reset at {tenths}/10 of a run"),
+            );
         }
     }
 }
 
 /// `run_scenario_reports` output must not depend on the number of worker
 /// threads: 1 worker, 2 workers and the default `available_parallelism()`
-/// pool (all recycling per-worker world arenas) must produce identical,
+/// pool (each worker resetting its one world per seed) must produce identical,
 /// seed-ordered reports.
 #[test]
 fn runner_reports_are_identical_across_thread_counts() {

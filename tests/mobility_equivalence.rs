@@ -3,19 +3,16 @@
 //! The dirty-tick path (PR 3) skips nodes that are paused, parked or
 //! stationary and catches them up in one chunked `advance` when their pause
 //! can end; the event-driven wake queue (PR 4) goes further and pops exactly
-//! the due nodes from an indexed min-queue instead of scanning everyone, and
-//! world arenas reset per-node protocol/mobility state in place instead of
-//! rebuilding it. These properties pin the refactors' contract: positions,
-//! the per-node mobility RNG streams, and whole `RunReport`s must be
-//! **bit-identical** between the event-driven tick and the naive
-//! advance-everyone oracle (`World::set_naive_mobility`), and across fresh vs
-//! arena-recycled worlds, on random scenarios, for both of the paper's
-//! mobility models.
+//! the due nodes from an indexed min-queue instead of scanning everyone.
+//! These properties pin the refactors' contract: positions, the per-node
+//! mobility RNG streams, and whole `RunReport`s must be **bit-identical**
+//! between the event-driven tick and the naive advance-everyone oracle
+//! (`World::set_naive_mobility`), and across fresh and `World::reset`
+//! worlds, on random scenarios, for both of the paper's mobility models.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
     MobilityKind, ProtocolKind, Publication, PublisherChoice, Scenario, ScenarioBuilder, World,
-    WorldArena,
 };
 use mobility::{
     Area, CitySection, CitySectionConfig, MobilityModel, RandomWaypoint, RandomWaypointConfig,
@@ -206,9 +203,8 @@ proptest! {
         prop_assert_eq!(dirty, naive_world.run());
     }
 
-    /// Arena recycling with in-place protocol/mobility resets must be
-    /// invisible: checking the same scenario out for a chain of random seeds
-    /// reproduces every fresh-world report bit for bit.
+    /// `World::reset` must be invisible: resetting one world through a
+    /// chain of random seeds reproduces every fresh-world report bit for bit.
     #[test]
     fn arena_with_protocol_reset_matches_fresh_worlds(
         seeds in proptest::collection::vec(0u64..1_000_000, 2..5),
@@ -227,11 +223,13 @@ proptest! {
             pause: SimDuration::from_secs(8),
         };
         let scenario = random_scenario(mobility, protocol, nodes, 500, 180.0);
-        let mut arena = WorldArena::new();
-        for seed in seeds {
-            let recycled = arena.checkout(&scenario, seed).unwrap().run_mut();
+        let mut world = World::new(scenario.clone(), seeds[0]).unwrap();
+        for (index, &seed) in seeds.iter().enumerate() {
+            if index > 0 {
+                world.reset(seed);
+            }
             let fresh = World::new(scenario.clone(), seed).unwrap().run();
-            prop_assert_eq!(recycled, fresh, "arena diverged for seed {}", seed);
+            prop_assert_eq!(world.run_mut(), fresh, "reset world diverged for seed {}", seed);
         }
     }
 

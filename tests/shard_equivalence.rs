@@ -12,13 +12,13 @@
 //! oracle** — the naive advance-everyone world behind the doc-hidden
 //! `World::set_naive_mobility`, run on one shard — on random scenarios: all
 //! four protocol variants, all mobility models, the ideal and both paper
-//! radios, fresh and arena-recycled worlds, and runs stepped in uneven
+//! radios, fresh and `World::reset` worlds, and runs stepped in uneven
 //! `run_until` slices.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
     MobilityKind, ProtocolKind, Publication, PublisherChoice, RunReport, Scenario, ScenarioBuilder,
-    World, WorldArena,
+    World,
 };
 use mobility::Area;
 use netsim::RadioConfig;
@@ -135,10 +135,13 @@ proptest! {
         let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, radio);
         let references = [oracle(&scenario, seed), oracle(&scenario, seed + 1)];
         for shards in [1usize, 2, 4] {
-            let mut arena = WorldArena::new();
-            for (seed, reference) in (seed..).zip(&references) {
-                let world = arena.checkout(&scenario, seed).unwrap();
-                world.set_shards(shards);
+            let mut world = World::new(scenario.clone(), seed).unwrap();
+            world.set_shards(shards);
+            for (offset, reference) in (0u64..).zip(&references) {
+                let seed = seed + offset;
+                if offset > 0 {
+                    world.reset(seed);
+                }
                 prop_assert_eq!(
                     &world.run_mut(),
                     reference,
@@ -267,8 +270,8 @@ proptest! {
         );
     }
 
-    /// Arena-recycled sharded worlds must match fresh oracle worlds: the
-    /// shard knob survives `World::reset` and recycling may never leak state
+    /// Reset sharded worlds must match fresh oracle worlds: the shard knob,
+    /// set once, survives `World::reset`, and a reset may never leak state
     /// across seeds.
     #[test]
     fn arena_recycled_sharded_worlds_match_fresh_reference(
@@ -289,16 +292,17 @@ proptest! {
             400,
             radio(radio_pick, 180.0),
         );
-        let mut arena = WorldArena::new();
+        let mut world = World::new(scenario.clone(), seed).unwrap();
+        world.set_shards(shards);
         for offset in 0..3u64 {
             let seed = seed + offset;
-            let world = arena.checkout(&scenario, seed).unwrap();
-            world.set_shards(shards);
-            let sharded = world.run_mut();
+            if offset > 0 {
+                world.reset(seed);
+            }
             prop_assert_eq!(
-                &sharded,
+                &world.run_mut(),
                 &oracle(&scenario, seed),
-                "recycled {}-shard world diverged for seed {}",
+                "reset {}-shard world diverged for seed {}",
                 shards,
                 seed
             );
