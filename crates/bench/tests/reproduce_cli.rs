@@ -52,8 +52,8 @@ fn oversized_seed_plan_is_a_usage_error() {
 /// Figure mode used to ignore a misspelt flag or a second experiment and run
 /// the smoke-scale figure anyway, and `--scenario` ignored `--paper`, which
 /// only picks a figure's file; `--verbose` went with the engine counters it
-/// printed, and the shard flag with the runner's shard count (a world is
-/// sharded only through `World::set_shards`); `validate` takes no arguments.
+/// printed, and the shard flag with the runner's shard count (every world
+/// runs on one core; seeds run in parallel); `validate` takes no arguments.
 #[test]
 fn unknown_arguments_are_usage_errors() {
     let reproduce = env!("CARGO_BIN_EXE_reproduce");

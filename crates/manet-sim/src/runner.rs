@@ -7,9 +7,8 @@
 //! observe per-seed completion through
 //! [`run_scenario_reports_with_workers`]. [`run_matrix`] runs every point
 //! of a compiled scenario file and renders the file's tables. Every entry
-//! point runs the one seed pool of serial-loop worlds; a single world's event
-//! loop is split across cores only through
-//! [`World::set_shards`](crate::World::set_shards).
+//! point runs the one seed pool: seeds are the unit of parallelism, and each
+//! world runs its whole event loop on the one worker thread that owns it.
 
 use crate::output::DataTable;
 use crate::report::{ExperimentPoint, RunReport};

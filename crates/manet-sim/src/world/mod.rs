@@ -17,7 +17,7 @@
 //! one exact integer-millisecond chunk, keeping positions, RNG streams and
 //! reports bit-identical to the original advance-everyone path, which
 //! survives as the **one reference oracle** of the engine: the doc-hidden
-//! [`World::set_naive_mobility`], single-threaded by construction.
+//! [`World::set_naive_mobility`].
 //!
 //! The event loop itself is **batched**: the scheduler is a hierarchical
 //! timer wheel ([`TimerWheel`]) and the world drains all the events sharing
@@ -45,19 +45,17 @@
 //! `NodeArrays` holds the per-node state, structure-of-arrays (cold boxed
 //! protocol/mobility state plus the hot last-advance times).
 //!
-//! There is one event loop, [`World::run_until`], at every shard count.
-//! [`World::set_shards`] changes one handler: a completed frame's delivery
-//! callbacks fork to worker threads (`world::shard`) and commit in the same
-//! ascending receiver order. Delivery is the only per-node work of any size
-//! in a batch; every other handler stays serial, so there is nothing to
-//! segment and no second copy of a handler to keep in step.
+//! There is one event loop, [`World::run_until`], and it runs every
+//! callback inline on the calling thread: a completed frame's receivers run
+//! their delivery callbacks in ascending order through
+//! `Coordinator::deliver`, each committing before the next. A world uses one
+//! core; the multi-seed runner spreads independent seeds across cores
+//! instead. ([`World::set_shards`] is kept as a no-op; see its docs.)
 //!
 //! Protocol callbacks append into one world-owned [`ActionBuf`] whose action
 //! vector and pooled message vectors cycle in place — together with the
 //! frame-slot free list this makes the steady-state event path allocation
 //! free (pinned by the `alloc_free_steady_state` integration test).
-
-mod shard;
 
 use crate::report::{EventOutcome, NodeReport, RunReport};
 use crate::scenario::{MobilityKind, ProtocolKind, PublisherChoice, Scenario, ScenarioError};
@@ -102,31 +100,9 @@ const PREFETCH_MIN_NODES: usize = 1000;
 /// loop walks dense cache lines rather than hopping through these structs.
 #[derive(Debug)]
 struct SimNode {
-    /// Absent only while a shard worker holds it, inside one sharded
-    /// delivery (see `world::shard`).
-    protocol: Option<Box<dyn DisseminationProtocol>>,
+    protocol: Box<dyn DisseminationProtocol>,
     mobility: BoxedMobility,
     rng: SimRng,
-}
-
-/// Why a node's protocol can be missing.
-const LENT: &str = "a shard worker holds this node's protocol";
-
-impl SimNode {
-    fn protocol(&self) -> &dyn DisseminationProtocol {
-        self.protocol.as_deref().expect(LENT)
-    }
-
-    fn protocol_mut(&mut self) -> &mut dyn DisseminationProtocol {
-        self.protocol.as_deref_mut().expect(LENT)
-    }
-
-    /// The near stage of the prefetch pipeline for a protocol callback.
-    fn prefetch_protocol(&self) {
-        if let Some(protocol) = self.protocol.as_deref() {
-            prefetch(protocol);
-        }
-    }
 }
 
 /// A broadcast waiting to go on (or currently on) the air.
@@ -178,8 +154,8 @@ struct PublishedRecord {
 
 /// Former engagement counters of the sharded engine (see
 /// [`World::debug_stats`]), all always 0: the widened windows, fused batches,
-/// repartition passes and classification fan-outs they counted were retired
-/// from the engine.
+/// repartition passes and classification fan-outs they counted went with the
+/// engine. Inert: nothing in the library reads or writes them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorldDebugStats {
     /// Always 0. The three fields stay only because the repository
@@ -196,8 +172,7 @@ pub struct WorldDebugStats {
 /// The per-node state, structure-of-arrays (indexed by `NodeId::index`):
 /// everything a protocol callback or a mobility advance of one node touches,
 /// and nothing else. A node's wake time is the coordinator's (its wake-queue
-/// key or its place in the active list); sharded delivery lends a worker
-/// single protocols by value out of `nodes`.
+/// key or its place in the active list).
 #[derive(Debug, Default)]
 struct NodeArrays {
     nodes: Vec<SimNode>,
@@ -237,15 +212,14 @@ fn advance(
     } else {
         now.saturating_add(node.mobility.time_to_transition())
     };
-    node.protocol_mut().update_speed(Some(speed));
+    node.protocol.update_speed(Some(speed));
     wake
 }
 
 /// Everything the sequential dispatch order serializes. Every method that
 /// draws MAC randomness or consumes scheduler sequence numbers must be
-/// invoked in exactly that order to keep runs bit-identical; the event loop
-/// does, and sharded delivery (`shard::Workers`) commits through the same
-/// methods in the same order.
+/// invoked in exactly that order to keep runs bit-identical, which the one
+/// event loop does.
 #[derive(Debug)]
 struct Coordinator {
     scenario: Scenario,
@@ -358,8 +332,8 @@ impl Coordinator {
     /// says whether it was. Batches are drained eagerly, so a popped timer
     /// event fires only on `true`: an earlier event of the same batch may
     /// have cancelled or re-armed it, and one-at-a-time popping would then
-    /// never have surfaced it. Timers fire in the serial handlers at every
-    /// shard count, so this check sees every earlier commit of the batch.
+    /// never have surfaced it. Every callback commits inline, so this check
+    /// sees every earlier commit of the batch.
     fn take_armed(&mut self, node: NodeId, kind: TimerKind, handle: EventHandle) -> bool {
         let slot = &mut self.timer_slots[node.index()][kind.index()];
         let armed = *slot == Some(handle);
@@ -419,12 +393,12 @@ impl Coordinator {
                 }
                 if let Some(&(ahead, ReceptionOutcome::Received)) = outcomes.get(i + PREFETCH_NEAR)
                 {
-                    nodes[ahead].prefetch_protocol();
+                    prefetch(&*nodes[ahead].protocol);
                 }
             }
             if outcome == ReceptionOutcome::Received {
                 nodes[receiver]
-                    .protocol_mut()
+                    .protocol
                     .handle_message(message, self.now, &mut out);
                 self.commit(NodeId::from_index(receiver), &mut out);
             }
@@ -507,9 +481,6 @@ pub struct World {
     core: Coordinator,
     pop: NodeArrays,
     seed: u64,
-    /// How many shards `run_until` splits a frame's receivers across (1 =
-    /// every callback inline). The choice survives [`World::reset`].
-    shards: usize,
     /// Set by [`World::set_naive_mobility`]: the reference oracle. Survives
     /// [`World::reset`].
     naive_mobility: bool,
@@ -555,7 +526,6 @@ impl World {
             core,
             pop: NodeArrays::default(),
             seed,
-            shards: 1,
             naive_mobility: false,
         };
         world.populate(seed);
@@ -664,7 +634,7 @@ impl World {
             let protocol = Self::build_protocol(&core.scenario.protocol, index);
             core.medium.update_position(index, mobility.position());
             pop.nodes.push(SimNode {
-                protocol: Some(protocol),
+                protocol,
                 mobility,
                 rng: node_rng,
             });
@@ -729,31 +699,28 @@ impl World {
 
     /// Selects the **reference oracle**: the original mobility path that
     /// fully advances every node on every tick. Semantically identical to
-    /// the default engine at every shard count (the `shard_equivalence`
-    /// oracle proptest pins whole reports bit-identical); kept as the
-    /// reference for the equivalence proptests. Call before [`World::run`];
-    /// `false` restores the default.
+    /// the default engine (the `mobility_equivalence` oracle proptest pins
+    /// whole reports bit-identical); kept as the reference for the
+    /// equivalence proptests. Call before [`World::run`]; `false` restores
+    /// the default.
     #[doc(hidden)]
     pub fn set_naive_mobility(&mut self, naive: bool) {
         self.naive_mobility = naive;
     }
 
-    /// Splits each completed frame's delivery callbacks across `shards`
-    /// threads (clamped to at least 1; 1 runs every callback inline).
-    /// Sharded runs are **bit-identical** to serial ones — same reports, same
-    /// RNG streams — because reception, every random draw and every
-    /// scheduler mutation stay in the sequential dispatch order, and the
-    /// receivers' actions commit in ascending receiver order either way (see
-    /// the `world::shard` module). Every other handler runs serially at any
-    /// shard count. The choice survives [`World::reset`]. This is the only
-    /// way to shard a world: the multi-seed runner and the binaries run every
-    /// world on one shard, and parallelize across seeds instead.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
+    /// Inert: a world runs every callback inline on one core, whatever
+    /// `shards` says, so its reports cannot depend on the value. Forking a
+    /// frame's delivery callbacks to worker threads cost about twice the CPU
+    /// for no gain in wall time; seeds run in parallel in the multi-seed
+    /// runner instead. The method stays only because the repository
+    /// benchmark (`benchmark/src/workload.rs`) calls it for its
+    /// `frugal_10k_shards2` workload, and goes with that workload.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// The retired engagement counters of the sharded engine: always
-    /// [`WorldDebugStats::default`], kept for the repository benchmark.
+    /// Inert: always [`WorldDebugStats::default`]. The retired sharded
+    /// engine's counters have no engine left to count; the method stays only
+    /// because the repository benchmark (`benchmark/src/workload.rs`) reads
+    /// it.
     pub fn debug_stats(&self) -> WorldDebugStats {
         WorldDebugStats::default()
     }
@@ -784,28 +751,10 @@ impl World {
     /// window, and assert over just the steady-state slice; a single
     /// `run_until(end)` is exactly [`World::run_mut`] minus the report.
     ///
-    /// With more than one shard the call opens a thread scope and spawns the
-    /// delivery workers for its whole length, unless nothing is due.
+    /// This is the event loop: it dispatches batch after batch up to
+    /// `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         let deadline = deadline.min(self.core.end);
-        let shards = self.shards.min(self.pop.nodes.len());
-        let due = matches!(self.core.queue.peek_time(), Some(at) if at <= deadline);
-        if shards > 1 && due {
-            let nodes = self.pop.nodes.len();
-            std::thread::scope(|scope| {
-                // The workers drop at the end of the scope, or while a panic
-                // unwinds; either way their work senders hang up and the
-                // worker threads return.
-                let mut workers = shard::Workers::spawn(scope, nodes, shards);
-                self.drain(deadline, Some(&mut workers));
-            });
-        } else {
-            self.drain(deadline, None);
-        }
-    }
-
-    /// The event loop: dispatches batch after batch up to `deadline`.
-    fn drain(&mut self, deadline: SimTime, mut workers: Option<&mut shard::Workers>) {
         let mut batch = std::mem::take(&mut self.core.batch_scratch);
         let pipelined = self.pop.nodes.len() >= PREFETCH_MIN_NODES;
         while let Some(at) = self.core.queue.peek_time() {
@@ -822,22 +771,17 @@ impl World {
                         prefetch(&self.pop.nodes[node.index()]);
                     }
                     if let Some(node) = batch.get(i + PREFETCH_NEAR).and_then(|&(_, e)| e.node()) {
-                        self.pop.nodes[node.index()].prefetch_protocol();
+                        prefetch(&*self.pop.nodes[node.index()].protocol);
                     }
                 }
                 let (handle, event) = batch[i];
-                self.dispatch(handle, event, workers.as_deref_mut());
+                self.dispatch(handle, event);
             }
         }
         self.core.batch_scratch = batch;
     }
 
-    fn dispatch(
-        &mut self,
-        handle: EventHandle,
-        event: WorldEvent,
-        workers: Option<&mut shard::Workers>,
-    ) {
+    fn dispatch(&mut self, handle: EventHandle, event: WorldEvent) {
         match event {
             WorldEvent::MobilityTick => self.on_mobility_tick(),
             WorldEvent::Subscribe { node } => {
@@ -854,12 +798,12 @@ impl World {
                 }
             }
             WorldEvent::TxStart { frame } => self.core.on_tx_start(frame),
-            WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx, workers),
+            WorldEvent::TxEnd { frame, tx } => self.on_tx_end(frame, tx),
             WorldEvent::Publish { index } => self.on_publish(index),
             WorldEvent::WarmupEnd => {
                 let core = &mut self.core;
                 let metrics = self.pop.nodes.iter();
-                let metrics = metrics.map(|node| node.protocol().metrics().clone());
+                let metrics = metrics.map(|node| node.protocol.metrics().clone());
                 core.warmup_metrics = Some(metrics.collect());
                 core.warmup_traffic = Some(core.medium.all_counters().to_vec());
             }
@@ -874,7 +818,7 @@ impl World {
         run: impl FnOnce(&mut dyn DisseminationProtocol, SimTime, &mut ActionBuf),
     ) {
         let mut out = std::mem::take(&mut self.core.action_buf);
-        let protocol = self.pop.nodes[node.index()].protocol_mut();
+        let protocol = &mut *self.pop.nodes[node.index()].protocol;
         run(protocol, self.core.now, &mut out);
         self.core.commit(node, &mut out);
         self.core.action_buf = out;
@@ -894,7 +838,7 @@ impl World {
                 node.mobility.advance(tick, &mut node.rng);
                 core.medium.update_position(index, node.mobility.position());
                 let speed = node.mobility.speed();
-                node.protocol_mut().update_speed(Some(speed));
+                node.protocol.update_speed(Some(speed));
             }
         } else {
             let due = core.begin_tick(now);
@@ -908,7 +852,7 @@ impl World {
                         // `advance` calls `update_speed`: both boxes are read.
                         let ahead = &pop.nodes[ahead as usize];
                         prefetch(&*ahead.mobility);
-                        ahead.prefetch_protocol();
+                        prefetch(&*ahead.protocol);
                     }
                 }
                 let index = node as usize;
@@ -929,10 +873,9 @@ impl World {
         }
     }
 
-    /// Frame completion: reception resolves here at every shard count (one
-    /// MAC RNG draw order); the delivery callbacks run inline, or fork to
-    /// the `workers` when the world is sharded.
-    fn on_tx_end(&mut self, frame: u32, tx: TxId, workers: Option<&mut shard::Workers>) {
+    /// Frame completion: resolves the receptions (drawing MAC randomness),
+    /// then runs the receivers' delivery callbacks inline.
+    fn on_tx_end(&mut self, frame: u32, tx: TxId) {
         let World { core, pop, .. } = self;
         let Some(pending) = core.take_frame(frame) else {
             return;
@@ -941,16 +884,10 @@ impl World {
         outcomes.clear();
         core.medium
             .complete_transmission_into(tx, &mut core.mac_rng, &mut outcomes);
-        match workers {
-            None => {
-                core.deliver(&mut pop.nodes, &outcomes, &pending.message);
-                // The frame died: reclaim the vectors inside its message so
-                // the next broadcast builds on their capacity instead of
-                // allocating.
-                core.action_buf.recycle_message(pending.message);
-            }
-            Some(workers) => workers.deliver(core, &mut pop.nodes, &outcomes, pending.message),
-        }
+        core.deliver(&mut pop.nodes, &outcomes, &pending.message);
+        // The frame died: reclaim the vectors inside its message so the next
+        // broadcast builds on their capacity instead of allocating.
+        core.action_buf.recycle_message(pending.message);
         core.outcome_scratch = outcomes;
     }
 
@@ -971,7 +908,7 @@ impl World {
         };
         let topic = publication.topic.clone();
         let mut out = std::mem::take(&mut core.action_buf);
-        let id = self.pop.nodes[publisher].protocol_mut().publish(
+        let id = self.pop.nodes[publisher].protocol.publish(
             topic.clone(),
             publication.validity,
             publication.payload_bytes,
@@ -998,7 +935,7 @@ impl World {
             .iter()
             .enumerate()
             .map(|(index, node)| {
-                let metrics = node.protocol().metrics();
+                let metrics = node.protocol.metrics();
                 let base = warmup_metrics.get(index);
                 let traffic = *core.medium.counters(index);
                 let traffic_base = warmup_traffic.get(index).copied().unwrap_or_default();
@@ -1034,7 +971,7 @@ impl World {
                 // subscriptions match, and as delivered if it also got it.
                 let (mut subscribers, mut delivered) = (0, 0);
                 for node in &self.pop.nodes {
-                    let protocol = node.protocol();
+                    let protocol = &node.protocol;
                     if protocol.subscriptions().matches(&record.topic) {
                         subscribers += 1;
                         delivered += usize::from(protocol.has_delivered(&record.id));
@@ -1229,6 +1166,24 @@ mod tests {
             short.bandwidth_kb_per_process(),
             long.bandwidth_kb_per_process()
         );
+    }
+
+    /// `World::set_shards` is inert, and the repository benchmark holds its
+    /// `frugal_10k_shards2` workload to `frugal_10k`'s fingerprints: a world
+    /// told to use two shards reports what a default one does, also after a
+    /// reset.
+    #[test]
+    fn set_shards_leaves_reports_bit_identical() {
+        let scenario = small_scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
+        let mut world = World::new(scenario.clone(), 4).unwrap();
+        world.set_shards(2);
+        assert_eq!(
+            world.run_mut(),
+            World::new(scenario.clone(), 4).unwrap().run()
+        );
+        world.reset(5);
+        world.set_shards(2);
+        assert_eq!(world.run_mut(), World::new(scenario, 5).unwrap().run());
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]);
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
-//! * [`ids`] — dense 32-bit node ids ([`NodeId`]) and contiguous
-//!   equal-count index partitions ([`BoundaryPartition`]) shared by the
-//!   simulation layers;
+//! * [`ids`] — dense 32-bit node ids ([`NodeId`]) shared by the simulation
+//!   layers;
 //! * [`prefetch()`] — a cache hint that lets an event loop overlap the
 //!   memory latency of the next nodes of a batch;
 //! * [`stats`] — streaming statistics ([`OnlineStats`]) for averaging the 30
@@ -59,7 +58,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod time;
 
-pub use ids::{BoundaryPartition, NodeId};
+pub use ids::NodeId;
 pub use prefetch::prefetch;
 pub use rng::SimRng;
 pub use scheduler::{EventHandle, IndexedMinQueue, TimerWheel};

@@ -6,13 +6,17 @@
 //! the due nodes from an indexed min-queue instead of scanning everyone.
 //! These properties pin the refactors' contract: positions, the per-node
 //! mobility RNG streams, and whole `RunReport`s must be **bit-identical**
-//! between the event-driven tick and the naive advance-everyone oracle
-//! (`World::set_naive_mobility`), and across fresh and `World::reset`
-//! worlds, on random scenarios, for both of the paper's mobility models.
+//! between the event-driven tick and the **one reference oracle** — the
+//! naive advance-everyone world behind the doc-hidden
+//! `World::set_naive_mobility` — and across fresh and `World::reset` worlds
+//! and runs stepped in uneven `run_until` slices, on random scenarios: all
+//! four protocol variants, all mobility models and the ideal and both paper
+//! radios.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
-    MobilityKind, ProtocolKind, Publication, PublisherChoice, Scenario, ScenarioBuilder, World,
+    MobilityKind, ProtocolKind, Publication, PublisherChoice, RunReport, Scenario, ScenarioBuilder,
+    World,
 };
 use mobility::{
     Area, CitySection, CitySectionConfig, MobilityModel, RandomWaypoint, RandomWaypointConfig,
@@ -142,13 +146,37 @@ proptest! {
     }
 }
 
+/// The three radios, by proptest-drawn pick, each with the drawn range: the
+/// ideal disc, and the paper's random-waypoint and city-section presets. The
+/// presets draw fringe losses and contention jitter from the MAC RNG, so
+/// they keep the medium's random draws in the compared reports.
+fn radio(pick: u8, range_m: f64) -> RadioConfig {
+    let mut radio = match pick {
+        0 => return RadioConfig::ideal(range_m),
+        1 => RadioConfig::paper_random_waypoint(),
+        _ => RadioConfig::paper_city_section(),
+    };
+    radio.range_m = range_m;
+    radio
+}
+
+/// The four protocol variants, by proptest-drawn pick.
+fn protocol(pick: u8) -> ProtocolKind {
+    match pick {
+        0 => ProtocolKind::Frugal(ProtocolConfig::paper_default()),
+        1 => ProtocolKind::Flooding(FloodingPolicy::Simple),
+        2 => ProtocolKind::Flooding(FloodingPolicy::InterestAware),
+        _ => ProtocolKind::Flooding(FloodingPolicy::NeighborInterest),
+    }
+}
+
 /// Builds a random small scenario from proptest-drawn parameters.
 fn random_scenario(
     mobility: MobilityKind,
     protocol: ProtocolKind,
     nodes: usize,
     tick_ms: u64,
-    range_m: f64,
+    radio: RadioConfig,
 ) -> Scenario {
     ScenarioBuilder::new()
         .label("equivalence")
@@ -156,7 +184,7 @@ fn random_scenario(
         .nodes(nodes)
         .subscriber_fraction(0.8)
         .mobility(mobility)
-        .radio(RadioConfig::ideal(range_m))
+        .radio(radio)
         .timing(SimDuration::from_secs(3), SimDuration::from_secs(25))
         .publications(vec![Publication {
             publisher: PublisherChoice::RandomSubscriber,
@@ -168,6 +196,100 @@ fn random_scenario(
         .mobility_tick(SimDuration::from_millis(tick_ms))
         .build()
         .unwrap()
+}
+
+/// The reference oracle's report: the naive advance-everyone world.
+fn oracle(scenario: &Scenario, seed: u64) -> RunReport {
+    let mut world = World::new(scenario.clone(), seed).unwrap();
+    world.set_naive_mobility(true);
+    world.run()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The oracle test: the default engine reproduces the naive oracle's
+    /// whole `RunReport` on random scenarios across all four protocol
+    /// variants, the random-waypoint, city-section and stationary models and
+    /// the three radios, on a fresh world and again on the same world reset
+    /// for the next seed.
+    #[test]
+    fn default_engine_matches_naive_oracle(
+        seed in 0u64..1_000_000,
+        nodes in 4usize..16,
+        tick_ms in 200u64..1_000,
+        pause_s in 0u64..20,
+        protocol_pick in 0u8..4,
+        mobility_pick in 0u8..3,
+        radio_pick in 0u8..3,
+    ) {
+        let (mobility, range_m) = match mobility_pick {
+            0 => (
+                MobilityKind::RandomWaypoint {
+                    area: Area::square(400.0),
+                    speed_min: 2.0,
+                    speed_max: 25.0,
+                    pause: SimDuration::from_secs(pause_s),
+                },
+                180.0,
+            ),
+            1 => (MobilityKind::CityCampus, 60.0),
+            _ => (MobilityKind::Stationary { area: Area::square(700.0) }, 200.0),
+        };
+        let radio = radio(radio_pick, range_m);
+        let scenario = random_scenario(mobility, protocol(protocol_pick), nodes, tick_ms, radio);
+        let mut world = World::new(scenario.clone(), seed).unwrap();
+        for offset in 0..2u64 {
+            let seed = seed + offset;
+            if offset > 0 {
+                world.reset(seed);
+            }
+            prop_assert_eq!(
+                world.run_mut(),
+                oracle(&scenario, seed),
+                "the engine diverged from the naive oracle for seed {}",
+                seed
+            );
+        }
+    }
+
+    /// A world stepped in random uneven `run_until` slices (some empty, some
+    /// reaching past the scenario end) and then run to the end reports what
+    /// the one-shot run does: a slice boundary may fall inside any batch's
+    /// aftermath, with timers armed and frames in flight.
+    #[test]
+    fn sliced_runs_match_the_one_shot_report(
+        seed in 0u64..1_000_000,
+        nodes in 4usize..16,
+        protocol_pick in 0u8..4,
+        slices_ms in proptest::collection::vec(0u64..4_000, 1..12),
+    ) {
+        let scenario = random_scenario(
+            MobilityKind::RandomWaypoint {
+                area: Area::square(400.0),
+                speed_min: 2.0,
+                speed_max: 25.0,
+                pause: SimDuration::from_secs(2),
+            },
+            protocol(protocol_pick),
+            nodes,
+            500,
+            RadioConfig::paper_random_waypoint(),
+        );
+        let one_shot = World::new(scenario.clone(), seed).unwrap().run();
+        let mut world = World::new(scenario, seed).unwrap();
+        let mut until = SimTime::ZERO;
+        for slice_ms in slices_ms {
+            until += SimDuration::from_millis(slice_ms);
+            world.run_until(until);
+        }
+        prop_assert_eq!(
+            world.run_mut(),
+            one_shot,
+            "the sliced run diverged from the one-shot run for seed {}",
+            seed
+        );
+    }
 }
 
 proptest! {
@@ -196,17 +318,15 @@ proptest! {
         } else {
             ProtocolKind::Flooding(FloodingPolicy::Simple)
         };
-        let scenario = random_scenario(mobility, protocol, nodes, tick_ms, 180.0);
+        let scenario = random_scenario(mobility, protocol, nodes, tick_ms, RadioConfig::ideal(180.0));
         let dirty = World::new(scenario.clone(), seed).unwrap().run();
-        let mut naive_world = World::new(scenario, seed).unwrap();
-        naive_world.set_naive_mobility(true);
-        prop_assert_eq!(dirty, naive_world.run());
+        prop_assert_eq!(dirty, oracle(&scenario, seed));
     }
 
     /// `World::reset` must be invisible: resetting one world through a
     /// chain of random seeds reproduces every fresh-world report bit for bit.
     #[test]
-    fn arena_with_protocol_reset_matches_fresh_worlds(
+    fn reset_chain_reproduces_fresh_worlds(
         seeds in proptest::collection::vec(0u64..1_000_000, 2..5),
         nodes in 4usize..12,
         frugal in any::<bool>(),
@@ -222,7 +342,7 @@ proptest! {
             speed_max: 25.0,
             pause: SimDuration::from_secs(8),
         };
-        let scenario = random_scenario(mobility, protocol, nodes, 500, 180.0);
+        let scenario = random_scenario(mobility, protocol, nodes, 500, RadioConfig::ideal(180.0));
         let mut world = World::new(scenario.clone(), seeds[0]).unwrap();
         for (index, &seed) in seeds.iter().enumerate() {
             if index > 0 {
@@ -245,11 +365,9 @@ proptest! {
             ProtocolKind::Frugal(ProtocolConfig::paper_default()),
             nodes,
             tick_ms,
-            60.0,
+            RadioConfig::ideal(60.0),
         );
         let dirty = World::new(scenario.clone(), seed).unwrap().run();
-        let mut naive_world = World::new(scenario, seed).unwrap();
-        naive_world.set_naive_mobility(true);
-        prop_assert_eq!(dirty, naive_world.run());
+        prop_assert_eq!(dirty, oracle(&scenario, seed));
     }
 }
