@@ -471,7 +471,8 @@ fn action_buffers_reproduce_pre_refactor_reports_seed_for_seed() {
     }
 }
 
-/// Reset worlds must reproduce fresh-world reports seed for seed.
+/// Worlds reused through `World::reset`, as the runner's workers reuse one
+/// world per scenario, must reproduce fresh-world reports seed for seed.
 /// `World::reset` keeps only the world's own buffers (timer wheel, the
 /// medium's grid and counters, timer slots, frame slab, wake queue, scratch
 /// vectors) and builds every node fresh, so no state may cross a reset.
@@ -480,7 +481,7 @@ fn action_buffers_reproduce_pre_refactor_reports_seed_for_seed() {
 /// flight. The scenarios cover both protocols, all three mobility models
 /// and the neighbour-interest flooding policy.
 #[test]
-fn reset_worlds_reproduce_fresh_reports_seed_for_seed() {
+fn arena_reused_worlds_reproduce_fresh_reports_seed_for_seed() {
     let scenarios = [
         scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default()), rw()),
         mobility_heavy_city(),
@@ -552,6 +553,54 @@ fn runner_reports_are_identical_across_thread_counts() {
         default_pool.iter().map(|r| r.seed).collect::<Vec<_>>(),
         (1..=6).collect::<Vec<_>>()
     );
+}
+
+/// `World::set_shards` is inert: every frame's deliveries run inline at
+/// every shard count, so a world given 2, 4 or 8 shards must reproduce, bit
+/// for bit, the one-shard report — same outcomes, same RNG consumption, same
+/// counters. The repository benchmark holds its two-shard workload to the
+/// one-shard workload's fingerprints, and this suite reuses every
+/// golden-fingerprint scenario above.
+#[test]
+fn sharded_worlds_reproduce_single_threaded_reports_at_every_shard_count() {
+    let scenarios = [
+        scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default()), rw()),
+        scenario(
+            ProtocolKind::Frugal(ProtocolConfig::paper_default()),
+            MobilityKind::CityCampus,
+        ),
+        scenario(ProtocolKind::Flooding(FloodingPolicy::Simple), rw()),
+        scenario(
+            ProtocolKind::Flooding(FloodingPolicy::InterestAware),
+            MobilityKind::CityCampus,
+        ),
+        mobility_heavy_city(),
+        wake_heavy(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
+        wake_heavy(ProtocolKind::Flooding(FloodingPolicy::Simple)),
+        timer_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
+        timer_dense(ProtocolKind::Flooding(FloodingPolicy::Simple)),
+        timer_dense(ProtocolKind::Flooding(FloodingPolicy::NeighborInterest)),
+        traffic_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
+        traffic_dense_moving(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
+        traffic_dense_moving(ProtocolKind::Flooding(FloodingPolicy::Simple)),
+    ];
+    for s in scenarios {
+        for seed in [1u64, 2] {
+            let reference = World::new(s.clone(), seed).unwrap().run();
+            for shards in [2usize, 4, 8] {
+                let mut world = World::new(s.clone(), seed).unwrap();
+                world.set_shards(shards);
+                let report = world.run();
+                assert_eq!(
+                    fingerprint(&report),
+                    fingerprint(&reference),
+                    "{} diverged at {shards} shards for seed {seed}",
+                    s.label
+                );
+                assert_eq!(report, reference);
+            }
+        }
+    }
 }
 
 #[test]

@@ -269,7 +269,7 @@ fn readme_schema_example_compiles() {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep axes.
+// Sweep axes and the inert shard count.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -281,4 +281,19 @@ fn cli_sweep_axes_expand_the_matrix() {
     assert_eq!(matrix.points[0].scenario.node_count, 4);
     assert_eq!(matrix.points[1].label, "nodes=6");
     assert_eq!(matrix.points[1].scenario.node_count, 6);
+}
+
+/// The benchmark's two-shard workload is a compiled scenario run after
+/// `World::set_shards(2)`; the call is inert, so the report must match the
+/// hand-built twin's bit for bit.
+#[test]
+fn compiled_scenario_runs_bit_identically_on_two_shards() {
+    let matrix = compile_path(example("quickstart.toml"), &[]).unwrap();
+    let twin = quickstart_twin(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
+    for seed in [42u64, 43] {
+        let mut world = World::new(matrix.points[0].scenario.clone(), seed).unwrap();
+        world.set_shards(2);
+        let direct = World::new(twin.clone(), seed).unwrap().run();
+        assert_eq!(world.run(), direct, "seed {seed}");
+    }
 }
