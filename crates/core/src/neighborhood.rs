@@ -10,6 +10,11 @@
 //! The table is flat: rows sorted by neighbor id, each with a sorted vector of
 //! known events, found by binary search. Walks go in ascending id, the order
 //! the golden fingerprints pin for `average_speed`'s floating-point sum.
+//!
+//! That sum only moves when a row's speed changes bits or a row comes or
+//! goes, so the table raises a flag then
+//! ([`NeighborhoodTable::take_speeds_changed`]), and the protocol recomputes
+//! its speed-adapted delays only when the flag is up.
 
 use pubsub::{EventId, ProcessId, SubscriptionSet, Topic};
 use serde::{Deserialize, Serialize};
@@ -57,6 +62,9 @@ pub struct NeighborhoodTable {
     /// Known-event vectors freed by eviction or trimming, handed out again
     /// (emptied) to new rows and departed records instead of allocating.
     spare: Vec<Vec<EventId>>,
+    /// Whether a row was inserted or evicted, or changed its speed's bits,
+    /// since the flag was last taken.
+    speeds_changed: bool,
 }
 
 impl NeighborhoodTable {
@@ -125,6 +133,7 @@ impl NeighborhoodTable {
             Ok(at) => {
                 let entry = &mut self.entries[at].1;
                 entry.subscriptions = subscriptions;
+                self.speeds_changed |= entry.speed.map(f64::to_bits) != speed.map(f64::to_bits);
                 entry.speed = speed;
                 entry.stored_at = now;
                 false
@@ -143,6 +152,7 @@ impl NeighborhoodTable {
                     stored_at: now,
                 };
                 self.entries.insert(at, (id, entry));
+                self.speeds_changed = true;
                 true
             }
         }
@@ -187,6 +197,14 @@ impl NeighborhoodTable {
         (count > 0).then(|| sum / count as f64)
     }
 
+    /// Whether [`NeighborhoodTable::average_speed`] may have changed since
+    /// the last call: a row was inserted or evicted, or a refresh changed a
+    /// row's speed (compared by bits). Lowers the flag. While it stays down,
+    /// `average_speed` returns the same bits as at the last `true`.
+    pub fn take_speeds_changed(&mut self) -> bool {
+        std::mem::take(&mut self.speeds_changed)
+    }
+
     /// Evicts entries whose store time is older than `now - ngc_delay` (the
     /// paper's `neighborhoodGC` task) in one id-ordered pass, remembering what
     /// they held if the departed memory is on. Returns how many were evicted.
@@ -206,6 +224,7 @@ impl NeighborhoodTable {
             fresh
         });
         let evicted = before - entries.len();
+        self.speeds_changed |= evicted > 0;
         self.entries = entries;
         self.trim_departed();
         evicted
@@ -552,12 +571,15 @@ mod proptests {
         /// The flat table behaves exactly like the B-tree reference layout
         /// under any sequence of operations: same return values, rows in the
         /// same order, same known events, store times, departed memory and
-        /// bit-identical average speed.
+        /// bit-identical average speed. Taking the speeds-changed flag (after
+        /// some operations, so changes also pile up between takes) returns
+        /// `false` only while the average speed keeps the bits it had at the
+        /// last `true`.
         #[test]
         fn neighborhood_matches_btreemap_model(
             capacity in 0usize..4,
             ops in proptest::collection::vec(
-                (0u8..11, 0u64..12, 0u64..8, 0u64..3, proptest::option::of(0u32..40)),
+                (0u8..11, 0u64..12, 0u64..8, 0u64..3, proptest::option::of(0u32..40), any::<bool>()),
                 0..40,
             ),
         ) {
@@ -566,7 +588,8 @@ mod proptests {
             let eid = |seq: u64| EventId::new(ProcessId(99), seq);
             let topic = |n: u64| Topic::root().child(&format!("t{n}"));
             let mut now = SimTime::ZERO;
-            for (op, id, event, step, speed) in ops {
+            let mut speed_at_last_change = None;
+            for (op, id, event, step, speed, take) in ops {
                 now += SimDuration::from_secs(step);
                 let pid = ProcessId(id);
                 let events = [eid(event), eid((event + 3) % 8)];
@@ -608,6 +631,14 @@ mod proptests {
                     table.average_speed().map(f64::to_bits),
                     model.average_speed().map(f64::to_bits)
                 );
+                if take {
+                    let average = table.average_speed().map(f64::to_bits);
+                    if table.take_speeds_changed() {
+                        speed_at_last_change = average;
+                    } else {
+                        prop_assert_eq!(average, speed_at_last_change);
+                    }
+                }
                 prop_assert_eq!(
                     table.someone_subscribed_to(&topic(0)),
                     model.entries.values().any(|row| row.0.matches(&topic(0)))

@@ -94,11 +94,6 @@ impl FrugalProtocol {
         }
     }
 
-    /// The protocol configuration.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
     /// Read access to the neighborhood table (for inspection and tests).
     pub fn neighborhood(&self) -> &NeighborhoodTable {
         &self.neighborhood
@@ -161,9 +156,9 @@ impl FrugalProtocol {
     }
 
     /// Recomputes the adaptive delays from the neighborhood's average speed
-    /// (the paper's `COMPUTEHBDELAY` / `COMPUTENGCDELAY`, run at every
-    /// heartbeat reception). The new values take effect when the corresponding
-    /// timers are next re-armed.
+    /// (the paper's `COMPUTEHBDELAY` / `COMPUTENGCDELAY`, due at every
+    /// heartbeat reception, run when the average may have moved). The new
+    /// values take effect when the corresponding timers are next re-armed.
     fn recompute_delays(&mut self) {
         self.hb_delay = compute_hb_delay(&self.config, self.neighborhood.average_speed());
         self.ngc_delay = compute_ngc_delay(&self.config, self.hb_delay);
@@ -278,7 +273,11 @@ impl FrugalProtocol {
                 self.broadcast(message, out);
             }
         }
-        self.recompute_delays();
+        // Unchanged speeds give a bit-identical average and so the same
+        // delays: skip the table walk and the two roundings.
+        if self.neighborhood.take_speeds_changed() {
+            self.recompute_delays();
+        }
     }
 
     fn on_event_ids_received(
@@ -1110,6 +1109,57 @@ mod tests {
         assert_eq!(p.heartbeat_delay(), SimDuration::from_secs(4));
         assert_ne!(p.heartbeat_delay(), before);
         assert_eq!(p.neighborhood_gc_delay(), SimDuration::from_secs(10));
+    }
+
+    #[test]
+    fn delays_track_the_average_speed_after_every_heartbeat() {
+        let mut cfg = config();
+        cfg.hb_upper_bound = SimDuration::from_secs(60);
+        let mut p = FrugalProtocol::new(ProcessId(1), cfg.clone());
+        p.subscribe_vec(topic(".T0"), t(0));
+        let heartbeat = |from: u64, interest: &str, speed: Option<f64>| Message::Heartbeat {
+            from: ProcessId(from),
+            subscriptions: SubscriptionSet::single(topic(interest)),
+            speed,
+        };
+        // (second, sender, its interest, advertised speed); a `None` second
+        // is a GC round at the next second instead.
+        let script: &[(Option<u64>, u64, &str, Option<f64>)] = &[
+            (Some(1), 2, ".T0", Some(10.0)),
+            (Some(2), 2, ".T0", Some(10.0)), // same speed
+            (Some(3), 3, ".T0", None),       // a new row without a speed
+            (Some(4), 4, ".T0.a", Some(4.0)),
+            (Some(5), 2, ".T0", Some(12.5)),    // a speed change
+            (Some(6), 9, ".music", Some(99.0)), // irrelevant: not stored
+            (Some(7), 3, ".T0", Some(8.0)),     // `None` becomes a speed
+            (Some(8), 4, ".T0.a", None),        // and a speed becomes `None`
+            (Some(30), 2, ".T0", Some(12.5)),
+            (None, 0, "", None),              // evicts 3 and 4
+            (Some(31), 2, ".T0", Some(12.5)), // same speed, fewer rows
+            (Some(32), 5, ".T0", Some(1.0)),
+            (Some(200), 5, ".T0", Some(1.0)),
+            (None, 0, "", None), // evicts 2
+            (Some(201), 5, ".T0", Some(1.0)),
+            (None, 0, "", None), // evicts nothing
+            (Some(202), 5, ".T0", Some(1.0)),
+        ];
+        let mut last = 0;
+        for &(second, from, interest, speed) in script {
+            let Some(second) = second else {
+                p.handle_timer_vec(TimerKind::NeighborhoodGc, t(last + 1));
+                continue;
+            };
+            last = second;
+            p.handle_message_vec(&heartbeat(from, interest, speed), t(second));
+            let hb = compute_hb_delay(&cfg, p.neighborhood().average_speed());
+            assert_eq!(
+                p.heartbeat_delay(),
+                hb,
+                "after {from}'s heartbeat at {second} s"
+            );
+            assert_eq!(p.neighborhood_gc_delay(), compute_ngc_delay(&cfg, hb));
+        }
+        assert_eq!(p.neighborhood().len(), 1);
     }
 
     #[test]

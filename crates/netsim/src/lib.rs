@@ -9,9 +9,10 @@
 //!   (442/339/321/273 m in the open area, 44 m in the city), frame air time and
 //!   per-frame overhead; a test-only `propagation` module derives those ranges
 //!   from the two-ray link budget, the oracle that pins them to the physics;
-//! * [`grid`] — [`SpatialGrid`]: a uniform spatial hash over node positions
-//!   (cell size = radio range) so reception queries touch only a 3×3 cell
-//!   neighborhood instead of every node;
+//! * [`grid`] — [`SpatialGrid`]: a dense cell index over node positions
+//!   (cell size = radio range, coarsened for sparse layouts), rebuilt lazily
+//!   after moves, so reception queries touch only a 3×3 cell neighborhood
+//!   instead of every node;
 //! * [`medium`] — [`RadioMedium`]: the shared broadcast channel that decides,
 //!   for every transmission, which nodes hear it, which frames collide, and
 //!   keeps per-node byte/frame counters for the bandwidth experiments. The

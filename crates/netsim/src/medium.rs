@@ -14,17 +14,20 @@
 //!   standing in for QualNet's statistical propagation model.
 //!
 //! The medium owns the node positions in a [`SpatialGrid`] (cell size = radio
-//! range), updated incrementally as nodes move, so completing a frame touches
+//! range), re-indexed lazily after nodes move, so completing a frame touches
 //! only what can matter to it:
 //!
-//! * its receivers come from the sender's 3×3 cell neighborhood, filtered to
-//!   the radio disc and then sorted — O(neighbors) instead of O(nodes);
+//! * its receivers come from the sender's 3×3 cell neighborhood (three
+//!   contiguous runs of the grid's dense index), filtered to the radio disc
+//!   and then sorted — O(neighbors) instead of O(nodes);
 //! * of the other frames on the air at the same time, only those sent from
 //!   within `2·range` of the sender are kept as interferers: a receiver is at
 //!   most `range` from the sender, so by the triangle inequality a frame from
 //!   farther away cannot be audible at it;
-//! * half duplex is decided by sender id against the receiver list, never by
-//!   position, because a node may have moved since it started transmitting.
+//! * half duplex is decided by sender id against the receivers, never by
+//!   position, because a node may have moved since it started transmitting:
+//!   each completion stamps its receivers in a per-node mark, so checking an
+//!   overlapping frame's sender is one load.
 //!
 //! Completion has one public entry, [`RadioMedium::complete_transmission_into`]
 //! (and its allocating twin): a private snapshot of the frame's receivers and
@@ -183,7 +186,7 @@ impl CompletionSnapshot {
 #[derive(Debug)]
 pub struct RadioMedium {
     config: RadioConfig,
-    /// Node positions, bucketed by radio-range-sized cells.
+    /// Node positions, indexed by radio-range-sized cells.
     grid: SpatialGrid,
     /// Tracked transmissions in id order: ids are handed out consecutively,
     /// so `tx` sits at index `tx - first_tx`. Pruned from the front only.
@@ -197,6 +200,10 @@ pub struct RadioMedium {
     max_air: SimDuration,
     /// Scratch snapshot reused by `complete_transmission_into`.
     snapshot: CompletionSnapshot,
+    /// Per node, the number of the last completion it was a receiver of.
+    receiver_mark: Vec<u64>,
+    /// Completions begun so far; the stamp of the current one.
+    completions: u64,
 }
 
 impl RadioMedium {
@@ -218,6 +225,8 @@ impl RadioMedium {
             counters: vec![TrafficCounters::default(); node_count],
             max_air: SimDuration::ZERO,
             snapshot: CompletionSnapshot::default(),
+            receiver_mark: vec![0; node_count],
+            completions: 0,
         }
     }
 
@@ -230,7 +239,7 @@ impl RadioMedium {
 
     /// Clears all per-run state — traffic counters and the tracked
     /// transmissions — while keeping every allocation (including the spatial
-    /// grid's buckets) for reuse by the next run. Node positions are left as
+    /// grid's index) for reuse by the next run. Node positions are left as
     /// they are; callers push the next run's initial positions with
     /// [`RadioMedium::update_position`].
     ///
@@ -245,22 +254,9 @@ impl RadioMedium {
         self.max_air = SimDuration::ZERO;
     }
 
-    /// The radio configuration shared by all nodes.
-    pub fn config(&self) -> &RadioConfig {
-        &self.config
-    }
-
-    /// Number of nodes known to the medium.
-    pub fn node_count(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Current position of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn position(&self, node: usize) -> Point {
+    /// Current position of `node`, probed by `grid_matches_brute_force_reference`.
+    #[cfg(test)]
+    fn position(&self, node: usize) -> Point {
         self.grid.position(node)
     }
 
@@ -428,9 +424,14 @@ impl RadioMedium {
         if let Ok(own) = out.receivers.binary_search(&frame.sender) {
             out.receivers.remove(own);
         }
+        self.completions += 1;
+        let stamp = self.completions;
+        for &receiver in &out.receivers {
+            self.receiver_mark[receiver] = stamp;
+        }
         let reach = 2.0 * range * (1.0 + REACH_SLACK);
         for other in self.overlapping(index, &frame) {
-            if out.receivers.binary_search(&other.sender).is_ok() {
+            if self.receiver_mark[other.sender] == stamp {
                 out.busy.push(other.sender);
             }
             if other.position.distance_squared(frame.position) <= reach * reach {
@@ -442,7 +443,7 @@ impl RadioMedium {
     /// Grid neighborhood query at the medium's radio range: overwrites `out`
     /// with every node within range of `position` (plus some of the
     /// surrounding cells) in ascending node index.
-    pub fn neighbors_into(&self, position: Point, out: &mut Vec<usize>) {
+    pub fn neighbors_into(&mut self, position: Point, out: &mut Vec<usize>) {
         self.grid.query_into(position, self.config.range_m, out);
     }
 
@@ -926,8 +927,9 @@ mod proptests {
         /// reference, which scans every node against every overlapping frame
         /// world-wide: same outcomes, same counters, and — because receivers
         /// are visited in ascending node index — identical RNG consumption.
-        /// Layouts run from one crowded cell to twenty ranges across (so the
-        /// `2·range` cut-off really drops interferers), 1 ms frames mix with
+        /// Layouts run, log-uniformly, from one crowded cell to two hundred
+        /// ranges across (so the `2·range` cut-off really drops interferers,
+        /// and sparse layouts make the grid double its cells), 1 ms frames mix with
         /// 32 ms ones (so finished frames wait in the deque behind a long
         /// one), and nodes move while frames are on the air — among them
         /// transmitters walking up to another frame's sender.
@@ -936,9 +938,10 @@ mod proptests {
             seed in any::<u64>(),
             nodes in 2usize..40,
             rounds in 1usize..40,
-            side in 50.0f64..3000.0,
+            log_side in 1.7f64..4.5,
         ) {
             const RANGE: f64 = 150.0;
+            let side = 10f64.powf(log_side);
             let config = RadioConfig {
                 fringe_loss_probability: 0.4,
                 fringe_start_fraction: 0.6,
@@ -984,7 +987,7 @@ mod proptests {
                     pending.push((end, tx_g, sender));
                 }
                 // Moves while those frames are on the air: one node anywhere
-                // (rebucketing), and often a transmitter to within range of
+                // (changing cells), and often a transmitter to within range of
                 // another frame's sender (half duplex at a stale position).
                 let mut moves = vec![(
                     scatter.index(nodes),

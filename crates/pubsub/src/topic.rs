@@ -160,12 +160,15 @@ impl Topic {
     /// assert!(Topic::root().covers(&conferences));
     /// ```
     pub fn covers(&self, other: &Topic) -> bool {
-        self.segments.len() <= other.segments.len()
-            && self
-                .segments
-                .iter()
-                .zip(other.segments.iter())
-                .all(|(a, b)| a == b)
+        // Clones share their segments: every heartbeat between two
+        // subscribers of one topic ends here, without comparing strings.
+        Arc::ptr_eq(&self.segments, &other.segments)
+            || self.segments.len() <= other.segments.len()
+                && self
+                    .segments
+                    .iter()
+                    .zip(other.segments.iter())
+                    .all(|(a, b)| a == b)
     }
 
     /// `true` if the two topics are related (one covers the other), which is
@@ -270,6 +273,11 @@ mod tests {
         assert!(t0.covers(&t1) && t0.covers(&t2) && t1.covers(&t2));
         assert!(!t2.covers(&t1) && !t1.covers(&t0));
         assert!(t1.covers(&t1), "a topic covers itself");
+        assert!(
+            t1.covers(&t1.clone()),
+            "and its clones, which share segments"
+        );
+        assert!(t(".T0.T1").covers(&t1), "and an equal topic parsed apart");
         assert!(Topic::root().covers(&t2), "the root covers everything");
         // Unrelated branches do not cover each other.
         let other = t(".T0.T4");
