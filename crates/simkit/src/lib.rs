@@ -9,7 +9,9 @@
 //! * [`time`] — a millisecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]);
 //! * [`scheduler`] — a cancellable discrete-event scheduler: a hierarchical
-//!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]);
+//!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]), whose
+//!   4.096 s level 0 fires 1 s and 2.5 s protocol timers without cascading
+//!   them, and a per-id deadline queue ([`IndexedMinQueue`]);
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
 //! * [`ids`] — dense 32-bit node ids ([`NodeId`]) shared by the simulation

@@ -1,22 +1,26 @@
 //! Discrete-event scheduler.
 //!
 //! [`TimerWheel`] is the event scheduler: a hierarchical timer wheel
-//! (calendar queue) keyed by [`SimTime`]. Near-future events live in
-//! fixed-width per-millisecond wheels (O(1) schedule/cancel, amortized-O(1)
-//! advance), far-future events in a sorted overflow list, and all the events
-//! that share a timestamp drain as one FIFO batch (insertion order breaks
-//! ties) through [`TimerWheel::pop_due_batch`]. Handles are slab-recycled, so
-//! a long run reuses a bounded set of slots instead of growing a live-handle
-//! space. Scheduled events can be cancelled through the [`EventHandle`]
-//! returned at insertion time, which is how protocol timers (heartbeats,
-//! back-offs, garbage collection) are disarmed.
+//! (calendar queue) keyed by [`SimTime`]. Near-future events live in three
+//! fixed-width wheels (O(1) schedule/cancel, amortized-O(1) advance) whose
+//! finest level spans 4.096 s in one-millisecond slots, so the protocols'
+//! periodic timers fire without ever being cascaded; far-future events wait
+//! in a sorted overflow list, and all the events that share a timestamp
+//! drain as one FIFO batch (insertion order breaks ties) through
+//! [`TimerWheel::pop_due_batch`]. Events live in a slab split into a hot
+//! half (bucket links and states, 5 bytes per event, what every list walk
+//! reads) and a cold half (payload, time, seq, generation). Handles are
+//! slab-recycled, so a long run reuses a bounded set of slots instead of
+//! growing a live-handle space. Scheduled events can be cancelled through the
+//! [`EventHandle`] returned at insertion time, which is how protocol timers
+//! (heartbeats, back-offs, garbage collection) are disarmed.
 //!
 //! [`IndexedMinQueue`] is the companion structure for *per-entity* deadlines:
 //! each id in `0..n` holds at most one `SimTime` key, the key can be decreased
-//! or increased in O(log n) by id, and the queue pops `(key, id)` pairs in
-//! ascending order with the lowest id first among equal keys. The simulation
-//! world uses it to schedule one wake event per node instead of scanning every
-//! node on every mobility tick.
+//! or increased in O(log n) by id, and [`IndexedMinQueue::pop_due`] yields
+//! `(key, id)` pairs in ascending order with the lowest id first among equal
+//! keys. The simulation world uses it to schedule one wake event per node
+//! instead of scanning every node on every mobility tick.
 //!
 //! # Examples
 //!
@@ -48,24 +52,44 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventHandle(u64);
 
-/// Number of index bits per wheel level: each level has `1 << SLOT_BITS`
-/// slots.
-const SLOT_BITS: u32 = 8;
-/// Slots per wheel level.
-const WHEEL_SLOTS: usize = 1 << SLOT_BITS;
-/// Bitmask extracting one level's slot index from a millisecond timestamp.
-const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
-/// Number of hierarchical levels. Level `l` slots are `256^l` ms wide, so the
-/// wheels jointly cover `256^3` ms ≈ 4.66 simulated hours ahead of the
-/// current floor; everything beyond overflows into the sorted far list.
+/// Number of hierarchical levels.
 const WHEEL_LEVELS: usize = 3;
-/// The horizon of the wheels: events `>= base + WHEEL_SPAN_MS` go far.
-const WHEEL_SPAN_MS: u64 = 1 << (SLOT_BITS * WHEEL_LEVELS as u32);
-/// Words of the per-level occupancy bitmaps (256 slots / 64 bits).
-const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
+/// Index bits of each level: level 0 has 4096 one-millisecond slots, a
+/// 4.096 s span that holds the protocols' common timers (1 s heartbeats and
+/// `FloodTick`s, the 2.5 s neighbourhood GC) until they fire, so they never
+/// cascade; levels 1 and 2 have 256 slots each.
+const LEVEL_BITS: [u32; WHEEL_LEVELS] = [12, 8, 8];
+/// Bit offset of each level's slot index in a millisecond timestamp: a
+/// level's slot is as wide as the whole level below it spans.
+const LEVEL_SHIFT: [u32; WHEEL_LEVELS] = [0, LEVEL_BITS[0], LEVEL_BITS[0] + LEVEL_BITS[1]];
+/// First bucket of each level in [`TimerWheel::heads`]. Level 0 comes last,
+/// so a fresh wheel's first events (the near ones and a few far ones)
+/// materialize only a short prefix of the heads.
+const LEVEL_FIRST: [usize; WHEEL_LEVELS] = [
+    (1 << LEVEL_BITS[2]) + (1 << LEVEL_BITS[1]),
+    1 << LEVEL_BITS[2],
+    0,
+];
+/// Bucket list heads of all levels together.
+const HEADS: usize = LEVEL_FIRST[0] + (1 << LEVEL_BITS[0]);
+/// Span of level 0: events less than this far past the floor sit in their
+/// own millisecond's slot.
+const L0_SPAN_MS: u64 = 1 << LEVEL_SHIFT[1];
+/// Span of levels 0 and 1 together (2^20 ms ≈ 17.5 simulated minutes).
+const L1_SPAN_MS: u64 = 1 << LEVEL_SHIFT[2];
+/// The horizon of the wheels (2^28 ms ≈ 74.6 simulated hours): events
+/// `>= base + WHEEL_SPAN_MS` go far.
+const WHEEL_SPAN_MS: u64 = 1 << (LEVEL_SHIFT[2] + LEVEL_BITS[2]);
+/// Bitmask extracting a level-0 slot index from a millisecond timestamp.
+const L0_MASK: u64 = L0_SPAN_MS - 1;
 /// Null link of the intrusive bucket lists (no slab slot has this index: the
 /// slab is indexed by `u32` and would overflow before reaching it).
 const NIL: u32 = u32::MAX;
+
+/// The slot of `level` that covers millisecond `time_ms`.
+fn level_index(level: usize, time_ms: u64) -> usize {
+    ((time_ms >> LEVEL_SHIFT[level]) & ((1 << LEVEL_BITS[level]) - 1)) as usize
+}
 
 /// Lifecycle of one slab slot of the [`TimerWheel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,29 +104,26 @@ enum SlabState {
     Dead,
 }
 
-/// One slab slot: the event itself plus per-handle bookkeeping (cancellation
-/// state and the generation that makes recycled indices distinguishable from
-/// their previous tenants).
+/// The cold half of one slab slot: the event itself plus the generation that
+/// makes recycled indices distinguishable from their previous tenants. The
+/// hot half, the bucket link and the [`SlabState`], lives in the parallel
+/// arrays [`TimerWheel::next`] and [`TimerWheel::state`].
 ///
 /// Events live *in the slab*, not in the buckets: each wheel bucket is an
-/// intrusive singly-linked list threaded through the `next` field, so placing
-/// an event — whether from a fresh schedule, a cascade or a far migration —
-/// is a pointer relink that never allocates. (Per-bucket `Vec`s looked
-/// harmless but never stopped allocating: bucket indices are a function of
-/// absolute time, so a long run keeps reaching buckets whose `Vec` has not
-/// yet grown to that instant's occupancy.)
+/// intrusive singly-linked list threaded through `next`, so placing an event
+/// — whether from a fresh schedule, a cascade or a far migration — is a
+/// relink that never allocates. (Per-bucket `Vec`s looked harmless but never
+/// stopped allocating: bucket indices are a function of absolute time, so a
+/// long run keeps reaching buckets whose `Vec` has not yet grown to that
+/// instant's occupancy.)
 #[derive(Debug)]
 struct SlabSlot<E> {
     generation: u32,
-    state: SlabState,
     /// The millisecond the event was scheduled for (its *effective* due time
     /// is clamped to the wheel floor at placement, see [`TimerWheel`] docs).
     time_ms: u64,
     /// Global insertion order; breaks ties between equal timestamps.
     seq: u64,
-    /// Next slab index in the same bucket list, [`NIL`] at the tail.
-    /// Meaningful only while the event is in a wheel bucket.
-    next: u32,
     /// `Some` while the event is pending; taken when it fires, dropped when
     /// its tombstone is reclaimed.
     payload: Option<E>,
@@ -115,17 +136,80 @@ enum Placed {
     Far,
 }
 
+/// Words of one [`Occupancy`] bitmap: enough for level 0's 4096 slots (the
+/// 256-slot levels use the first four). At most 64, one per summary bit.
+const OCCUPANCY_WORDS: usize = (1 << LEVEL_BITS[0]) / 64;
+const _: () = assert!(OCCUPANCY_WORDS <= 64);
+
+/// The slot-occupancy bitmap of one wheel level (occupied = holds entries,
+/// live or tombstoned), with a summary word whose bit `w` says that word `w`
+/// is non-zero, so "next occupied slot" is two `trailing_zeros` even over
+/// level 0's 4096 slots, and a reset touches only the words in use.
+#[derive(Debug, Clone)]
+struct Occupancy {
+    summary: u64,
+    words: [u64; OCCUPANCY_WORDS],
+}
+
+impl Occupancy {
+    const EMPTY: Occupancy = Occupancy {
+        summary: 0,
+        words: [0; OCCUPANCY_WORDS],
+    };
+
+    fn contains(&self, index: usize) -> bool {
+        self.words[index / 64] & (1 << (index % 64)) != 0
+    }
+
+    fn insert(&mut self, index: usize) {
+        self.words[index / 64] |= 1 << (index % 64);
+        self.summary |= 1 << (index / 64);
+    }
+
+    fn remove(&mut self, index: usize) {
+        let word = &mut self.words[index / 64];
+        *word &= !(1 << (index % 64));
+        if *word == 0 {
+            self.summary &= !(1 << (index / 64));
+        }
+    }
+
+    /// The first occupied slot at or after `from`, if any.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.words[word] & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        let later = self.summary & (!1u64 << word);
+        (later != 0).then(|| {
+            let word = later.trailing_zeros() as usize;
+            word * 64 + self.words[word].trailing_zeros() as usize
+        })
+    }
+
+    fn clear(&mut self) {
+        let mut summary = self.summary;
+        while summary != 0 {
+            self.words[summary.trailing_zeros() as usize] = 0;
+            summary &= summary - 1;
+        }
+        self.summary = 0;
+    }
+}
+
 /// A hierarchical timer wheel (calendar queue) with batched same-timestamp
 /// dispatch.
 ///
 /// The wheel keeps a monotone **floor** (the latest timestamp returned by
 /// [`TimerWheel::peek_time`] / the batch drains): every pending event is at or
-/// after the floor. Events within ~4.66 simulated hours of the floor hash
-/// into one of three fixed-width wheels — level `l` has 256 slots of
-/// `256^l` ms — so scheduling and cancelling are O(1) and an event cascades
-/// at most twice on its way down to the millisecond-resolution level 0.
-/// Events beyond that horizon wait in a far list sorted by `(time, seq)` and
-/// migrate into the wheels as the floor approaches them.
+/// after the floor. Events within ~74.6 simulated hours of the floor hash
+/// into one of three fixed-width wheels — level 0 has 4096 one-millisecond
+/// slots, level 1 has 256 slots of 4.096 s and level 2 has 256 slots of
+/// 2^20 ms — so scheduling and cancelling are O(1), an event less than
+/// 4.096 s ahead never cascades and any other cascades at most twice on its
+/// way down to level 0. Events beyond that horizon wait in a far list sorted
+/// by `(time, seq)` and migrate into the wheels as the floor approaches them.
 ///
 /// **Ordering contract:** [`TimerWheel::pop_due_batch`] hands over one whole
 /// same-timestamp batch per call, batches in increasing time order and each
@@ -143,6 +227,10 @@ enum Placed {
 /// Handles are slab-recycled: a slot freed by a drain or a tombstone cleanup is
 /// reissued under a bumped generation, so stale handles never cancel a later
 /// event and a bounded working set of slots serves arbitrarily long runs.
+/// The slab is split in two: the bucket walks (drain, cascade, tombstone
+/// pruning) read only the dense 5-byte-per-event hot arrays `next` and
+/// `state`, which stay cache-resident at 100k pending events, and touch an
+/// event's cold slab slot only to fire or move it.
 ///
 /// # Examples
 ///
@@ -166,23 +254,29 @@ enum Placed {
 pub struct TimerWheel<E> {
     /// The wheel floor, in ms: no pending event is earlier.
     base: u64,
-    /// `WHEEL_LEVELS * WHEEL_SLOTS` bucket list heads (slab indices, [`NIL`]
-    /// when empty), level-major. Fixed-size: the events themselves live in
-    /// the slab, linked through [`SlabSlot::next`].
-    slots: Vec<u32>,
-    /// Per-level slot-occupancy bitmaps (occupied = holds entries, live or
-    /// tombstoned).
-    occupied: [[u64; BITMAP_WORDS]; WHEEL_LEVELS],
+    /// Bucket list heads (slab indices), placed by `LEVEL_FIRST`. A head is
+    /// meaningful only while its bit in `occupied` is set, so neither `new`
+    /// nor `clear` writes one: `new` reserves all `HEADS` and `place`
+    /// materializes them up to the highest bucket it has used.
+    heads: Vec<u32>,
+    /// Per-level slot-occupancy bitmaps.
+    occupied: [Occupancy; WHEEL_LEVELS],
     /// Slab indices of events beyond the wheel horizon, sorted ascending by
     /// `(time, seq)`. A deque so migrating the front into the wheels is O(1)
     /// per entry (a sorted `Vec` paid O(len) per front removal); inserts
     /// still binary search, which far events are rare enough to afford.
     far: VecDeque<u32>,
-    /// Event slab; parallel free list below.
+    /// Hot slab half: the next slab index in the same bucket list, [`NIL`]
+    /// at the tail. Meaningful only while the event is in a wheel bucket.
+    next: Vec<u32>,
+    /// Hot slab half: the lifecycle of each slab index.
+    state: Vec<SlabState>,
+    /// Cold slab half, parallel to `next` and `state`; free list below.
     slab: Vec<SlabSlot<E>>,
     free: Vec<u32>,
-    /// Scratch for the seq-sort of a draining batch; kept to reuse capacity.
-    batch_scratch: Vec<u32>,
+    /// Scratch for the seq-sort of a draining batch: `(seq, slab index)`
+    /// pairs, kept to reuse capacity.
+    batch_scratch: Vec<(u64, u32)>,
     /// Global insertion counter (FIFO tie-break between equal timestamps).
     next_seq: u64,
     /// Pending (non-cancelled) events, total / in the wheels / in the far
@@ -193,6 +287,10 @@ pub struct TimerWheel<E> {
     /// The staged earliest timestamp: its level-0 slot is fully cascaded and
     /// held at `base`. Lazily re-validated because a cancel can empty it.
     staged: Option<u64>,
+    /// Live entries [`TimerWheel::cascade`] has moved down a level, probed by
+    /// `periodic_timers_within_level_zero_never_cascade`.
+    #[cfg(test)]
+    cascaded: u64,
 }
 
 impl<E> Default for TimerWheel<E> {
@@ -206,9 +304,11 @@ impl<E> TimerWheel<E> {
     pub fn new() -> Self {
         TimerWheel {
             base: 0,
-            slots: vec![NIL; WHEEL_LEVELS * WHEEL_SLOTS],
-            occupied: [[0; BITMAP_WORDS]; WHEEL_LEVELS],
+            heads: Vec::with_capacity(HEADS),
+            occupied: [Occupancy::EMPTY; WHEEL_LEVELS],
             far: VecDeque::new(),
+            next: Vec::new(),
+            state: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
             batch_scratch: Vec::new(),
@@ -217,16 +317,20 @@ impl<E> TimerWheel<E> {
             wheel_live: 0,
             far_live: 0,
             staged: None,
+            #[cfg(test)]
+            cascaded: 0,
         }
     }
 
     /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.live
     }
 
     /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.live == 0
     }
 
@@ -258,21 +362,20 @@ impl<E> TimerWheel<E> {
     /// tombstoned in place and reclaimed when the wheel next touches it.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         let (index, generation) = unpack_handle(handle);
-        let Some(slot) = self.slab.get_mut(index as usize) else {
-            return false;
-        };
-        if slot.generation != generation {
-            return false;
+        match self.slab.get(index as usize) {
+            Some(slot) if slot.generation == generation => {}
+            _ => return false,
         }
-        match slot.state {
+        let state = &mut self.state[index as usize];
+        match *state {
             SlabState::LiveWheel => {
-                slot.state = SlabState::Dead;
+                *state = SlabState::Dead;
                 self.live -= 1;
                 self.wheel_live -= 1;
                 true
             }
             SlabState::LiveFar => {
-                slot.state = SlabState::Dead;
+                *state = SlabState::Dead;
                 self.live -= 1;
                 self.far_live -= 1;
                 true
@@ -292,7 +395,7 @@ impl<E> TimerWheel<E> {
                 return None;
             }
             if let Some(time_ms) = self.staged {
-                if self.slot_has_live((time_ms & SLOT_MASK) as usize) {
+                if self.slot_has_live((time_ms & L0_MASK) as usize) {
                     return Some(SimTime::from_millis(time_ms));
                 }
                 // A cancel emptied the staged batch; find the next one.
@@ -308,9 +411,9 @@ impl<E> TimerWheel<E> {
                 continue;
             }
             self.migrate_far();
-            let cursor = (self.base & SLOT_MASK) as usize;
-            if let Some(index) = self.next_occupied(0, cursor) {
-                let slot_time = (self.base & !SLOT_MASK) | index as u64;
+            let cursor = (self.base & L0_MASK) as usize;
+            if let Some(index) = self.occupied[0].first_from(cursor) {
+                let slot_time = (self.base & !L0_MASK) | index as u64;
                 debug_assert!(slot_time >= self.base);
                 if self.prune_slot(index) {
                     self.base = slot_time;
@@ -345,57 +448,64 @@ impl<E> TimerWheel<E> {
         Some(time)
     }
 
-    /// Drains the staged batch at `time` (the caller just peeked it).
+    /// Drains the staged batch at `time` (the caller just peeked it),
+    /// reclaiming the tombstones `prune_slot` left behind its live head.
     fn drain_staged(&mut self, time: SimTime, out: &mut Vec<(EventHandle, E)>) {
-        let index = (time.as_millis() & SLOT_MASK) as usize;
+        let index = (time.as_millis() & L0_MASK) as usize;
+        debug_assert!(self.occupied[0].contains(index));
         let mut batch = std::mem::take(&mut self.batch_scratch);
         batch.clear();
-        let mut cursor = self.slots[index];
-        self.slots[index] = NIL;
+        let mut cursor = self.heads[LEVEL_FIRST[0] + index];
+        self.occupied[0].remove(index);
         while cursor != NIL {
-            batch.push(cursor);
-            cursor = self.slab[cursor as usize].next;
+            let next = self.next[cursor as usize];
+            if self.state[cursor as usize] == SlabState::Dead {
+                self.release_slab(cursor);
+            } else {
+                debug_assert_eq!(self.state[cursor as usize], SlabState::LiveWheel);
+                batch.push((self.slab[cursor as usize].seq, cursor));
+            }
+            cursor = next;
         }
         // Entries landed here through direct schedules and cascades in mixed
-        // order; seq order is the FIFO order for this timestamp.
-        batch.sort_unstable_by_key(|&slab| self.slab[slab as usize].seq);
-        for &slab in &batch {
+        // order; seq order is the FIFO order for this timestamp. Seqs are
+        // unique, so sorting the copied pairs is sorting by seq.
+        batch.sort_unstable();
+        self.live -= batch.len();
+        self.wheel_live -= batch.len();
+        for &(_, slab) in &batch {
             let slot = &mut self.slab[slab as usize];
-            if slot.state == SlabState::LiveWheel {
-                self.live -= 1;
-                self.wheel_live -= 1;
-                let handle = EventHandle(pack_handle(slab, slot.generation));
-                let payload = slot.payload.take().expect("live event holds a payload");
-                self.release_slab(slab);
-                out.push((handle, payload));
-            } else {
-                debug_assert_eq!(slot.state, SlabState::Dead);
-                self.release_slab(slab);
-            }
+            let handle = EventHandle(pack_handle(slab, slot.generation));
+            let payload = slot.payload.take().expect("live event holds a payload");
+            self.release_slab(slab);
+            out.push((handle, payload));
         }
         self.batch_scratch = batch; // keep the allocation
-        self.clear_occupied(0, index);
         self.staged = None;
     }
 
     /// Drops every pending event and tombstone, resets the floor to
     /// [`SimTime::ZERO`] and restarts the seq space, keeping every allocation
-    /// (slot buckets, slab, free list) for the next run.
+    /// (bucket heads, slab, free list) for the next run. The bucket heads
+    /// are not touched: clearing the occupancy bitmaps (only the words in
+    /// use) retires them all.
     ///
     /// Occupied slab slots are released under a bumped generation, so handles
     /// issued before `clear` are invalidated and must not be cancelled
     /// afterwards.
     pub fn clear(&mut self) {
-        self.slots.fill(NIL);
-        self.occupied = [[0; BITMAP_WORDS]; WHEEL_LEVELS];
+        for level in &mut self.occupied {
+            level.clear();
+        }
         self.far.clear();
         self.free.clear();
         for index in 0..self.slab.len() {
-            if self.slab[index].state != SlabState::Free {
-                self.slab[index].generation = self.slab[index].generation.wrapping_add(1);
-                self.slab[index].state = SlabState::Free;
+            let slot = &mut self.slab[index];
+            if self.state[index] != SlabState::Free {
+                slot.generation = slot.generation.wrapping_add(1);
+                self.state[index] = SlabState::Free;
             }
-            self.slab[index].payload = None;
+            slot.payload = None;
             self.free.push(index as u32);
         }
         self.base = 0;
@@ -412,14 +522,12 @@ impl<E> TimerWheel<E> {
     /// cascades and migrations, which move existing entries). Never
     /// allocates on the wheel path — placing is a bucket-list relink.
     fn place(&mut self, slab: u32) -> Placed {
-        let (time_ms, seq) = {
-            let slot = &self.slab[slab as usize];
-            (slot.time_ms, slot.seq)
-        };
+        let time_ms = self.slab[slab as usize].time_ms;
         let effective = time_ms.max(self.base);
         let delta = effective - self.base;
         if delta >= WHEEL_SPAN_MS {
-            self.slab[slab as usize].state = SlabState::LiveFar;
+            self.state[slab as usize] = SlabState::LiveFar;
+            let seq = self.slab[slab as usize].seq;
             let at = self.far.partition_point(|&other| {
                 let o = &self.slab[other as usize];
                 (o.time_ms, o.seq) < (time_ms, seq)
@@ -428,16 +536,24 @@ impl<E> TimerWheel<E> {
             return Placed::Far;
         }
         let level = match delta {
-            d if d < 1 << SLOT_BITS => 0,
-            d if d < 1 << (2 * SLOT_BITS) => 1,
+            d if d < L0_SPAN_MS => 0,
+            d if d < L1_SPAN_MS => 1,
             _ => 2,
         };
-        let index = ((effective >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        let slot = &mut self.slab[slab as usize];
-        slot.state = SlabState::LiveWheel;
-        slot.next = self.slots[level * WHEEL_SLOTS + index];
-        self.slots[level * WHEEL_SLOTS + index] = slab;
-        self.set_occupied(level, index);
+        let index = level_index(level, effective);
+        let bucket = LEVEL_FIRST[level] + index;
+        if bucket >= self.heads.len() {
+            // Within the capacity `new` reserved: never reallocates.
+            self.heads.resize(bucket + 1, NIL);
+        }
+        self.state[slab as usize] = SlabState::LiveWheel;
+        self.next[slab as usize] = if self.occupied[level].contains(index) {
+            self.heads[bucket]
+        } else {
+            NIL
+        };
+        self.heads[bucket] = slab;
+        self.occupied[level].insert(index);
         Placed::Wheel
     }
 
@@ -445,36 +561,37 @@ impl<E> TimerWheel<E> {
     /// higher-level slots that now cover the level-0 horizon. Called only
     /// when the current level-0 rotation is exhausted.
     fn advance_boundary(&mut self) {
-        let boundary = (self.base | SLOT_MASK) + 1;
+        let boundary = (self.base | L0_MASK) + 1;
         self.base = boundary;
-        if (boundary >> SLOT_BITS) & SLOT_MASK == 0 {
+        if level_index(1, boundary) == 0 {
             // Crossed a level-2 slot boundary: bring that slot down first so
             // its level-1-range entries are in place before level 1 cascades.
-            let c2 = ((boundary >> (2 * SLOT_BITS)) & SLOT_MASK) as usize;
-            self.cascade(2, c2);
+            self.cascade(2, level_index(2, boundary));
         }
-        let c1 = ((boundary >> SLOT_BITS) & SLOT_MASK) as usize;
-        self.cascade(1, c1);
+        self.cascade(1, level_index(1, boundary));
     }
 
     /// Redistributes the entries of slot `index` of `level` into the lower
     /// levels (their delta to the freshly advanced floor is below this
     /// level's slot width), reclaiming tombstones on the way.
     fn cascade(&mut self, level: usize, index: usize) {
-        if self.occupied[level][index / 64] & (1 << (index % 64)) == 0 {
+        if !self.occupied[level].contains(index) {
             return;
         }
-        let mut cursor = self.slots[level * WHEEL_SLOTS + index];
-        self.slots[level * WHEEL_SLOTS + index] = NIL;
-        self.clear_occupied(level, index);
+        let mut cursor = self.heads[LEVEL_FIRST[level] + index];
+        self.occupied[level].remove(index);
         while cursor != NIL {
-            let next = self.slab[cursor as usize].next;
-            if self.slab[cursor as usize].state == SlabState::Dead {
+            let next = self.next[cursor as usize];
+            if self.state[cursor as usize] == SlabState::Dead {
                 self.release_slab(cursor);
             } else {
                 debug_assert!(
                     self.slab[cursor as usize].time_ms.max(self.base) - self.base < WHEEL_SPAN_MS
                 );
+                #[cfg(test)]
+                {
+                    self.cascaded += 1;
+                }
                 let placed = self.place(cursor);
                 debug_assert_eq!(placed, Placed::Wheel, "cascade cannot move entries far");
             }
@@ -486,14 +603,14 @@ impl<E> TimerWheel<E> {
     /// the wheels, reclaiming far tombstones on the way.
     fn migrate_far(&mut self) {
         while let Some(&first) = self.far.front() {
-            let slot = &self.slab[first as usize];
-            if slot.state == SlabState::Dead {
+            if self.state[first as usize] == SlabState::Dead {
                 self.far.pop_front();
                 self.release_slab(first);
                 continue;
             }
-            debug_assert!(slot.time_ms >= self.base, "far entry fell behind the floor");
-            if slot.time_ms - self.base >= WHEEL_SPAN_MS {
+            let time_ms = self.slab[first as usize].time_ms;
+            debug_assert!(time_ms >= self.base, "far entry fell behind the floor");
+            if time_ms - self.base >= WHEEL_SPAN_MS {
                 break;
             }
             self.far.pop_front();
@@ -508,7 +625,7 @@ impl<E> TimerWheel<E> {
     /// live. Only called when the wheels are empty and `far_live > 0`.
     fn prune_far_front(&mut self) {
         while let Some(&first) = self.far.front() {
-            if self.slab[first as usize].state != SlabState::Dead {
+            if self.state[first as usize] != SlabState::Dead {
                 break;
             }
             self.far.pop_front();
@@ -516,91 +633,65 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Reclaims the tombstones of level-0 slot `index`; returns `true` if
-    /// live entries remain (clearing the occupancy bit otherwise).
+    /// Reclaims the tombstones at the head of occupied level-0 slot `index`,
+    /// stopping at the first live entry (the drain reclaims any behind it);
+    /// returns `true` if one was found, clearing the occupancy bit otherwise.
     fn prune_slot(&mut self, index: usize) -> bool {
-        // Unlink tombstones from the head...
-        let mut head = self.slots[index];
-        while head != NIL && self.slab[head as usize].state == SlabState::Dead {
-            let next = self.slab[head as usize].next;
+        let mut head = self.heads[LEVEL_FIRST[0] + index];
+        while head != NIL && self.state[head as usize] == SlabState::Dead {
+            let next = self.next[head as usize];
             self.release_slab(head);
             head = next;
         }
-        // ...then from the interior.
-        let mut cursor = head;
-        while cursor != NIL {
-            let next = self.slab[cursor as usize].next;
-            if next != NIL && self.slab[next as usize].state == SlabState::Dead {
-                self.slab[cursor as usize].next = self.slab[next as usize].next;
-                self.release_slab(next);
-            } else {
-                cursor = next;
-            }
+        if head == NIL {
+            self.occupied[0].remove(index);
+            return false;
         }
-        self.slots[index] = head;
-        let has_live = head != NIL;
-        if !has_live {
-            self.clear_occupied(0, index);
-        }
-        has_live
+        self.heads[LEVEL_FIRST[0] + index] = head;
+        true
     }
 
     /// `true` if level-0 slot `index` holds at least one live entry.
     fn slot_has_live(&self, index: usize) -> bool {
-        let mut cursor = self.slots[index];
+        if !self.occupied[0].contains(index) {
+            return false;
+        }
+        let mut cursor = self.heads[LEVEL_FIRST[0] + index];
         while cursor != NIL {
-            let slot = &self.slab[cursor as usize];
-            if slot.state == SlabState::LiveWheel {
+            if self.state[cursor as usize] == SlabState::LiveWheel {
                 return true;
             }
-            cursor = slot.next;
+            cursor = self.next[cursor as usize];
         }
         false
-    }
-
-    /// The first occupied slot of `level` at or after `from`, if any.
-    fn next_occupied(&self, level: usize, from: usize) -> Option<usize> {
-        let words = &self.occupied[level];
-        let mut word = from / 64;
-        let mut bits = words[word] & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word == BITMAP_WORDS {
-                return None;
-            }
-            bits = words[word];
-        }
-    }
-
-    fn set_occupied(&mut self, level: usize, index: usize) {
-        self.occupied[level][index / 64] |= 1 << (index % 64);
-    }
-
-    fn clear_occupied(&mut self, level: usize, index: usize) {
-        self.occupied[level][index / 64] &= !(1 << (index % 64));
     }
 
     /// Takes a slab slot off the free list (or grows the slab). The slot's
     /// generation was bumped when it was released, so the handle minted for
     /// it cannot collide with any previously issued handle.
     fn alloc_slab(&mut self) -> u32 {
-        if let Some(index) = self.free.pop() {
-            index
-        } else {
-            let index = self.slab.len() as u32;
-            self.slab.push(SlabSlot {
-                generation: 0,
-                state: SlabState::Free,
-                time_ms: 0,
-                seq: 0,
-                next: NIL,
-                payload: None,
-            });
-            index
+        match self.free.pop() {
+            Some(index) => index,
+            None => self.grow_slab(),
         }
+    }
+
+    /// Appends a fresh slot to both slab halves. Out of line, so that
+    /// `schedule` with the recycling path of `alloc_slab` stays small enough
+    /// to inline into its callers.
+    #[cold]
+    #[inline(never)]
+    fn grow_slab(&mut self) -> u32 {
+        let index = self.slab.len() as u32;
+        self.slab.push(SlabSlot {
+            generation: 0,
+            time_ms: 0,
+            seq: 0,
+            payload: None,
+        });
+        self.next.push(NIL);
+        self.state.push(SlabState::Free);
+        index
     }
 
     /// Returns a slab slot to the free list under a bumped generation,
@@ -608,8 +699,8 @@ impl<E> TimerWheel<E> {
     fn release_slab(&mut self, index: u32) {
         let slot = &mut self.slab[index as usize];
         slot.generation = slot.generation.wrapping_add(1);
-        slot.state = SlabState::Free;
         slot.payload = None;
+        self.state[index as usize] = SlabState::Free;
         self.free.push(index);
     }
 }
@@ -633,22 +724,7 @@ fn unpack_handle(handle: EventHandle) -> (u32, u32) {
 /// duplicate entries). Pops yield `(key, id)` in ascending key order; among
 /// equal keys the **lowest id** pops first, which is what lets the simulation
 /// world process waking nodes in exactly the order the reference full scan
-/// visits them.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::scheduler::IndexedMinQueue;
-/// use simkit::time::SimTime;
-///
-/// let mut q = IndexedMinQueue::new();
-/// q.set(3, SimTime::from_secs(9));
-/// q.set(1, SimTime::from_secs(5));
-/// q.set(3, SimTime::from_secs(2)); // decrease-key by id
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(2), 3)));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(5), 1)));
-/// assert_eq!(q.pop(), None);
-/// ```
+/// visits them. [`IndexedMinQueue::pop_due`] is the one way out.
 #[derive(Debug, Clone, Default)]
 pub struct IndexedMinQueue {
     /// Ids, heap-ordered by `(key[id], id)`.
@@ -668,12 +744,14 @@ impl IndexedMinQueue {
     }
 
     /// Number of entries in the queue.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// `true` if the queue holds no entry.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
@@ -686,7 +764,8 @@ impl IndexedMinQueue {
     }
 
     /// `true` if `id` currently holds an entry.
-    pub fn contains(&self, id: usize) -> bool {
+    #[cfg(test)]
+    fn contains(&self, id: usize) -> bool {
         self.pos.get(id).is_some_and(|&p| p != ABSENT)
     }
 
@@ -697,7 +776,7 @@ impl IndexedMinQueue {
     }
 
     /// The smallest `(key, id)` entry without removing it.
-    pub fn peek(&self) -> Option<(SimTime, usize)> {
+    fn peek(&self) -> Option<(SimTime, usize)> {
         self.heap.first().map(|&id| (self.key[id], id))
     }
 
@@ -723,7 +802,7 @@ impl IndexedMinQueue {
     }
 
     /// Removes and returns the smallest `(key, id)` entry.
-    pub fn pop(&mut self) -> Option<(SimTime, usize)> {
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
         let &first = self.heap.first()?;
         self.remove_at(0);
         Some((self.key[first], first))
@@ -732,6 +811,22 @@ impl IndexedMinQueue {
     /// Removes and returns the smallest entry **iff** its key is `<= deadline`.
     /// This is the wake-drain primitive: the world pops every node due at the
     /// current tick and nothing beyond it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use simkit::scheduler::IndexedMinQueue;
+    /// use simkit::time::SimTime;
+    ///
+    /// let mut q = IndexedMinQueue::new();
+    /// q.set(3, SimTime::from_secs(9));
+    /// q.set(1, SimTime::from_secs(5));
+    /// q.set(3, SimTime::from_secs(2)); // decrease-key by id
+    /// assert_eq!(q.pop_due(SimTime::MAX), Some((SimTime::from_secs(2), 3)));
+    /// assert_eq!(q.pop_due(SimTime::from_secs(4)), None);
+    /// assert_eq!(q.pop_due(SimTime::from_secs(5)), Some((SimTime::from_secs(5), 1)));
+    /// assert_eq!(q.pop_due(SimTime::MAX), None);
+    /// ```
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, usize)> {
         match self.peek() {
             Some((key, _)) if key <= deadline => self.pop(),
@@ -740,7 +835,8 @@ impl IndexedMinQueue {
     }
 
     /// Removes the entry of `id`, if any. Returns `true` if one was removed.
-    pub fn remove(&mut self, id: usize) -> bool {
+    #[cfg(test)]
+    fn remove(&mut self, id: usize) -> bool {
         match self.pos.get(id) {
             Some(&p) if p != ABSENT => {
                 self.remove_at(p);
@@ -818,6 +914,7 @@ impl IndexedMinQueue {
 #[cfg(test)]
 mod wheel_tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -898,10 +995,11 @@ mod wheel_tests {
     #[test]
     fn events_cross_every_level_and_the_far_list() {
         let mut wheel = TimerWheel::new();
-        // Level 0 (ms), level 1 (hundreds of ms), level 2 (minutes), far (days).
+        // Level 0 (ms to seconds), level 1 (a minute), level 2 (hours), far
+        // (weeks).
         let times = [
             3u64,
-            200,
+            4_000,
             70_000,
             10_000_000,
             WHEEL_SPAN_MS + 5,
@@ -1009,6 +1107,67 @@ mod wheel_tests {
         }
         assert_eq!(count, 10_000);
     }
+
+    /// Runs one periodic timer per node for 60 simulated seconds, staggered
+    /// over the first second, and returns how many entries `cascade` moved.
+    fn cascades_of_periodic_timers(periods_ms: &[u64]) -> u64 {
+        let mut wheel = TimerWheel::new();
+        for node in 0..500u64 {
+            for &period in periods_ms {
+                wheel.schedule(SimTime::from_millis(1 + node * 2), period);
+            }
+        }
+        let mut batch = Vec::new();
+        let mut fired = 0;
+        while let Some(at) = wheel.pop_due_batch(t(60), &mut batch) {
+            for (_, period) in batch.drain(..) {
+                fired += 1;
+                wheel.schedule(at + SimDuration::from_millis(period), period);
+            }
+        }
+        let rounds: u64 = periods_ms.iter().map(|period| 59_000 / period).sum();
+        assert!(fired >= 500 * rounds, "only {fired} timers fired");
+        wheel.cascaded
+    }
+
+    /// The protocols' 1 s heartbeats and `FloodTick`s and the 2.5 s
+    /// neighbourhood GC re-arm within level 0's span, so a drain never has
+    /// to cascade them; a 5 s period does cascade, which shows the probe
+    /// counts.
+    #[test]
+    fn periodic_timers_within_level_zero_never_cascade() {
+        assert_eq!(cascades_of_periodic_timers(&[1_000, 2_500]), 0);
+        assert!(cascades_of_periodic_timers(&[5_000]) > 0);
+    }
+
+    /// Every millisecond each of 100 timers is re-armed behind a tombstone
+    /// left in the same slot: `prune_slot` stops at the live head, so only
+    /// the drain can reclaim those tombstones, and the slab stays bounded.
+    #[test]
+    fn tombstones_inside_a_slot_are_reclaimed_at_drain() {
+        let mut wheel = TimerWheel::new();
+        let mut batch = Vec::new();
+        for node in 0..100u64 {
+            wheel.schedule(SimTime::from_millis(1 + node), node);
+        }
+        let mut fired = 0;
+        while let Some(at) = wheel.pop_due_batch(t(30), &mut batch) {
+            for (_, node) in batch.drain(..) {
+                fired += 1;
+                let due = at + SimDuration::from_millis(100);
+                let doomed = wheel.schedule(due, node);
+                wheel.schedule(due, node);
+                assert!(wheel.cancel(doomed));
+            }
+        }
+        assert_eq!(fired, 30_000);
+        assert_eq!(wheel.len(), 100);
+        assert!(
+            wheel.slab.len() <= 202,
+            "slab grew to {} slots",
+            wheel.slab.len()
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1025,12 +1184,118 @@ mod wheel_proptests {
         key: (u64, u64),
     }
 
+    /// A wheel driven in lockstep with its reference model, a
+    /// `BTreeMap<(time, seq), payload>`. The model mirrors the wheel's
+    /// floor-clamping contract: scheduling below the floor fires at the
+    /// floor. Every payload is its event's seq.
+    struct Lockstep {
+        wheel: TimerWheel<u64>,
+        model: BTreeMap<(u64, u64), u64>,
+        issued: Vec<Scheduled>,
+        floor: u64,
+        next_seq: u64,
+        batch: Vec<(EventHandle, u64)>,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                wheel: TimerWheel::new(),
+                model: BTreeMap::new(),
+                issued: Vec::new(),
+                floor: 0,
+                next_seq: 0,
+                batch: Vec::new(),
+            }
+        }
+
+        /// Op `0 | 1` schedules at `time_ms`, op `2` cancels the `pick`-th
+        /// issued handle (modulo), any other op attempts a pop with deadline
+        /// `time_ms`.
+        fn apply(&mut self, op: u8, time_ms: u64, pick: usize) {
+            match op {
+                0 | 1 => self.schedule(time_ms),
+                2 => self.cancel(pick),
+                _ => self.pop(time_ms),
+            }
+            assert_eq!(self.wheel.len(), self.model.len());
+        }
+
+        fn schedule(&mut self, time_ms: u64) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let handle = self.wheel.schedule(SimTime::from_millis(time_ms), seq);
+            let key = (time_ms.max(self.floor), seq);
+            self.model.insert(key, seq);
+            self.issued.push(Scheduled { handle, key });
+        }
+
+        fn cancel(&mut self, pick: usize) {
+            if self.issued.is_empty() {
+                return;
+            }
+            let target = self.issued[pick % self.issued.len()];
+            let expected = self.model.remove(&target.key).is_some();
+            assert_eq!(self.wheel.cancel(target.handle), expected);
+        }
+
+        /// A pop attempt advances the floor to the earliest pending time
+        /// whether or not the batch is released.
+        fn pop(&mut self, deadline_ms: u64) {
+            self.batch.clear();
+            let got = self
+                .wheel
+                .pop_due_batch(SimTime::from_millis(deadline_ms), &mut self.batch);
+            let Some((&(at, _), _)) = self.model.first_key_value() else {
+                assert_eq!(got, None);
+                assert!(self.batch.is_empty());
+                return;
+            };
+            self.floor = self.floor.max(at);
+            if at > deadline_ms {
+                assert_eq!(got, None);
+                assert!(self.batch.is_empty());
+                return;
+            }
+            assert_eq!(got, Some(SimTime::from_millis(at)));
+            let expected: Vec<u64> = self
+                .model
+                .range((at, 0)..(at, u64::MAX))
+                .map(|(_, &p)| p)
+                .collect();
+            let drained: Vec<u64> = self.batch.iter().map(|&(_, p)| p).collect();
+            assert_eq!(drained, expected);
+            while self
+                .model
+                .first_key_value()
+                .is_some_and(|(&(t, _), _)| t == at)
+            {
+                self.model.pop_first();
+            }
+        }
+
+        /// Drains everything left; the tail must come out fully sorted.
+        fn finish(mut self) {
+            let mut drained = Vec::new();
+            self.batch.clear();
+            while let Some(at) = self.wheel.pop_due_batch(SimTime::MAX, &mut self.batch) {
+                drained.extend(self.batch.drain(..).map(|(_, p)| (at.as_millis(), p)));
+            }
+            let expected: Vec<(u64, u64)> =
+                self.model.iter().map(|(&(at, _), &p)| (at, p)).collect();
+            assert_eq!(drained, expected);
+        }
+    }
+
+    /// Offsets at which a level boundary or the far horizon falls: the
+    /// bunched cases draw times within ±1 ms of these.
+    const SPANS: [u64; 4] = [0, L0_SPAN_MS, L1_SPAN_MS, WHEEL_SPAN_MS];
+
     proptest! {
         /// The wheel behaves exactly like a `BTreeMap<(time, seq), payload>`
         /// under arbitrary interleavings of schedule / cancel / batched pops,
         /// including times that overflow into (and cross back out of) the
-        /// far list. The model mirrors the wheel's floor-clamping contract:
-        /// scheduling below the floor fires at the floor.
+        /// far list. This is the wheel's one reference model.
         #[test]
         fn matches_btreemap_model(
             ops in proptest::collection::vec(
@@ -1038,77 +1303,61 @@ mod wheel_proptests {
                 1..120,
             ),
         ) {
-            let mut wheel: TimerWheel<u64> = TimerWheel::new();
-            let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-            let mut issued: Vec<Scheduled> = Vec::new();
-            let mut floor = 0u64;
-            let mut next_seq = 0u64;
-            let mut payload = 0u64;
-            let mut batch = Vec::new();
+            let mut lockstep = Lockstep::new();
             for (op, time_ms, pick) in ops {
-                match op {
-                    0 | 1 => {
-                        let handle = wheel.schedule(SimTime::from_millis(time_ms), payload);
-                        let key = (time_ms.max(floor), next_seq);
-                        model.insert(key, payload);
-                        issued.push(Scheduled { handle, key });
-                        next_seq += 1;
-                        payload += 1;
-                    }
-                    2 if !issued.is_empty() => {
-                        let target = issued[pick % issued.len()];
-                        let expected = model.remove(&target.key).is_some();
-                        prop_assert_eq!(wheel.cancel(target.handle), expected);
-                    }
-                    _ => {
-                        // Pop attempt with a drawn deadline. The attempt
-                        // advances the floor to the earliest pending time
-                        // whether or not the batch is released.
-                        let deadline = SimTime::from_millis(time_ms);
-                        batch.clear();
-                        let got = wheel.pop_due_batch(deadline, &mut batch);
-                        match model.first_key_value() {
-                            None => {
-                                prop_assert_eq!(got, None);
-                                prop_assert!(batch.is_empty());
-                            }
-                            Some((&(at, _), _)) => {
-                                floor = floor.max(at);
-                                if at > time_ms {
-                                    prop_assert_eq!(got, None);
-                                    prop_assert!(batch.is_empty());
-                                } else {
-                                    prop_assert_eq!(got, Some(SimTime::from_millis(at)));
-                                    let expected: Vec<u64> = model
-                                        .range((at, 0)..(at, u64::MAX))
-                                        .map(|(_, &p)| p)
-                                        .collect();
-                                    let drained: Vec<u64> =
-                                        batch.iter().map(|&(_, p)| p).collect();
-                                    prop_assert_eq!(drained, expected);
-                                    while model
-                                        .first_key_value()
-                                        .is_some_and(|(&(t, _), _)| t == at)
-                                    {
-                                        model.pop_first();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                prop_assert_eq!(wheel.len(), model.len());
+                lockstep.apply(op, time_ms, pick);
             }
-            // Drain everything left; the tail must come out fully sorted.
-            let mut drained = Vec::new();
-            batch.clear();
-            while let Some(at) = wheel.pop_due_batch(SimTime::MAX, &mut batch) {
-                drained.extend(batch.drain(..).map(|(_, p)| (at.as_millis(), p)));
-            }
-            let expected: Vec<(u64, u64)> =
-                model.iter().map(|(&(at, _), &p)| (at, p)).collect();
-            prop_assert_eq!(drained, expected);
+            lockstep.finish();
         }
+
+        /// The same model, with every time within ±1 ms of a level span or
+        /// of the far horizon: past the current floor (`anchored == 0`), or
+        /// past an absolute multiple of the span, where slot indices wrap.
+        #[test]
+        fn bunched_level_boundaries_match_btreemap_model(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..SPANS.len(), 0u8..2, 1u64..4, 0u64..3, 0usize..64),
+                1..160,
+            ),
+        ) {
+            let mut lockstep = Lockstep::new();
+            for (op, span, anchored, multiple, jitter, pick) in ops {
+                let origin = if anchored == 0 { lockstep.floor } else { 0 };
+                let time_ms = (origin + multiple * SPANS[span] + jitter).saturating_sub(1);
+                lockstep.apply(op, time_ms, pick);
+            }
+            lockstep.finish();
+        }
+    }
+
+    /// Batches sharing one millisecond, with cancels in the middle of a
+    /// batch, before and after it is staged, right at each level span.
+    #[test]
+    fn same_millisecond_batches_with_middle_cancels_match_the_model() {
+        let mut lockstep = Lockstep::new();
+        for &span in &SPANS[..3] {
+            let at = lockstep.floor + span.max(1);
+            for _ in 0..8 {
+                lockstep.schedule(at);
+            }
+            lockstep.schedule(at + 1);
+            lockstep.schedule(at - 1);
+            let first = lockstep.issued.len() - 10;
+            // Middle cancels: the list's head and tail stay live.
+            for offset in [2, 3, 5] {
+                lockstep.apply(2, 0, first + offset);
+            }
+            lockstep.pop(at - 1);
+            // Staged, then cancel more of the batch before it drains.
+            lockstep.pop(at - 1);
+            for offset in [6, 9] {
+                lockstep.apply(2, 0, first + offset);
+            }
+            lockstep.schedule(at);
+            lockstep.pop(at);
+            lockstep.pop(at + 1);
+        }
+        lockstep.finish();
     }
 }
 
